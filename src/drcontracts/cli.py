@@ -18,12 +18,12 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
 
 from .aggregation import (
     AssetPortfolio,
@@ -395,6 +395,31 @@ def _standalone_profit(terms: ProgramTerms, building) -> float:
     return float(np.average(values, weights=weights))
 
 
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks with ties sharing their mean rank."""
+    order = np.argsort(values, kind="mergesort")
+    ordered = values[order]
+    first = np.r_[True, ordered[1:] != ordered[:-1]]
+    # Tie group g spans sorted positions bounds[g-1] .. bounds[g]-1.
+    bounds = np.r_[np.flatnonzero(first), values.size]
+    group = np.cumsum(first)
+    ranks = np.empty(values.size)
+    ranks[order] = 0.5 * (bounds[group - 1] + 1 + bounds[group])
+    return ranks
+
+
+def spearman_rho(x, y) -> float:
+    """Spearman rank correlation: Pearson correlation of the average ranks.
+
+    NaN when either input is constant, where the correlation is undefined.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if np.all(x == x[0]) or np.all(y == y[0]):
+        return math.nan
+    return float(np.corrcoef(_average_ranks(x), _average_ranks(y))[0, 1])
+
+
 def cmd_aggregate(args: argparse.Namespace) -> int:
     config = load_run_config(args.config)
     terms = config.require_terms()
@@ -443,9 +468,9 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
     if unalignable:
         print(f"unalignable buckets skipped: {', '.join(sorted(unalignable))}")
     if len(ranks) >= 2:
-        rho = stats.spearmanr(
+        rho = spearman_rho(
             [r.delta_sigma for r in ranks], [r.delta_j_oracle for r in ranks]
-        ).statistic
+        )
         print(f"spearman(delta_sigma, delta_j_oracle) = {rho:.9g}")
     print(f"ranking written to {args.out}")
     return 0

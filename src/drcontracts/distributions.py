@@ -123,11 +123,28 @@ class EmpiricalDistribution:
         out = np.searchsorted(self.samples, x, side="right") / self.n
         return out if out.ndim else float(out)
 
+    @cached_property
+    def _quantile_memo(self) -> dict[float, float]:
+        return {}
+
     def quantile(self, u):
+        """Interpolated quantile, numpy's default method.
+
+        Scalar results are memoized per instance, keyed by float(u): the
+        optimizer asks each bucket for the same few levels (psi, 1 - c_hat)
+        thousands of times, and a repeat returns the float computed first.
+        Invalid levels are never stored, so they raise on every call.
+        """
+        if np.ndim(u) == 0:
+            key = float(u)
+            out = self._quantile_memo.get(key)
+            if out is None:
+                _check_unit_interval(np.asarray(key))
+                out = self._quantile_memo[key] = float(np.quantile(self.samples, key))
+            return out
         u_arr = np.asarray(u, dtype=float)
         _check_unit_interval(u_arr)
-        out = np.quantile(self.samples, u_arr)
-        return out if np.ndim(u) else float(out)
+        return np.quantile(self.samples, u_arr)
 
     def partial_expectation(self, c):
         """Integral of q dF over [0, c]: mean contribution of samples <= c."""

@@ -2,16 +2,25 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
+from scipy import stats
 
+from drcontracts import _kernels
 from drcontracts.cli import (
     ALPHA_SWEEP_HEADER,
     SCHEDULE_CSV_HEADER_FULL,
     main,
+    spearman_rho,
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -475,3 +484,98 @@ class TestSimulate:
         )
         assert code == 2
         assert "duplicate" in capsys.readouterr().err
+
+
+class TestSpearman:
+    @staticmethod
+    def printed(x, y) -> tuple[str, str]:
+        """Ours and SciPy's rho, formatted as the aggregate command prints them."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", stats.ConstantInputWarning)
+            reference = stats.spearmanr(x, y).statistic
+        return f"{spearman_rho(x, y):.9g}", f"{reference:.9g}"
+
+    def test_random_vectors(self):
+        rng = np.random.default_rng(11)
+        for n in range(2, 30):
+            x, y = rng.normal(size=(2, n))
+            ours, reference = self.printed(x, y)
+            assert ours == reference
+
+    def test_vectors_with_ties(self):
+        rng = np.random.default_rng(12)
+        for n in range(3, 30):
+            x, y = rng.integers(0, 4, size=(2, n)).astype(float)
+            ours, reference = self.printed(x, y)
+            assert ours == reference
+
+    @pytest.mark.parametrize(
+        "x, y", [([1.0, 2.0], [3.0, 5.0]), ([1.0, 2.0], [5.0, 3.0])]
+    )
+    def test_two_values(self, x, y):
+        ours, reference = self.printed(x, y)
+        assert ours == reference == ("1" if y[1] > y[0] else "-1")
+
+    @pytest.mark.parametrize(
+        "x, y", [([2.0, 2.0, 2.0], [1.0, 2.0, 3.0]), ([1.0, 2.0, 3.0], [0.5, 0.5, 0.5])]
+    )
+    def test_constant_input_is_nan(self, x, y):
+        assert self.printed(x, y) == ("nan", "nan")
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    """scipy.stats costs most of a second at start-up, which every CLI call pays."""
+    out = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import drcontracts.cli, sys; print('scipy.stats' in sys.modules)",
+        ],
+        capture_output=True,
+        text=True,
+        env=os.environ,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
+
+
+# SHA-256 of the fixture pipeline's outputs with the committed config (seed 7).
+# A change that moves any of these must be a documented output change.
+GOLDEN_DIGESTS = {
+    "model.json": "79983ee80174be4bda163536b4acdfabfce1dd611ab53adcf1ccfe6a2cb5d21c",
+    "contracts.csv": "8efe15fcecaa137e23c62a2cf1ab3c7b59a26dc7eae8d449a888d420d9963553",
+    "ranking.csv": "07d67e1f9489a8e8e4bf6abab1beb70443fb871a765cfbb5ec25898baaacc6a3",
+    "report.json": "1a1215279a5d6e29e14a47c93aaf180306a47c28ad92d8b0d83115b9bcb2334d",
+}
+
+
+def test_fixture_pipeline_outputs_are_golden(tmp_path, monkeypatch):
+    # report.json names the settlement backend; pin the fallback every build has.
+    monkeypatch.setattr(_kernels, "settle_trials", _kernels.settle_trials_python)
+    monkeypatch.setattr(_kernels, "BACKEND", "python")
+    for name in INPUTS:
+        shutil.copy(FIXTURES / name, tmp_path / name)
+    config = str(tmp_path / "config.json")
+    stages = [
+        ["estimate", "--out", "model.json"],
+        ["contract", "--building", "acme_plant", "--out", "contracts.csv"],
+        [
+            "aggregate",
+            "--base",
+            "acme_plant",
+            "--candidates",
+            "birch_mall",
+            "cedar_office",
+            "--out",
+            "ranking.csv",
+        ],
+        ["simulate", "--building", "acme_plant", "--out", "report.json"],
+    ]
+    for stage in stages:
+        stage[-1] = str(tmp_path / stage[-1])
+        assert run(stage[0], "--config", config, *stage[1:]) == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in GOLDEN_DIGESTS
+    }
+    assert digests == GOLDEN_DIGESTS

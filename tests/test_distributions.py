@@ -107,6 +107,50 @@ class TestEmpirical:
         assert lhs == pytest.approx(emp.partial_expectation(c), abs=1e-9, rel=1e-12)
 
     @given(
+        samples=st.lists(
+            st.floats(min_value=0.0, max_value=1e4), min_size=1, max_size=40
+        ),
+        u=st.floats(min_value=0.0, max_value=1.0),
+    )
+    def test_scalar_quantile_memo_is_bitwise(self, samples, u):
+        emp = EmpiricalDistribution(samples)
+        expected = float(np.quantile(np.asarray(samples, dtype=float), u))
+        first = emp.quantile(u)
+        assert type(first) is float
+        assert np.float64(first).tobytes() == np.float64(expected).tobytes()
+        assert emp.quantile(u) is first
+        assert emp.quantile(np.float64(u)) is first
+        assert emp.quantile(np.asarray(u)) is first
+
+    @given(
+        samples=st.lists(
+            st.floats(min_value=0.0, max_value=1e4), min_size=1, max_size=40
+        ),
+        u=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=0, max_size=8),
+    )
+    def test_array_quantile_bypasses_memo(self, samples, u):
+        emp = EmpiricalDistribution(samples)
+        if u:
+            emp.quantile(u[0])
+        out = emp.quantile(np.asarray(u))
+        assert isinstance(out, np.ndarray) and out.shape == (len(u),)
+        expected = np.quantile(np.asarray(samples, dtype=float), np.asarray(u))
+        np.testing.assert_array_equal(out, expected)
+
+    @given(
+        u=st.one_of(
+            st.floats(max_value=-1e-300),
+            st.floats(min_value=1.0, exclude_min=True),
+            st.just(math.nan),
+        )
+    )
+    def test_invalid_quantile_raises_on_every_call(self, u):
+        emp = EmpiricalDistribution([1.0, 2.0, 3.0])
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                emp.quantile(u)
+
+    @given(
         c1=st.floats(min_value=0.0, max_value=100.0),
         c2=st.floats(min_value=0.0, max_value=100.0),
     )
