@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
 """Benchmark the settlement kernel: compiled extension vs numpy fallback.
 
-The settlement inner loop dominates Monte Carlo runtime, so the package ships
-a compiled version with a pure-numpy fallback selected at import.  This script
-times both on identical inputs and prints a comparison table; when the
-extension is unavailable it reports the fallback only.
+A diagnostic for one layer, not an end-to-end result: settlement is a small
+share of ``simulate_horizon``, whose time goes mostly to drawing the uniforms
+(the ``kernels.*`` and ``simulation.*`` metrics of ``perfbench/run.py
+--trace 1`` place it in the whole run).  This script times both kernels on
+identical inputs at the engine's event probability, 3/720, and prints a
+comparison table; when the extension is unavailable it reports the fallback
+only.
 
 Usage:
     python benchmarks/bench_settlement.py [--trials N] [--windows W] [--repeats R]

@@ -17,7 +17,7 @@ def settle_trials(
     double pi_e,
     double p,
 ):
-    """Settle a block of trials; mirrors the pure-numpy kernel exactly."""
+    """Settle a block of trials; capability is read only where u_event < p."""
     # Coercion is free for the C-contiguous float64 blocks the engine passes;
     # it keeps the two backends interchangeable on arbitrary array input.
     u_event_arr = np.ascontiguousarray(u_event_in, dtype=np.float64)

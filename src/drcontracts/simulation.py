@@ -4,8 +4,12 @@ Replays many delivery windows per trial: each window independently becomes an
 event with probability p, capability is drawn from the window's bucket
 distribution, and the window settles at the contracted size.  All randomness
 comes from a counter-based generator addressed by (seed, purpose, flat draw
-index), so results are bit-identical for a given seed regardless of chunking
-or the number of parallel streams.
+index), so every draw is fixed by the seed alone.  Profits and event,
+shortfall, clip and tail counts are bit-identical for a given seed whatever
+the chunking or the number of parallel streams.  The CVaR values and their
+standard errors do not depend on the stream count either, but they do depend
+on CHUNK_TRIALS: each chunk's tail sum is added to the running total on its
+own, so a different chunk size adds the same terms in a different grouping.
 """
 
 from __future__ import annotations
@@ -226,7 +230,7 @@ def write_profits_csv(path, result: SimulationResult) -> None:
 
 
 def _event_branch_settlement(
-    terms: ProgramTerms, contract_c: float, q: np.ndarray
+    terms: ProgramTerms, contract_c: float | np.ndarray, q: np.ndarray
 ) -> np.ndarray:
     delivered = np.minimum(q, contract_c)
     return terms.pi_e * delivered - terms.pi_p * (contract_c - delivered)
@@ -272,38 +276,34 @@ def empirical_cvar(terms: ProgramTerms, contract_c: float, q_draws) -> float:
     return _cvar_tail_value(terms, contract_c, tail, draws.size)
 
 
-@dataclass
-class _GroupAccumulator:
-    """Running tail-integral estimate of cvar for one window group.
+# Uniform-level margin of the CVaR tail prefilter; see _tail_level.
+_TAIL_LEVEL_SLACK = 1e-6
 
-    Every draw at or below the group's tail cutoff q_hat contributes its
-    event-branch settlement; the sum is normalized by tail_mass times the
-    total draw count.  This targets the analytic cvar integral directly, so
-    a distribution atom sitting on the tail boundary contributes its full
-    mass, matching the analytic convention even for coarse empirical
-    distributions (a "k smallest draws" tail would not).
+
+def _point_value(dist: CurtailmentDistribution) -> float | None:
+    """The one value dist.transform_uniform returns for every u, if there is one."""
+    if isinstance(dist, NormalDistribution):
+        return max(dist.mu, 0.0) if dist.sigma == 0.0 else None
+    first, last = dist.samples[0], dist.samples[-1]
+    return float(first) if first == last else None
+
+
+def _tail_level(dist: CurtailmentDistribution, cutoff: float) -> float:
+    """A uniform level from which on dist.transform_uniform(u) > cutoff.
+
+    Each transform is nondecreasing in u, so the level is cdf(cutoff) plus a
+    slack that absorbs rounding in the transform.  A normal whose sigma is
+    tiny next to mu can round its whole inverse cdf flat onto the cutoff; the
+    level is checked against the unclipped quantile, which is the transform's
+    own formula, and widened to 1 (every cell a candidate) if the check fails.
     """
-
-    group: _WindowGroup
-    terms: ProgramTerms
-    cutoff: float
-    clip_threshold: float
-    tail_sum: float = 0.0
-    tail_sq_sum: float = 0.0
-    tail_count: int = 0
-    clip_count: int = 0
-
-    def consume(self, q_cols: np.ndarray, u_cols: np.ndarray) -> None:
-        draws = q_cols.ravel()
-        if self.clip_threshold > 0.0:
-            self.clip_count += int(np.count_nonzero(u_cols < self.clip_threshold))
-        tail = draws[draws <= self.cutoff]
-        settled = _event_branch_settlement(self.terms, self.group.contract, tail)
-        self.tail_sum += float(settled.sum())
-        # Non-tail draws contribute 0, so the per-draw second moment only
-        # needs the tail terms.
-        self.tail_sq_sum += float(np.square(settled).sum())
-        self.tail_count += int(tail.size)
+    level = min(float(dist.cdf(cutoff)) + _TAIL_LEVEL_SLACK, 1.0)
+    if isinstance(dist, NormalDistribution):
+        if cutoff < 0.0:  # draws are clipped at zero, so none reaches the tail
+            return 0.0
+        if level < 1.0 and not dist.quantile(level) > cutoff:
+            return 1.0
+    return level
 
 
 def simulate_horizon(
@@ -319,25 +319,51 @@ def simulate_horizon(
     distribution; contracts mirrors it (scalar or per-bucket mapping);
     schedule optionally assigns a bucket key to every window (its length then
     overrides config.windows_per_horizon).
+
+    Each group's cvar is a running tail-integral estimate: every draw at or
+    below the group's tail cutoff q_hat contributes its event-branch
+    settlement, and the sum is normalized by tail_mass times the total draw
+    count.  This targets the analytic cvar integral directly, so a
+    distribution atom sitting on the tail boundary contributes its full mass,
+    matching the analytic convention even for coarse empirical distributions
+    (a "k smallest draws" tail would not).
+
+    A chunk draws both uniform tables in full but transforms only the cells
+    that need a capability value: the events, which settle, and the tail
+    candidates, cells whose capability uniform lies below the group's
+    _tail_level.  Single-point groups have no candidates; their tail is every
+    draw of the chunk or none.  A group's tail draws are kept in the
+    row-major order of the dense table, so its tail sums add the same values
+    in the same order as a dense pass would.
     """
     plan = _normalize_plan(terms, capability, contracts, config, schedule)
     n_trials = config.n_trials
     windows = plan.windows
+    groups = plan.groups
+    n_groups = len(groups)
 
-    starts = list(range(0, n_trials, CHUNK_TRIALS))
-    group_states = []
-    for group in plan.groups:
-        clip_threshold = 0.0
+    col_group = np.empty(windows, dtype=np.min_scalar_type(n_groups))
+    tail_u = np.zeros(windows)
+    clip_u = np.zeros(windows)
+    cutoffs = np.empty(n_groups)
+    group_contracts = np.empty(n_groups)
+    # (group index, window count, settlement) of each point group in its tail
+    point_tails = []
+    for g, group in enumerate(groups):
+        cols = group.columns
+        col_group[cols] = g
+        cutoff = float(group.dist.quantile(terms.tail_mass))
+        cutoffs[g] = cutoff
+        group_contracts[g] = group.contract
+        point = _point_value(group.dist)
+        if point is None:
+            tail_u[cols] = _tail_level(group.dist, cutoff)
+        elif point <= cutoff:
+            settled = _event_branch_settlement(terms, group.contract, np.array([point]))
+            point_tails.append((g, cols.size, settled[0]))
         if isinstance(group.dist, NormalDistribution) and group.dist.sigma > 0.0:
-            clip_threshold = group.dist.clipped_mass()
-        group_states.append(
-            _GroupAccumulator(
-                group=group,
-                terms=terms,
-                cutoff=float(group.dist.quantile(terms.tail_mass)),
-                clip_threshold=clip_threshold,
-            )
-        )
+            clip_u[cols] = group.dist.clipped_mass()
+    clipping = bool(clip_u.any())
 
     def run_chunk(row_start: int):
         n_rows = min(CHUNK_TRIALS, n_trials - row_start)
@@ -347,35 +373,87 @@ def simulate_horizon(
         u_cap = _uniform_block(
             config.seed, CAPABILITY_PURPOSE, windows, row_start, n_rows
         )
-        q = np.empty_like(u_cap)
-        for group in plan.groups:
-            cols = group.columns
-            q[:, cols] = group.dist.transform_uniform(u_cap[:, cols])
+        event_cells = np.flatnonzero(u_event < terms.p)
+        tail_cells = np.flatnonzero(u_cap < tail_u)
+        clip_count = int(np.count_nonzero(u_cap < clip_u)) if clipping else 0
+
+        # Sort the cells by group, stably: each group's events come first,
+        # then its tail candidates, each in row-major order.
+        cells = np.concatenate((event_cells, tail_cells))
+        cell_group = col_group[cells % windows]
+        order = np.argsort(cell_group, kind="stable")
+        cells, cell_group = cells[order], cell_group[order]
+        is_event = order < event_cells.size
+        u_cells = u_cap.reshape(-1)[cells]
+        q_cells = np.empty_like(u_cells)
+        start = 0
+        ends = np.cumsum(np.bincount(cell_group, minlength=n_groups)).tolist()
+        for group, end in zip(groups, ends):
+            # Called for every group, even one with no cells, so a clipped
+            # normal warns once per chunk however few cells it draws.
+            q_cells[start:end] = group.dist.transform_uniform(u_cells[start:end])
+            start = end
+
+        # The kernel reads capability only at the events, so the event
+        # values go into u_cap in place; its other cells keep their uniforms.
+        u_cap.reshape(-1)[cells[is_event]] = q_cells[is_event]
         profit, events, shortfalls = _kernels.settle_trials(
             u_event,
-            q,
+            u_cap,
             plan.contracts,
             terms.pi_r,
             terms.pi_p,
             terms.pi_e,
             terms.p,
         )
-        return profit, events, shortfalls, u_cap, q
+
+        candidate = ~is_event
+        cand_group = cell_group[candidate]
+        cand_q = q_cells[candidate]
+        in_tail = cand_q <= cutoffs[cand_group]
+        tail_group = cand_group[in_tail]
+        settled = _event_branch_settlement(
+            terms, group_contracts[tail_group], cand_q[in_tail]
+        )
+        counts = np.bincount(tail_group, minlength=n_groups)
+        sums = np.zeros(n_groups)
+        sq_sums = np.zeros(n_groups)
+        start = 0
+        for g, end in enumerate(np.cumsum(counts).tolist()):
+            if end > start:
+                sums[g] = settled[start:end].sum()
+                # Non-tail draws contribute 0, so the per-draw second moment
+                # only needs the tail terms.
+                sq_sums[g] = np.square(settled[start:end]).sum()
+            start = end
+        for g, width, value in point_tails:
+            block = np.full(n_rows * width, value)
+            sums[g] = block.sum()
+            sq_sums[g] = np.square(block).sum()
+            counts[g] = block.size
+        return profit, events, shortfalls, sums, sq_sums, counts, clip_count
 
     profits = np.empty(n_trials)
     event_counts = np.empty(n_trials, dtype=np.int64)
     shortfall_counts = np.empty(n_trials, dtype=np.int64)
+    tail_sum = np.zeros(n_groups)
+    tail_sq_sum = np.zeros(n_groups)
+    tail_count = np.zeros(n_groups, dtype=np.int64)
+    clip_count = 0
 
     def fold(row_start: int, chunk_out) -> None:
-        profit, events, shortfalls, u_cap, q = chunk_out
+        nonlocal clip_count
+        profit, events, shortfalls, sums, sq_sums, counts, clipped = chunk_out
         n_rows = profit.size
         profits[row_start : row_start + n_rows] = profit
         event_counts[row_start : row_start + n_rows] = events
         shortfall_counts[row_start : row_start + n_rows] = shortfalls
-        for state in group_states:
-            cols = state.group.columns
-            state.consume(q[:, cols], u_cap[:, cols])
+        tail_sum[:] += sums
+        tail_sq_sum[:] += sq_sums
+        tail_count[:] += counts
+        clip_count += clipped
 
+    starts = list(range(0, n_trials, CHUNK_TRIALS))
     if config.parallel_streams > 1:
         with ThreadPoolExecutor(max_workers=config.parallel_streams) as pool:
             for row_start, chunk_out in zip(starts, pool.map(run_chunk, starts)):
@@ -385,26 +463,24 @@ def simulate_horizon(
             fold(row_start, run_chunk(row_start))
 
     cvar_out = {}
-    clip_count = 0
-    for state in group_states:
-        clip_count += state.clip_count
-        n_draws_total = n_trials * state.group.columns.size
-        value = _cvar_from_tail_sum(
-            terms, state.group.contract, state.tail_sum, n_draws_total
-        )
+    for group, group_sum, group_sq_sum, group_count in zip(
+        groups, tail_sum.tolist(), tail_sq_sum.tolist(), tail_count.tolist()
+    ):
+        n_draws_total = n_trials * group.columns.size
+        value = _cvar_from_tail_sum(terms, group.contract, group_sum, n_draws_total)
         if n_draws_total >= 2:
             # The estimate is a mean of iid per-draw terms (0 off the tail),
             # so its standard error follows from the per-draw moments.
-            mean_h = state.tail_sum / n_draws_total
-            var_h = max(state.tail_sq_sum / n_draws_total - mean_h * mean_h, 0.0)
+            mean_h = group_sum / n_draws_total
+            var_h = max(group_sq_sum / n_draws_total - mean_h * mean_h, 0.0)
             se = float(
                 (terms.p / terms.tail_mass)
                 * math.sqrt(var_h / n_draws_total)
             )
         else:
             se = None
-        cvar_out[state.group.label] = CvarEstimate(
-            value=value, standard_error=se, tail_count=state.tail_count
+        cvar_out[group.label] = CvarEstimate(
+            value=value, standard_error=se, tail_count=group_count
         )
 
     total_windows = n_trials * windows

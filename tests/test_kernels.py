@@ -15,6 +15,8 @@ from drcontracts._kernels import (
     settle_trials_python,
 )
 
+from oracles import dense_settle
+
 RATES = dict(pi_r=0.01, pi_p=5.0, pi_e=4.0, p=0.3)
 
 
@@ -24,6 +26,54 @@ def random_block(trials: int, windows: int, seed: int):
     capability = rng.gamma(4.0, 25.0, (trials, windows))
     contracts = rng.uniform(20.0, 180.0, windows)
     return u_event, capability, contracts
+
+
+def edge_block(trials: int, windows: int, seed: int):
+    """A random block whose row 0 has no event and row 1 has only events."""
+    u_event, capability, contracts = random_block(trials, windows, seed)
+    u_event[0] = 0.99
+    u_event[1] = 0.0
+    return u_event, capability, contracts
+
+
+def assert_same_bits(left, right) -> None:
+    for a, b in zip(left, right):
+        assert a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
+
+
+class TestSettlementContract:
+    """Capability is read only where u_event < p."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_python_kernel_matches_dense_formula(self, seed):
+        u_event, capability, contracts = edge_block(97, 1 + 13 * seed, seed)
+        assert_same_bits(
+            settle_trials_python(u_event, capability, contracts, **RATES),
+            dense_settle(u_event, capability, contracts, **RATES),
+        )
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            settle_trials_python,
+            pytest.param(
+                settle_trials,
+                marks=pytest.mark.skipif(
+                    settle_trials is settle_trials_python,
+                    reason="compiled settlement extension not available",
+                ),
+            ),
+        ],
+        ids=["python", "compiled"],
+    )
+    def test_non_event_capability_is_never_read(self, kernel):
+        u_event, capability, contracts = edge_block(64, 29, 4)
+        poisoned = np.where(u_event < RATES["p"], capability, np.nan)
+        assert_same_bits(
+            kernel(u_event, poisoned, contracts, **RATES),
+            kernel(u_event, capability, contracts, **RATES),
+        )
 
 
 class TestPythonKernel:

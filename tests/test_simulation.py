@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import warnings
+
 import numpy as np
 import pytest
 
@@ -23,7 +26,8 @@ from drcontracts import (
 )
 from drcontracts.simulation import tail_size
 
-from conftest import terms_for_psi
+from conftest import sampled_normal, terms_for_psi
+from oracles import dense_simulate_horizon
 
 
 def small_config(**overrides) -> SimulationConfig:
@@ -81,6 +85,220 @@ class TestDeterminism:
         first = simulate_horizon(basic_terms, dist, 90.0, small_config(seed=1))
         second = simulate_horizon(basic_terms, dist, 90.0, small_config(seed=2))
         assert not np.array_equal(first.profits, second.profits)
+
+
+class TestChunkingInvariance:
+    """What chunking and streams may change: only CVaR, and only by chunk size.
+
+    Profits and counts are per-trial, so no partition of the trials can move
+    them.  A group's tail sum is a per-chunk pairwise sum added up chunk by
+    chunk, so CHUNK_TRIALS regroups its additions and may move the last bits
+    of the CVaR value; the stream count only changes which thread computes a
+    chunk, never the chunks or the order they are added in.
+    """
+
+    SEEDS = range(6)
+
+    def test_profits_and_counts_do_not_depend_on_chunking(
+        self, basic_terms, monkeypatch
+    ):
+        dist = NormalDistribution(100.0, 10.0)
+        config = dict(n_trials=700, windows_per_horizon=48)
+        baseline = [
+            simulate_horizon(basic_terms, dist, 90.0, small_config(seed=s, **config))
+            for s in self.SEEDS
+        ]
+        monkeypatch.setattr("drcontracts.simulation.CHUNK_TRIALS", 64)
+        for seed, base in zip(self.SEEDS, baseline):
+            rechunked = simulate_horizon(
+                basic_terms, dist, 90.0, small_config(seed=seed, **config)
+            )
+            assert rechunked.profits.tobytes() == base.profits.tobytes()
+            assert rechunked.event_total == base.event_total
+            assert rechunked.shortfall_total == base.shortfall_total
+            assert rechunked.clip_count == base.clip_count
+            assert rechunked.cvar["all"].tail_count == base.cvar["all"].tail_count
+
+    def test_cvar_does_not_depend_on_stream_count(self, basic_terms, monkeypatch):
+        monkeypatch.setattr("drcontracts.simulation.CHUNK_TRIALS", 64)
+        dist = NormalDistribution(100.0, 10.0)
+        for seed in self.SEEDS:
+            serial = simulate_horizon(
+                basic_terms, dist, 90.0, small_config(seed=seed, n_trials=700)
+            )
+            threaded = simulate_horizon(
+                basic_terms,
+                dist,
+                90.0,
+                small_config(seed=seed, n_trials=700, parallel_streams=3),
+            )
+            assert threaded.to_json_dict() == serial.to_json_dict()
+            assert threaded.profits.tobytes() == serial.profits.tobytes()
+
+
+def assert_bitwise_equal(result, oracle) -> None:
+    assert result.profits.tobytes() == oracle.profits.tobytes()
+    # json.dumps writes each float's repr, which pins every bit (and -0.0).
+    assert json.dumps(result.to_json_dict(), sort_keys=True) == json.dumps(
+        oracle.to_json_dict(), sort_keys=True
+    )
+
+
+def sparse_cases():
+    """(capability map, contracts, schedule, windows) covering every group kind."""
+    normals = {
+        "a": NormalDistribution(100.0, 10.0),
+        "b": NormalDistribution(50.0, 25.0),
+        "c": NormalDistribution(80.0, 5.0),
+    }
+    grouped = ["a"] * 10 + ["b"] * 8 + ["c"] * 6
+    shuffled = [str(k) for k in np.random.default_rng(3).permutation(grouped)]
+    mixed = {
+        "clip": NormalDistribution(1.0, 2.0),
+        "clip_far": NormalDistribution(3.0, 5.0),
+        "clip_tail": NormalDistribution(10.0, 6.0),
+        "point": NormalDistribution(40.0, 0.0),
+        "point_neg": NormalDistribution(-1.0, 0.0),
+        "point_zero": NormalDistribution(0.0, 0.0),
+        "flat": NormalDistribution(1e9, 1e-9),
+        "const": EmpiricalDistribution(np.full(5, 7.5)),
+        "single": EmpiricalDistribution(np.array([12.0])),
+        "emp": sampled_normal(60.0, 15.0, 23, seed=4),
+        "ties": EmpiricalDistribution(np.array([0.0, 0.0, 0.0, 4.0, 9.0, 9.0])),
+    }
+    mixed_contracts = {
+        "clip": 0.5,
+        "clip_far": 2.0,
+        "clip_tail": 8.0,
+        "point": 35.0,
+        "point_neg": 1.0,
+        "point_zero": 0.0,
+        "flat": 50.0,
+        "const": 7.5,
+        "single": 15.0,
+        "emp": 55.0,
+        "ties": 3.0,
+    }
+    mixed_schedule = [str(k) for k in np.random.default_rng(8).choice(sorted(mixed), 37)]
+    contracts = {"a": 90.0, "b": 40.0, "c": 79.0}
+    return {
+        "interleaved": (normals, contracts, None, 24),
+        "grouped": (normals, contracts, grouped, None),
+        "shuffled": (normals, contracts, shuffled, None),
+        "mixed": (mixed, mixed_contracts, mixed_schedule, None),
+    }
+
+
+class TestSparseChunkMatchesDense:
+    """The sparse chunk against the dense oracle, bit for bit."""
+
+    @pytest.mark.parametrize("case", ["interleaved", "grouped", "shuffled", "mixed"])
+    @pytest.mark.parametrize("streams", [1, 3])
+    def test_bitwise_equal_to_dense_chunk(self, case, streams, monkeypatch):
+        # 64-trial chunks: 300 trials make four full chunks and a partial one.
+        monkeypatch.setattr("drcontracts.simulation.CHUNK_TRIALS", 64)
+        terms = ProgramTerms(pi_e=4.0, pi_r=0.01, pi_p=5.0, p=0.05)
+        capability, contracts, schedule, windows = sparse_cases()[case]
+        config = small_config(
+            n_trials=300, windows_per_horizon=windows or 1, parallel_streams=streams
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ClippedMassWarning)
+            result = simulate_horizon(terms, capability, contracts, config, schedule)
+            oracle = dense_simulate_horizon(
+                terms, capability, contracts, config, schedule
+            )
+        assert_bitwise_equal(result, oracle)
+        assert result.event_total > 0
+        assert any(est.tail_count > 0 for est in result.cvar.values())
+
+    def test_mixed_case_exercises_every_group_kind(self):
+        terms = ProgramTerms(pi_e=4.0, pi_r=0.01, pi_p=5.0, p=0.05)
+        capability, contracts, schedule, _ = sparse_cases()["mixed"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ClippedMassWarning)
+            result = simulate_horizon(
+                terms, capability, contracts, small_config(n_trials=300), schedule
+            )
+        assert set(schedule) == set(capability)
+        assert result.clip_count > 0
+        counts = {label: est.tail_count for label, est in result.cvar.items()}
+        assert counts["point_neg"] == 0  # clipped to 0, above its cutoff of -1
+        assert counts["clip"] == 0  # its cutoff lies below zero
+        assert counts["clip_tail"] > 0
+        for label in ("point", "point_zero", "const", "single", "flat"):
+            # a single-point draw sits on its own cutoff: every draw is tail
+            assert counts[label] == 300 * schedule.count(label)
+
+    def test_many_seeds_on_fitted_normals(self, basic_terms, monkeypatch):
+        monkeypatch.setattr("drcontracts.simulation.CHUNK_TRIALS", 128)
+        rng = np.random.default_rng(21)
+        capability = {
+            f"h{i:02d}": NormalDistribution(float(mu), float(sigma))
+            for i, (mu, sigma) in enumerate(
+                zip(rng.uniform(20.0, 150.0, 12), rng.uniform(0.0, 30.0, 12))
+            )
+        }
+        capability["h00"] = NormalDistribution(0.0, 0.0)
+        contracts = {k: 0.9 * max(d.mu, 0.0) for k, d in capability.items()}
+        for seed in range(4):
+            config = small_config(n_trials=400, windows_per_horizon=60, seed=seed)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ClippedMassWarning)
+                result = simulate_horizon(basic_terms, capability, contracts, config)
+                oracle = dense_simulate_horizon(
+                    basic_terms, capability, contracts, config
+                )
+            assert_bitwise_equal(result, oracle)
+
+
+class TestClippedMassWarning:
+    """Sparse chunks still warn once per clipped group and chunk, as dense ones did."""
+
+    @staticmethod
+    def clipped_warnings(fn, *args):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = fn(*args)
+        return result, [w for w in caught if w.category is ClippedMassWarning]
+
+    def test_point_mass_below_zero_warns(self, basic_terms):
+        config = small_config(n_trials=50)
+        result, caught = self.clipped_warnings(
+            simulate_horizon, basic_terms, NormalDistribution(-1.0, 0.0), 0.0, config
+        )
+        assert len(caught) == 1
+        assert result.cvar["all"].tail_count == 0
+
+    def test_warns_without_any_event(self, basic_terms):
+        config = small_config(n_trials=1, windows_per_horizon=4)
+        capability = {
+            "x": NormalDistribution(1.0, 2.0),
+            "y": NormalDistribution(50.0, 5.0),
+        }
+        result, caught = self.clipped_warnings(
+            simulate_horizon, basic_terms, capability, {"x": 0.5, "y": 45.0}, config
+        )
+        assert result.event_total == 0
+        assert result.cvar["x"].tail_count == 0  # its cutoff lies below zero
+        assert len(caught) == 1
+        assert "N(1, 2)" in str(caught[0].message)
+
+    def test_warning_count_matches_dense_chunk(self, basic_terms, monkeypatch):
+        monkeypatch.setattr("drcontracts.simulation.CHUNK_TRIALS", 64)
+        capability = {
+            "x": NormalDistribution(1.0, 2.0),
+            "z": NormalDistribution(-1.0, 0.0),
+            "y": NormalDistribution(50.0, 5.0),
+        }
+        contracts = {"x": 0.5, "y": 45.0, "z": 0.0}
+        args = (basic_terms, capability, contracts, small_config(n_trials=200))
+        _, sparse = self.clipped_warnings(simulate_horizon, *args)
+        _, dense = self.clipped_warnings(dense_simulate_horizon, *args)
+        assert len(sparse) == len(dense) == 2 * 4  # two clipped groups, four chunks
+        assert sorted(str(w.message) for w in sparse) == sorted(
+            str(w.message) for w in dense
+        )
 
 
 class TestPlanValidation:
