@@ -1,4 +1,8 @@
-"""Pure-numpy settlement kernel, the fallback for the compiled extension."""
+"""Settlement kernel of the Monte Carlo engine.
+
+`simulation.simulate_horizon` calls it as ``_kernels.settle_trials`` so that
+tracing code can wrap the module attribute.
+"""
 
 from __future__ import annotations
 

@@ -213,5 +213,4 @@ def dense_simulate_horizon(terms, capability, contracts, config, schedule=None):
         n_trials=n_trials,
         windows=windows,
         seed=config.seed,
-        backend=simulation._kernels.BACKEND,
     )

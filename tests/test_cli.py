@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from drcontracts import _kernels
 from drcontracts.cli import (
     ALPHA_SWEEP_HEADER,
     SCHEDULE_CSV_HEADER_FULL,
@@ -549,10 +548,7 @@ GOLDEN_DIGESTS = {
 }
 
 
-def test_fixture_pipeline_outputs_are_golden(tmp_path, monkeypatch):
-    # report.json names the settlement backend; pin the fallback every build has.
-    monkeypatch.setattr(_kernels, "settle_trials", _kernels.settle_trials_python)
-    monkeypatch.setattr(_kernels, "BACKEND", "python")
+def test_fixture_pipeline_outputs_are_golden(tmp_path):
     for name in INPUTS:
         shutil.copy(FIXTURES / name, tmp_path / name)
     config = str(tmp_path / "config.json")

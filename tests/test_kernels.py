@@ -1,19 +1,11 @@
-"""Settlement kernel backends: equivalence, shape checks, and selection."""
+"""Settlement kernel: dense-formula equivalence, hand-computed cases, shape checks."""
 
 from __future__ import annotations
-
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-from drcontracts._kernels import (
-    BACKEND,
-    settle_trials,
-    settle_trials_python,
-)
+from drcontracts._kernels import settle_trials
 
 from oracles import dense_settle
 
@@ -48,31 +40,26 @@ class TestSettlementContract:
     @pytest.mark.parametrize("seed", range(6))
     def test_python_kernel_matches_dense_formula(self, seed):
         u_event, capability, contracts = edge_block(97, 1 + 13 * seed, seed)
-        assert_same_bits(
-            settle_trials_python(u_event, capability, contracts, **RATES),
-            dense_settle(u_event, capability, contracts, **RATES),
-        )
+        expected = dense_settle(u_event, capability, contracts, **RATES)
+        # The same values as C-ordered, Fortran-ordered and strided arrays.
+        wide_event = np.repeat(u_event, 2, axis=1)
+        wide_cap = np.repeat(capability, 2, axis=1)
+        layouts = [
+            (u_event, capability),
+            (np.asfortranarray(u_event), np.asfortranarray(capability)),
+            (wide_event[:, ::2], wide_cap[:, 1::2]),
+        ]
+        strided_contracts = np.repeat(contracts, 2)[::2]
+        for eu, cap in layouts:
+            for con in (contracts, strided_contracts):
+                assert_same_bits(settle_trials(eu, cap, con, **RATES), expected)
 
-    @pytest.mark.parametrize(
-        "kernel",
-        [
-            settle_trials_python,
-            pytest.param(
-                settle_trials,
-                marks=pytest.mark.skipif(
-                    settle_trials is settle_trials_python,
-                    reason="compiled settlement extension not available",
-                ),
-            ),
-        ],
-        ids=["python", "compiled"],
-    )
-    def test_non_event_capability_is_never_read(self, kernel):
+    def test_non_event_capability_is_never_read(self):
         u_event, capability, contracts = edge_block(64, 29, 4)
         poisoned = np.where(u_event < RATES["p"], capability, np.nan)
         assert_same_bits(
-            kernel(u_event, poisoned, contracts, **RATES),
-            kernel(u_event, capability, contracts, **RATES),
+            settle_trials(u_event, poisoned, contracts, **RATES),
+            settle_trials(u_event, capability, contracts, **RATES),
         )
 
 
@@ -82,7 +69,7 @@ class TestPythonKernel:
         u_event = np.array([[0.1, 0.9, 0.2]])
         capability = np.array([[10.0, 10.0, 3.0]])
         contracts = np.array([5.0, 5.0, 5.0])
-        profit, events, shortfalls = settle_trials_python(
+        profit, events, shortfalls = settle_trials(
             u_event, capability, contracts, pi_r=1.0, pi_p=4.0, pi_e=2.0, p=0.5
         )
         # reservation 3*5 = 15; window 0 delivers 5 -> +10;
@@ -95,7 +82,7 @@ class TestPythonKernel:
         u_event = np.full((4, 3), 0.99)
         capability = np.zeros((4, 3))
         contracts = np.array([1.0, 2.0, 3.0])
-        profit, events, shortfalls = settle_trials_python(
+        profit, events, shortfalls = settle_trials(
             u_event, capability, contracts, pi_r=0.5, pi_p=4.0, pi_e=2.0, p=0.01
         )
         assert profit.tolist() == [3.0] * 4
@@ -106,7 +93,7 @@ class TestPythonKernel:
         u_event = np.zeros((1, 2))  # both windows are events
         capability = np.array([[5.0, 4.999]])
         contracts = np.array([5.0, 5.0])
-        _, events, shortfalls = settle_trials_python(
+        _, events, shortfalls = settle_trials(
             u_event, capability, contracts, pi_r=0.0, pi_p=1.0, pi_e=1.0, p=0.5
         )
         assert events.tolist() == [2]
@@ -123,58 +110,4 @@ class TestPythonKernel:
     def test_shape_validation(self, shapes):
         (eu, cap, con) = (np.zeros(s) for s in shapes)
         with pytest.raises(ValueError):
-            settle_trials_python(eu, cap, con, **RATES)
-
-
-@pytest.mark.skipif(
-    settle_trials is settle_trials_python,
-    reason="compiled settlement extension not available",
-)
-class TestCompiledKernel:
-    def test_matches_python_on_random_blocks(self):
-        for seed in range(5):
-            u_event, capability, contracts = random_block(257, 31, seed)
-            py = settle_trials_python(u_event, capability, contracts, **RATES)
-            cy = settle_trials(u_event, capability, contracts, **RATES)
-            assert np.array_equal(py[1], cy[1])
-            assert np.array_equal(py[2], cy[2])
-            np.testing.assert_allclose(py[0], cy[0], rtol=1e-12, atol=1e-9)
-
-    def test_shape_validation_matches(self):
-        with pytest.raises(ValueError):
-            settle_trials(np.zeros((3, 4)), np.zeros((3, 5)), np.zeros(4), **RATES)
-
-    def test_handles_noncontiguous_views(self):
-        u_event, capability, contracts = random_block(64, 16, 9)
-        view = np.asfortranarray(u_event)
-        py = settle_trials_python(u_event, capability, contracts, **RATES)
-        cy = settle_trials(view, capability, contracts, **RATES)
-        np.testing.assert_allclose(py[0], cy[0], rtol=1e-12, atol=1e-9)
-
-
-class TestBackendSelection:
-    def test_backend_label_is_consistent(self):
-        if settle_trials is settle_trials_python:
-            assert BACKEND == "python"
-        else:
-            assert BACKEND == "compiled"
-
-    def test_env_var_forces_python_fallback(self):
-        env = dict(os.environ, DRCONTRACTS_PURE_PYTHON="1")
-        out = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                "from drcontracts._kernels import BACKEND; print(BACKEND)",
-            ],
-            capture_output=True,
-            text=True,
-            env=env,
-            check=True,
-        )
-        assert out.stdout.strip() == "python"
-
-    def test_package_reexports_backend(self):
-        import drcontracts
-
-        assert drcontracts.KERNEL_BACKEND == BACKEND
+            settle_trials(eu, cap, con, **RATES)
