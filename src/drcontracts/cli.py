@@ -315,13 +315,12 @@ def cmd_contract(args: argparse.Namespace) -> int:
     weights = np.array([emp.n for _, emp, _, _ in rows], dtype=float)
     profits = np.array([d.expected_profit for _, _, d, _ in rows])
     c_stars = np.array([d.c_star for _, _, d, _ in rows])
-    fallback = sum(1 for _, _, d, _ in rows if d.used_grid_fallback)
     clipped = sum(1 for _, _, d, _ in rows if d.clipped != "none")
     print(
         f"{args.building}: {len(rows)} buckets; "
         f"window-weighted expected profit {np.average(profits, weights=weights):.6g} $/window; "
         f"mean c_star {np.average(c_stars, weights=weights):.6g} kWh; "
-        f"{clipped} clipped, {fallback} via grid fallback"
+        f"{clipped} clipped"
     )
     print(f"schedule written to {args.out}")
 

@@ -6,16 +6,18 @@ The expected per-window profit of a contract c against capability q ~ F is
 
 with P the partial expectation over [0, c] and S the shortfall expectation.
 The risk-adjusted objective adds alpha times the CVaR of the window profit at
-level c_hat.  Maximizing the objective reduces to a quantile rule: c* is the
-capability quantile at
+level c_hat, over the capability tail at or below q_hat (the 1 - c_hat
+quantile, clipped at zero).  The optimizer returns its exact argmax on
+[0, c_max].  For a normal that is a quantile: above q_hat at the fractile
 
-    psi = (pi_r + p*pi_e + alpha*(pi_r - p*pi_p)) / (p*(pi_p + pi_e))
+    psi = (pi_r + p*pi_e + alpha*(pi_r - p*pi_p)) / (p*(pi_p + pi_e)),
 
-clipped to [0, c_max].  The quantile rule relies on the contract covering the
-whole CVaR tail (c >= q_hat, the lower 1-c_hat capability quantile); when a
-risk-averse optimum falls below that point the optimizer falls back to a grid
-search over the objective, refined by ternary search (the objective is concave
-in c).
+below it at (1 + alpha)*(pi_r + p*pi_e) / (p*(pi_p + pi_e)*(1 + alpha/t)),
+t = 1 - c_hat; the two meet at q_hat.  For samples the objective is
+piecewise linear with kinks only at the samples (Rockafellar & Uryasev,
+J. Risk 2000), so its first maximum over them and the ends is exact.  For
+both, psi <= 0 shuts the contract off (the paper's rule, which the objective
+disagrees with past alpha_threshold) and psi >= 1 signs the cap.
 """
 
 from __future__ import annotations
@@ -35,10 +37,8 @@ from .distributions import (
 from .errors import UnconstrainedContractError
 from .program import ProgramTerms
 
-# Default grid resolution: the search interval divided into this many steps.
+# Resolution of the grid oracle: the search interval divided into this many steps.
 GRID_POINTS = 10_000
-# Ternary-search refinement of the grid optimum; interval shrinks by (2/3)^n.
-_REFINE_ITERATIONS = 120
 # Bracket width for the sign-change search on the sigma coefficient.
 GAMMA_HAT_TOLERANCE = 1e-6
 
@@ -84,13 +84,15 @@ def cvar(terms: ProgramTerms, dist: CurtailmentDistribution, c):
     Window profit is monotone non-decreasing in q, so the worst 1-c_hat of
     outcomes is the event branch over the lower capability tail q <= q_hat.
     The tail average uses the realized settlement pi_e*min(c, q) - pi_p*(c-q)+,
-    so capability beyond c neither earns nor pays inside the tail.
+    so capability beyond c neither earns nor pays inside the tail.  Capability
+    is clipped at zero, so q_hat is too; the tail then holds the realized mass
+    F(q_hat), as it does for samples.
     """
     c_arr = np.asarray(c, dtype=float)
     if c_arr.size and np.min(c_arr) < 0.0:
         raise ValueError("contract size must be >= 0")
     tail = terms.tail_mass
-    q_hat = float(dist.quantile(1.0 - terms.c_hat))
+    q_hat = max(float(dist.quantile(1.0 - terms.c_hat)), 0.0)
     m = np.minimum(c_arr, q_hat)
     f_hat = float(dist.cdf(q_hat))
     f_m = np.asarray(dist.cdf(m), dtype=float)
@@ -117,10 +119,12 @@ class ContractDecision:
     psi: float
     clipped_low: bool
     clipped_high: bool
-    used_grid_fallback: bool
     expected_profit: float
     cvar_value: float
     objective_value: float
+
+    # Always False (there is no numeric fallback); perfbench/spans.py reads it.
+    used_grid_fallback = False
 
     @property
     def clipped(self) -> str:
@@ -164,31 +168,41 @@ def grid_search_optimal(
     return float(grid[int(np.argmax(values))])
 
 
-def _refine_concave_argmax(
-    terms: ProgramTerms,
-    dist: CurtailmentDistribution,
-    center: float,
-    halfwidth: float,
-    upper: float,
-) -> float:
-    lo = max(0.0, center - halfwidth)
-    hi = min(upper, center + halfwidth)
-    for _ in range(_REFINE_ITERATIONS):
-        third = (hi - lo) / 3.0
-        m1 = lo + third
-        m2 = hi - third
-        if objective(terms, dist, m1) < objective(terms, dist, m2):
-            lo = m1
-        else:
-            hi = m2
-    return 0.5 * (lo + hi)
+def _normal_fractile(terms: ProgramTerms, dist: NormalDistribution, psi: float) -> float:
+    """F(c*) for a normal: the fractile above q_hat, or the one below it.
+
+    Above q_hat the tail holds mass F(q_hat): t, or the clipped mass F(0) when
+    q_hat is clipped to zero (then c* >= 0 = q_hat, and nothing lies below).
+    """
+    t = terms.tail_mass
+    alpha = terms.alpha
+    f_hat = max(t, float(dist.cdf(0.0)))
+    high = psi + alpha * terms.pi_p * (t - f_hat) / (t * (terms.pi_p + terms.pi_e))
+    if high >= f_hat:
+        return high
+    return (1.0 + alpha) * (terms.pi_r + terms.p * terms.pi_e) / (
+        terms.p * (terms.pi_p + terms.pi_e) * (1.0 + alpha / t)
+    )
+
+
+def _vertex_argmax(terms: ProgramTerms, dist: EmpiricalDistribution) -> float:
+    """First argmax of the objective over 0, the samples and the cap.
+
+    Between samples F and P are constant, so the objective is linear there,
+    also across q_hat, and its maximum on [0, cap] lies on one of these points.
+    """
+    cap = terms.contract_cap
+    points = np.concatenate(([0.0, cap], dist.samples))
+    candidates = np.unique(np.minimum(points[np.isfinite(points)], cap))
+    values = objective(terms, dist, candidates)
+    return float(candidates[int(np.argmax(values))])
 
 
 def optimal_contract(terms: ProgramTerms, dist: CurtailmentDistribution) -> ContractDecision:
-    """Size the contract by the quantile rule, with clipping and fallback."""
+    """Size the contract at the exact argmax of the objective, with clipping flags."""
     psi = quantile_argument(terms)
     cap = terms.contract_cap
-    clipped_low = clipped_high = used_grid = False
+    clipped_low = clipped_high = False
     if psi <= 0.0:
         c = 0.0
         clipped_low = True
@@ -199,45 +213,22 @@ def optimal_contract(terms: ProgramTerms, dist: CurtailmentDistribution) -> Cont
             )
         c = cap
         clipped_high = True
+    elif isinstance(dist, EmpiricalDistribution):
+        c = _vertex_argmax(terms, dist)
+        clipped_high = c >= cap
     else:
-        c = float(dist.quantile(psi))
-        if c >= cap:
+        c = float(dist.quantile(_normal_fractile(terms, dist, psi)))
+        if c < 0.0:
+            c = 0.0
+            clipped_low = True
+        elif c >= cap:
             c = cap
             clipped_high = True
-        elif terms.alpha > 0.0:
-            q_hat = float(dist.quantile(1.0 - terms.c_hat))
-            if c >= q_hat:
-                # Above the tail boundary the objective slope uses the actual
-                # probability mass at or below q_hat.  For a discrete
-                # distribution that mass misses the ideal tail mass by O(1/n),
-                # which shifts the exact stationary fractile; solve the
-                # first-order condition with the realized mass instead.
-                mass = float(dist.cdf(q_hat))
-                if abs(mass - terms.tail_mass) > 1e-12:
-                    psi_exact = psi + terms.alpha * terms.pi_p * (
-                        terms.tail_mass - mass
-                    ) / (terms.tail_mass * (terms.pi_p + terms.pi_e))
-                    c = float(dist.quantile(min(max(psi_exact, 0.0), 1.0)))
-                    if c >= cap:
-                        c = cap
-                        clipped_high = True
-            if not clipped_high and c < q_hat:
-                # Quantile rule invalid below the CVaR tail boundary.
-                upper = _search_upper_bound(terms, dist)
-                step = upper / GRID_POINTS if upper > 0.0 else 0.0
-                c = grid_search_optimal(terms, dist)
-                if step > 0.0:
-                    c = _refine_concave_argmax(terms, dist, c, step, upper)
-                used_grid = True
-                if c >= cap:
-                    c = cap
-                    clipped_high = True
     return ContractDecision(
         c_star=c,
         psi=psi,
         clipped_low=clipped_low,
         clipped_high=clipped_high,
-        used_grid_fallback=used_grid,
         expected_profit=expected_profit(terms, dist, c),
         cvar_value=cvar(terms, dist, c),
         objective_value=objective(terms, dist, c),
@@ -261,9 +252,11 @@ def optimal_profit_formula(
 ) -> ProfitAudit:
     """Evaluate J* = p*(pi_p + pi_e)*P(c*) - alpha*(pi_r - p*pi_p)*c*.
 
-    The closed form assumes F(c*) equals psi exactly; with interpolated or
-    clipped quantiles (or alpha > 0, where it drops the CVaR adjustment) it
-    deviates from J(c*), so the residual is reported rather than hidden.
+    The closed form assumes F(c*) equals psi exactly.  It deviates from J(c*)
+    for empirical buckets (c* is a sample, so F(c*) is a multiple of 1/n),
+    for clipped contracts, and for alpha > 0, where it drops the CVaR
+    adjustment and c* below q_hat sits at another fractile; the residual is
+    reported rather than hidden.
     """
     formula = terms.p * (terms.pi_p + terms.pi_e) * float(
         dist.partial_expectation(c_star)

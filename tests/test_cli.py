@@ -542,9 +542,9 @@ def test_cli_import_leaves_scipy_stats_unloaded():
 # A change that moves any of these must be a documented output change.
 GOLDEN_DIGESTS = {
     "model.json": "79983ee80174be4bda163536b4acdfabfce1dd611ab53adcf1ccfe6a2cb5d21c",
-    "contracts.csv": "8efe15fcecaa137e23c62a2cf1ab3c7b59a26dc7eae8d449a888d420d9963553",
-    "ranking.csv": "07d67e1f9489a8e8e4bf6abab1beb70443fb871a765cfbb5ec25898baaacc6a3",
-    "report.json": "1a1215279a5d6e29e14a47c93aaf180306a47c28ad92d8b0d83115b9bcb2334d",
+    "contracts.csv": "24d2ac9103a58e7f44262de804ae7754f9df2fc17c91e8e24c9bc682152fba68",
+    "ranking.csv": "56ef99c1bfd0669279c61b3a39eaa7bcfb70258fab0a237ad160733ce5019342",
+    "report.json": "811524391c27f738d3cad6c50ddc7c09207e73390f0c443aba2326cbc6a8c37e",
 }
 
 

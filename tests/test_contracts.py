@@ -28,6 +28,8 @@ from drcontracts import (
     sigma_coefficient,
     sigma_sensitivity,
 )
+from drcontracts.contracts import GRID_POINTS, _search_upper_bound
+
 from conftest import dense_uniform, terms_for_psi
 from oracles import quad_cvar, quad_expected_profit
 
@@ -90,6 +92,16 @@ class TestCvar:
             assert cvar(terms, dist, c) == pytest.approx(
                 quad_cvar(terms, 100.0, 10.0, c), rel=1e-7
             )
+
+    def test_tail_below_zero_holds_the_clipped_mass(self, basic_terms):
+        # q_hat < 0: the tail is the capability clipped to 0, with mass F(0).
+        dist = NormalDistribution(1.0, 10.0)
+        assert dist.quantile(basic_terms.tail_mass) < 0.0
+        c = 5.0
+        expected = basic_terms.pi_r * c - (
+            basic_terms.p / basic_terms.tail_mass
+        ) * basic_terms.pi_p * dist.cdf(0.0) * c
+        assert cvar(basic_terms, dist, c) == pytest.approx(expected, rel=1e-12)
 
     def test_contract_below_cutoff_uses_clamped_integrand(self):
         # c far below q_hat: the tail integral must not charge penalties on
@@ -180,13 +192,16 @@ class TestOptimalContract:
         with pytest.raises(UnconstrainedContractError):
             optimal_contract(terms, NormalDistribution(100.0, 10.0))
 
-    def test_grid_fallback_engages_below_tail_cutoff(self):
-        # psi below the tail mass with alpha > 0: the formula optimum sits in
-        # the region where the tail value still varies with c.
+    def test_low_region_fractile_below_tail_cutoff(self):
+        # psi below the tail mass with alpha > 0: the optimum sits in the
+        # region where the tail value still varies with c.
         terms = terms_for_psi(0.03, alpha=0.5, c_hat=0.95)
         dist = NormalDistribution(100.0, 10.0)
         decision = optimal_contract(terms, dist)
-        assert decision.used_grid_fallback
+        assert decision.c_star < dist.quantile(terms.tail_mass)
+        oracle = grid_search_optimal(terms, dist)
+        step = _search_upper_bound(terms, dist) / GRID_POINTS
+        assert abs(decision.c_star - oracle) <= step
         # the reported optimum beats the formula point on the objective
         formula_c = float(dist.quantile(quantile_argument(terms)))
         assert objective(terms, dist, decision.c_star) >= objective(
@@ -226,6 +241,109 @@ class TestOptimalContract:
         mid = 0.5 * (c1 + c2)
         chord = 0.5 * (objective(terms, dist, c1) + objective(terms, dist, c2))
         assert objective(terms, dist, mid) >= chord - 1e-9
+
+
+# Criterion-03 terms: alpha_threshold = 2.4615...
+SHUTOFF_TERMS = ProgramTerms(pi_e=4.0, pi_r=0.01, pi_p=5.0, p=3.0 / 720.0)
+
+
+def assert_matches_oracle(terms, dist, *, within_one_step):
+    decision = optimal_contract(terms, dist)
+    oracle = grid_search_optimal(terms, dist)
+    best = objective(terms, dist, oracle)
+    assert decision.objective_value >= best - 1e-12 * abs(best)
+    if within_one_step:
+        step = _search_upper_bound(terms, dist) / GRID_POINTS
+        assert abs(decision.c_star - oracle) <= step
+
+
+class TestExactOptimizer:
+    """The optimizer returns the argmax of the objective for every alpha < alpha_0."""
+
+    @pytest.mark.parametrize(
+        "mu, sigma",
+        [
+            (100.0, 10.0),
+            (100.0, 40.0),
+            (1.0, 10.0),  # tail boundary below zero: heavy clipped mass
+            (0.0, 5.0),
+            (-3.0, 2.0),
+            (5.0, 0.0),
+            (0.0, 0.0),
+            (-1.0, 0.0),
+        ],
+    )
+    def test_normal_matches_grid_over_alpha(self, mu, sigma):
+        dist = NormalDistribution(mu, sigma)
+        a0 = alpha_threshold(SHUTOFF_TERMS)
+        for alpha in np.linspace(0.0, a0, 50, endpoint=False):
+            terms = SHUTOFF_TERMS.with_alpha(float(alpha))
+            assert_matches_oracle(terms, dist, within_one_step=True)
+
+    def test_capped_normal_matches_grid(self):
+        for c_max in (60.0, 90.0, 130.0):
+            for psi, alpha in ((0.03, 0.5), (0.3, 2.0), (0.9, 0.2)):
+                terms = terms_for_psi(psi, alpha=alpha, c_max=c_max)
+                assert_matches_oracle(
+                    terms, NormalDistribution(100.0, 10.0), within_one_step=True
+                )
+
+    def test_empirical_buckets_match_grid(self):
+        rng = np.random.default_rng(5)
+        a0 = alpha_threshold(SHUTOFF_TERMS)
+        for i in range(240):
+            n = int(rng.integers(8, 26))
+            samples = np.maximum(
+                rng.normal(rng.uniform(0.0, 20.0), rng.uniform(0.0, 8.0), n), 0.0
+            )
+            if i % 4 == 0:
+                samples = np.round(samples)  # ties
+            c_max = float(rng.uniform(5.0, 25.0)) if i % 3 == 0 else None
+            terms = ProgramTerms(
+                pi_e=4.0,
+                pi_r=0.01,
+                pi_p=5.0,
+                p=3.0 / 720.0,
+                alpha=float(rng.uniform(0.0, a0)),
+                c_hat=float(rng.choice([0.8, 0.9, 0.95])),
+                c_max=c_max,
+            )
+            assert_matches_oracle(
+                terms, EmpiricalDistribution(samples), within_one_step=False
+            )
+
+    @pytest.mark.parametrize("mu, sigma", [(1.0, 10.0), (0.0, 5.0), (-1.0, 0.0)])
+    def test_negative_fractile_quantile_clips_low(self, mu, sigma):
+        dist = NormalDistribution(mu, sigma)
+        terms = SHUTOFF_TERMS.with_alpha(0.5 * alpha_threshold(SHUTOFF_TERMS))
+        assert quantile_argument(terms) > 0.0
+        decision = optimal_contract(terms, dist)
+        assert decision.c_star == 0.0
+        assert decision.clipped == "low"
+        assert decision.objective_value == 0.0
+
+    def test_empirical_argmax_at_zero_is_not_clipped(self):
+        terms = SHUTOFF_TERMS.with_alpha(1.0)
+        decision = optimal_contract(terms, EmpiricalDistribution(np.zeros(12)))
+        assert decision.c_star == 0.0
+        assert decision.clipped == "none"
+
+    def test_shutoff_conflicts_with_objective_above_threshold(self):
+        """Past alpha_0 the paper's shutoff c = 0 is not the objective's argmax.
+
+        The package keeps the paper's rule (criterion 03); this pins the
+        disagreement that ROADMAP item 1 leaves open, so that a change to
+        either side shows up here.
+        """
+        dist = NormalDistribution(100.0, 10.0)
+        a0 = alpha_threshold(SHUTOFF_TERMS)
+        for alpha in np.linspace(1.01 * a0, 3.0 * a0, 12):
+            terms = SHUTOFF_TERMS.with_alpha(float(alpha))
+            decision = optimal_contract(terms, dist)
+            assert decision.c_star == 0.0
+            oracle = grid_search_optimal(terms, dist)
+            assert oracle > 80.0
+            assert objective(terms, dist, oracle) > decision.objective_value + 1.0
 
 
 class TestOptimalProfitFormula:
