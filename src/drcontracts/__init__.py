@@ -106,7 +106,6 @@ from .simulation import (
     SimulationResult,
     analytic_summary,
     convergence_rows,
-    empirical_cvar,
     simulate_horizon,
     write_profits_csv,
 )
@@ -162,7 +161,6 @@ __all__ = [
     "decompose_load",
     "distribution_from_json",
     "distribution_to_json",
-    "empirical_cvar",
     "expected_profit",
     "fit_normal",
     "gamma",

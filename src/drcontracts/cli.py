@@ -576,9 +576,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     for row in rows:
         z = row.z_score
         z_text = f"{z:8.2f}" if z is not None else "     n/a"
-        print(
-            f"{row.quantity:<28} {row.simulated:>14.6g} {row.analytic:>14.6g} {z_text}"
-        )
+        sim = row.simulated
+        sim_text = f"{sim:14.6g}" if sim is not None else f"{'n/a':>14}"
+        print(f"{row.quantity:<28} {sim_text} {row.analytic:>14.6g} {z_text}")
         if z is not None:
             worst = max(worst, abs(z))
     print(f"max |z| = {worst:.2f} over {result.n_trials} trials x {result.windows} windows")

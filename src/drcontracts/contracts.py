@@ -5,19 +5,16 @@ The expected per-window profit of a contract c against capability q ~ F is
     J(c) = pi_r*c + p*[-pi_p*S(c) + pi_e*(P(c) + c*(1 - F(c)))]
 
 with P the partial expectation over [0, c] and S the shortfall expectation.
-The risk-adjusted objective adds alpha times the CVaR of the window profit at
-level c_hat, over the capability tail at or below q_hat (the 1 - c_hat
-quantile, clipped at zero).  The optimizer returns its exact argmax on
-[0, c_max].  For a normal that is a quantile: above q_hat at the fractile
+The risk-adjusted objective adds alpha times the CVaR of the window profit
+over the capability tail q <= q_hat (see cvar).  That CVaR is linear in c
+with slope pi_r - p*pi_p, so the objective's slope is p*(pi_p + pi_e)*(psi - F(c))
+for every c and every alpha >= 0, with the critical fractile
 
-    psi = (pi_r + p*pi_e + alpha*(pi_r - p*pi_p)) / (p*(pi_p + pi_e)),
+    psi = (pi_r + p*pi_e + alpha*(pi_r - p*pi_p)) / (p*(pi_p + pi_e)).
 
-below it at (1 + alpha)*(pi_r + p*pi_e) / (p*(pi_p + pi_e)*(1 + alpha/t)),
-t = 1 - c_hat; the two meet at q_hat.  For samples the objective is
-piecewise linear with kinks only at the samples (Rockafellar & Uryasev,
-J. Risk 2000), so its first maximum over them and the ends is exact.  For
-both, psi <= 0 shuts the contract off (the paper's rule, which the objective
-disagrees with past alpha_threshold) and psi >= 1 signs the cap.
+The optimizer returns the psi-quantile, the exact argmax on [0, c_max]
+(Rockafellar & Uryasev, J. Risk 2000): psi <= 0, which is alpha past
+alpha_threshold, shuts the contract off, and psi >= 1 signs the cap.
 """
 
 from __future__ import annotations
@@ -81,26 +78,26 @@ def expected_profit(terms: ProgramTerms, dist: CurtailmentDistribution, c):
 def cvar(terms: ProgramTerms, dist: CurtailmentDistribution, c):
     """CVaR at level c_hat of the per-window profit of contract c.
 
-    Window profit is monotone non-decreasing in q, so the worst 1-c_hat of
-    outcomes is the event branch over the lower capability tail q <= q_hat.
-    The tail average uses the realized settlement pi_e*min(c, q) - pi_p*(c-q)+,
-    so capability beyond c neither earns nor pays inside the tail.  Capability
-    is clipped at zero, so q_hat is too; the tail then holds the realized mass
-    F(q_hat), as it does for samples.
+        CVaR(c) = pi_r*c + p*E[pi_e*q - pi_p*(c - q) | q <= q_hat]
+
+    Window profit is monotone non-decreasing in q, so its worst outcomes are
+    the event branch over the lower capability tail.  q_hat is the 1 - c_hat
+    quantile clipped at zero, as capability is, and the tail is normalized by
+    its realized mass F(q_hat).  The value is linear in c with slope
+    pi_r - p*pi_p.  It is a tail conditional expectation, which has two
+    consequences.  With atoms at q_hat (samples, or the mass clipped to zero)
+    the tail holds more than 1 - c_hat and the measure is not coherent
+    (Acerbi & Tasche, 2002).  Below q_hat it credits capability above c at
+    pi_e, so CVaR(0) = p*(pi_e + pi_p)*E[q | tail], which is not 0.
     """
     c_arr = np.asarray(c, dtype=float)
     if c_arr.size and np.min(c_arr) < 0.0:
         raise ValueError("contract size must be >= 0")
-    tail = terms.tail_mass
-    q_hat = max(float(dist.quantile(1.0 - terms.c_hat)), 0.0)
-    m = np.minimum(c_arr, q_hat)
-    f_hat = float(dist.cdf(q_hat))
-    f_m = np.asarray(dist.cdf(m), dtype=float)
-    p_m = np.asarray(dist.partial_expectation(m), dtype=float)
-    tail_term = terms.pi_e * (p_m + c_arr * (f_hat - f_m)) - terms.pi_p * (
-        c_arr * f_m - p_m
+    q_hat = max(float(dist.quantile(terms.tail_mass)), 0.0)
+    q_tail = float(dist.partial_expectation(q_hat)) / float(dist.cdf(q_hat))
+    out = terms.pi_r * c_arr + terms.p * (
+        terms.pi_e * q_tail - terms.pi_p * (c_arr - q_tail)
     )
-    out = terms.pi_r * c_arr + (terms.p / tail) * tail_term
     return out if np.ndim(c) else float(out)
 
 
@@ -168,38 +165,12 @@ def grid_search_optimal(
     return float(grid[int(np.argmax(values))])
 
 
-def _normal_fractile(terms: ProgramTerms, dist: NormalDistribution, psi: float) -> float:
-    """F(c*) for a normal: the fractile above q_hat, or the one below it.
-
-    Above q_hat the tail holds mass F(q_hat): t, or the clipped mass F(0) when
-    q_hat is clipped to zero (then c* >= 0 = q_hat, and nothing lies below).
-    """
-    t = terms.tail_mass
-    alpha = terms.alpha
-    f_hat = max(t, float(dist.cdf(0.0)))
-    high = psi + alpha * terms.pi_p * (t - f_hat) / (t * (terms.pi_p + terms.pi_e))
-    if high >= f_hat:
-        return high
-    return (1.0 + alpha) * (terms.pi_r + terms.p * terms.pi_e) / (
-        terms.p * (terms.pi_p + terms.pi_e) * (1.0 + alpha / t)
-    )
-
-
-def _vertex_argmax(terms: ProgramTerms, dist: EmpiricalDistribution) -> float:
-    """First argmax of the objective over 0, the samples and the cap.
-
-    Between samples F and P are constant, so the objective is linear there,
-    also across q_hat, and its maximum on [0, cap] lies on one of these points.
-    """
-    cap = terms.contract_cap
-    points = np.concatenate(([0.0, cap], dist.samples))
-    candidates = np.unique(np.minimum(points[np.isfinite(points)], cap))
-    values = objective(terms, dist, candidates)
-    return float(candidates[int(np.argmax(values))])
-
-
 def optimal_contract(terms: ProgramTerms, dist: CurtailmentDistribution) -> ContractDecision:
-    """Size the contract at the exact argmax of the objective, with clipping flags."""
+    """Size the contract at the psi-quantile, the exact argmax, with clipping flags.
+
+    For samples that is the smallest sample whose cdf reaches psi: below it
+    the objective rises, from it on it does not.
+    """
     psi = quantile_argument(terms)
     cap = terms.contract_cap
     clipped_low = clipped_high = False
@@ -213,15 +184,17 @@ def optimal_contract(terms: ProgramTerms, dist: CurtailmentDistribution) -> Cont
             )
         c = cap
         clipped_high = True
-    elif isinstance(dist, EmpiricalDistribution):
-        c = _vertex_argmax(terms, dist)
-        clipped_high = c >= cap
     else:
-        c = float(dist.quantile(_normal_fractile(terms, dist, psi)))
-        if c < 0.0:
-            c = 0.0
-            clipped_low = True
-        elif c >= cap:
+        if isinstance(dist, EmpiricalDistribution):
+            # Levels k/n as cdf computes them, so psi = F(s_k) picks s_k.
+            levels = np.arange(1, dist.n + 1) / dist.n
+            c = float(dist.samples[int(np.searchsorted(levels, psi))])
+        else:
+            c = float(dist.quantile(psi))
+            if c < 0.0:
+                c = 0.0
+                clipped_low = True
+        if c >= cap:
             c = cap
             clipped_high = True
     return ContractDecision(
@@ -252,11 +225,9 @@ def optimal_profit_formula(
 ) -> ProfitAudit:
     """Evaluate J* = p*(pi_p + pi_e)*P(c*) - alpha*(pi_r - p*pi_p)*c*.
 
-    The closed form assumes F(c*) equals psi exactly.  It deviates from J(c*)
-    for empirical buckets (c* is a sample, so F(c*) is a multiple of 1/n),
-    for clipped contracts, and for alpha > 0, where it drops the CVaR
-    adjustment and c* below q_hat sits at another fractile; the residual is
-    reported rather than hidden.
+    The closed form equals J(c*) whenever F(c*) = psi, at every alpha.  It
+    deviates for empirical buckets (c* is a sample, so F(c*) is a multiple of
+    1/n) and for clipped contracts; the residual is reported, not hidden.
     """
     formula = terms.p * (terms.pi_p + terms.pi_e) * float(
         dist.partial_expectation(c_star)

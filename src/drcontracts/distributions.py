@@ -193,8 +193,9 @@ class EmpiricalDistribution:
 class NormalDistribution:
     """Normal capability model N(mu, sigma); sigma = 0 degenerates to a point mass.
 
-    The model itself is supported on the whole line; draws are clipped at zero
-    and a ClippedMassWarning is raised when P(q < 0) exceeds CLIPPED_MASS_WARN.
+    The model itself is supported on the whole line; draws are clipped at zero.
+    sample, and the Monte Carlo once per call, raise a ClippedMassWarning when
+    P(q < 0) exceeds CLIPPED_MASS_WARN.
     """
 
     mu: float
@@ -257,18 +258,24 @@ class NormalDistribution:
             return 1.0 if self.mu < 0.0 else 0.0
         return float(special.ndtr(-self.mu / self.sigma))
 
-    def transform_uniform(self, u):
-        """Inverse-cdf transform of uniforms, clipped at zero."""
-        u_arr = np.asarray(u, dtype=float)
-        _check_unit_interval(u_arr)
+    def warn_clipped_mass(self, stacklevel: int) -> None:
+        """Raise a ClippedMassWarning if the clipped mass is material.
+
+        stacklevel counts from the caller, as for warnings.warn.
+        """
         mass = self.clipped_mass()
         if mass > CLIPPED_MASS_WARN:
             warnings.warn(
                 f"clipping at zero removes probability mass {mass:.3g} "
                 f"from N({self.mu:g}, {self.sigma:g})",
                 ClippedMassWarning,
-                stacklevel=2,
+                stacklevel=stacklevel + 1,
             )
+
+    def transform_uniform(self, u):
+        """Inverse-cdf transform of uniforms, clipped at zero."""
+        u_arr = np.asarray(u, dtype=float)
+        _check_unit_interval(u_arr)
         if self.sigma == 0.0:
             out = np.full_like(u_arr, max(self.mu, 0.0))
         else:
@@ -276,6 +283,7 @@ class NormalDistribution:
         return out if np.ndim(u) else float(out)
 
     def sample(self, rng: np.random.Generator, size=None):
+        self.warn_clipped_mass(stacklevel=2)
         return self.transform_uniform(rng.random(size))
 
 

@@ -4,12 +4,9 @@ Replays many delivery windows per trial: each window independently becomes an
 event with probability p, capability is drawn from the window's bucket
 distribution, and the window settles at the contracted size.  All randomness
 comes from a counter-based generator addressed by (seed, purpose, flat draw
-index), so every draw is fixed by the seed alone.  Profits and event,
-shortfall, clip and tail counts are bit-identical for a given seed whatever
-the chunking or the number of parallel streams.  The CVaR values and their
-standard errors do not depend on the stream count either, but they do depend
-on CHUNK_TRIALS: each chunk's tail sum is added to the running total on its
-own, so a different chunk size adds the same terms in a different grouping.
+index), so every draw is fixed by the seed alone.  Profits, counts, CVaR
+values and their standard errors are bit-identical for a given seed whatever
+the chunking or the number of parallel streams.
 """
 
 from __future__ import annotations
@@ -38,6 +35,12 @@ CAPABILITY_PURPOSE = 1
 # Trials per work unit; a multiple of 4 keeps the 4-word counter blocks of the
 # generator aligned with chunk boundaries for any window count.
 CHUNK_TRIALS = 4096
+
+# Rows per tail block.  Each group's tail terms are summed per block, in
+# row-major order, and the block sums are reduced once at the end, so the
+# CVaR adds the same values in the same order at any chunk size.  It divides
+# CHUNK_TRIALS, so no block straddles two chunks.
+TAIL_BLOCK_ROWS = 4
 
 DEFAULT_WINDOWS_PER_HORIZON = 720
 
@@ -169,7 +172,7 @@ def _normalize_plan(
 
 @dataclass(frozen=True)
 class CvarEstimate:
-    value: float
+    value: float | None
     standard_error: float | None
     tail_count: int
 
@@ -229,51 +232,19 @@ def write_profits_csv(path, result: SimulationResult) -> None:
             handle.write(f"{trial},{sig9(profit)}\n")
 
 
-def _event_branch_settlement(
-    terms: ProgramTerms, contract_c: float | np.ndarray, q: np.ndarray
-) -> np.ndarray:
-    delivered = np.minimum(q, contract_c)
-    return terms.pi_e * delivered - terms.pi_p * (contract_c - delivered)
+def _tail_term(terms: ProgramTerms, contract_c, q):
+    """The CVaR integrand pi_e*q - pi_p*(c - q) of a tail draw q."""
+    return terms.pi_e * q - terms.pi_p * (contract_c - q)
 
 
-def _cvar_from_tail_sum(
-    terms: ProgramTerms, contract_c: float, tail_sum: float, n_total: int
-) -> float:
-    return float(
-        terms.pi_r * contract_c + (terms.p / terms.tail_mass) * tail_sum / n_total
+def _repeated_sums(term: float, n: int) -> tuple[float, float]:
+    """term and term**2, each added n times one by one, as np.bincount adds."""
+    copies = np.full(n, term)
+    keys = np.zeros(n, dtype=np.intp)
+    return (
+        float(np.bincount(keys, copies, 1)[0]),
+        float(np.bincount(keys, copies * copies, 1)[0]),
     )
-
-
-def _cvar_tail_value(
-    terms: ProgramTerms, contract_c: float, tail: np.ndarray, n_total: int
-) -> float:
-    tail_sum = float(_event_branch_settlement(terms, contract_c, tail).sum())
-    return _cvar_from_tail_sum(terms, contract_c, tail_sum, n_total)
-
-
-def tail_size(n_draws: int, c_hat: float) -> int:
-    return max(1, int(math.floor((1.0 - c_hat) * n_draws)))
-
-
-def empirical_cvar(terms: ProgramTerms, contract_c: float, q_draws) -> float:
-    """Plug-in tail estimate of the analytic cvar from capability draws.
-
-    Averages the event-branch settlement over the lowest (1 - c_hat) tail of
-    the draws, normalized by the full draw count, so it converges to the
-    analytic cvar(terms, dist, c) as draws accumulate.
-    """
-    draws = np.asarray(q_draws, dtype=float).ravel()
-    needed = math.ceil(1.0 / terms.tail_mass)
-    if draws.size < needed:
-        raise ValueError(
-            f"need at least {needed} draws for the {terms.c_hat:g}-level tail, "
-            f"got {draws.size}"
-        )
-    if contract_c < 0.0:
-        raise ValueError("contract size must be >= 0")
-    k = tail_size(draws.size, terms.c_hat)
-    tail = np.partition(draws, k - 1)[:k]
-    return _cvar_tail_value(terms, contract_c, tail, draws.size)
 
 
 # Uniform-level margin of the CVaR tail prefilter; see _tail_level.
@@ -299,8 +270,6 @@ def _tail_level(dist: CurtailmentDistribution, cutoff: float) -> float:
     """
     level = min(float(dist.cdf(cutoff)) + _TAIL_LEVEL_SLACK, 1.0)
     if isinstance(dist, NormalDistribution):
-        if cutoff < 0.0:  # draws are clipped at zero, so none reaches the tail
-            return 0.0
         if level < 1.0 and not dist.quantile(level) > cutoff:
             return 1.0
     return level
@@ -320,21 +289,17 @@ def simulate_horizon(
     schedule optionally assigns a bucket key to every window (its length then
     overrides config.windows_per_horizon).
 
-    Each group's cvar is a running tail-integral estimate: every draw at or
-    below the group's tail cutoff q_hat contributes its event-branch
-    settlement, and the sum is normalized by tail_mass times the total draw
-    count.  This targets the analytic cvar integral directly, so a
-    distribution atom sitting on the tail boundary contributes its full mass,
-    matching the analytic convention even for coarse empirical distributions
-    (a "k smallest draws" tail would not).
+    Each group's cvar estimates the analytic cvar: its tail is every draw at
+    or below the group's cutoff q_hat (clipped at zero, as draws are), so an
+    atom on the cutoff counts in full, and the estimate is pi_r*c plus p times
+    the mean of the tail terms pi_e*q - pi_p*(c - q), with standard error
+    p*sqrt(var/tail_count).  A group without tail draws reports None.
 
     A chunk draws both uniform tables in full but transforms only the cells
     that need a capability value: the events, which settle, and the tail
     candidates, cells whose capability uniform lies below the group's
-    _tail_level.  Single-point groups have no candidates; their tail is every
-    draw of the chunk or none.  A group's tail draws are kept in the
-    row-major order of the dense table, so its tail sums add the same values
-    in the same order as a dense pass would.
+    _tail_level.  Single-point groups have no candidates; every draw is in
+    their tail.
     """
     plan = _normalize_plan(terms, capability, contracts, config, schedule)
     n_trials = config.n_trials
@@ -347,22 +312,22 @@ def simulate_horizon(
     clip_u = np.zeros(windows)
     cutoffs = np.empty(n_groups)
     group_contracts = np.empty(n_groups)
-    # (group index, window count, settlement) of each point group in its tail
+    # (group index, window count, tail term) of each point group
     point_tails = []
     for g, group in enumerate(groups):
-        cols = group.columns
+        dist, cols = group.dist, group.columns
         col_group[cols] = g
-        cutoff = float(group.dist.quantile(terms.tail_mass))
-        cutoffs[g] = cutoff
+        cutoffs[g] = max(float(dist.quantile(terms.tail_mass)), 0.0)
         group_contracts[g] = group.contract
-        point = _point_value(group.dist)
+        point = _point_value(dist)
         if point is None:
-            tail_u[cols] = _tail_level(group.dist, cutoff)
-        elif point <= cutoff:
-            settled = _event_branch_settlement(terms, group.contract, np.array([point]))
-            point_tails.append((g, cols.size, settled[0]))
-        if isinstance(group.dist, NormalDistribution) and group.dist.sigma > 0.0:
-            clip_u[cols] = group.dist.clipped_mass()
+            tail_u[cols] = _tail_level(dist, cutoffs[g])
+        else:  # the point is its own clipped cutoff
+            point_tails.append((g, cols.size, _tail_term(terms, group.contract, point)))
+        if isinstance(dist, NormalDistribution):
+            dist.warn_clipped_mass(stacklevel=2)
+            if dist.sigma > 0.0:
+                clip_u[cols] = dist.clipped_mass()
     clipping = bool(clip_u.any())
 
     def run_chunk(row_start: int):
@@ -389,9 +354,8 @@ def simulate_horizon(
         start = 0
         ends = np.cumsum(np.bincount(cell_group, minlength=n_groups)).tolist()
         for group, end in zip(groups, ends):
-            # Called for every group, even one with no cells, so a clipped
-            # normal warns once per chunk however few cells it draws.
-            q_cells[start:end] = group.dist.transform_uniform(u_cells[start:end])
+            if end > start:
+                q_cells[start:end] = group.dist.transform_uniform(u_cells[start:end])
             start = end
 
         # The kernel reads capability only at the events, so the event
@@ -412,32 +376,31 @@ def simulate_horizon(
         cand_q = q_cells[candidate]
         in_tail = cand_q <= cutoffs[cand_group]
         tail_group = cand_group[in_tail]
-        settled = _event_branch_settlement(
-            terms, group_contracts[tail_group], cand_q[in_tail]
-        )
+        tail_terms = _tail_term(terms, group_contracts[tail_group], cand_q[in_tail])
+        # Key block * n_groups + group: bincount adds each key's terms one by
+        # one, in the row-major order the cells of a group are kept in.
+        block = cells[candidate][in_tail] // (windows * TAIL_BLOCK_ROWS)
+        keys = block * n_groups + tail_group
+        full, rest = divmod(n_rows, TAIL_BLOCK_ROWS)
+        size = (full + (rest > 0)) * n_groups
+        sums = np.bincount(keys, tail_terms, size).reshape(-1, n_groups)
+        sq_sums = np.bincount(keys, tail_terms * tail_terms, size).reshape(-1, n_groups)
         counts = np.bincount(tail_group, minlength=n_groups)
-        sums = np.zeros(n_groups)
-        sq_sums = np.zeros(n_groups)
-        start = 0
-        for g, end in enumerate(np.cumsum(counts).tolist()):
-            if end > start:
-                sums[g] = settled[start:end].sum()
-                # Non-tail draws contribute 0, so the per-draw second moment
-                # only needs the tail terms.
-                sq_sums[g] = np.square(settled[start:end]).sum()
-            start = end
-        for g, width, value in point_tails:
-            block = np.full(n_rows * width, value)
-            sums[g] = block.sum()
-            sq_sums[g] = np.square(block).sum()
-            counts[g] = block.size
+        for g, width, term in point_tails:
+            sums[:full, g], sq_sums[:full, g] = _repeated_sums(
+                term, TAIL_BLOCK_ROWS * width
+            )
+            if rest:
+                sums[full, g], sq_sums[full, g] = _repeated_sums(term, rest * width)
+            counts[g] = n_rows * width
         return profit, events, shortfalls, sums, sq_sums, counts, clip_count
 
     profits = np.empty(n_trials)
     event_counts = np.empty(n_trials, dtype=np.int64)
     shortfall_counts = np.empty(n_trials, dtype=np.int64)
-    tail_sum = np.zeros(n_groups)
-    tail_sq_sum = np.zeros(n_groups)
+    n_blocks = -(-n_trials // TAIL_BLOCK_ROWS)
+    block_sums = np.zeros((n_blocks, n_groups))
+    block_sq_sums = np.zeros((n_blocks, n_groups))
     tail_count = np.zeros(n_groups, dtype=np.int64)
     clip_count = 0
 
@@ -448,8 +411,9 @@ def simulate_horizon(
         profits[row_start : row_start + n_rows] = profit
         event_counts[row_start : row_start + n_rows] = events
         shortfall_counts[row_start : row_start + n_rows] = shortfalls
-        tail_sum[:] += sums
-        tail_sq_sum[:] += sq_sums
+        first = row_start // TAIL_BLOCK_ROWS
+        block_sums[first : first + sums.shape[0]] = sums
+        block_sq_sums[first : first + sums.shape[0]] = sq_sums
         tail_count[:] += counts
         clip_count += clipped
 
@@ -463,24 +427,21 @@ def simulate_horizon(
             fold(row_start, run_chunk(row_start))
 
     cvar_out = {}
-    for group, group_sum, group_sq_sum, group_count in zip(
-        groups, tail_sum.tolist(), tail_sq_sum.tolist(), tail_count.tolist()
+    for group, tail_sum, tail_sq_sum, n in zip(
+        groups,
+        block_sums.sum(axis=0).tolist(),
+        block_sq_sums.sum(axis=0).tolist(),
+        tail_count.tolist(),
     ):
-        n_draws_total = n_trials * group.columns.size
-        value = _cvar_from_tail_sum(terms, group.contract, group_sum, n_draws_total)
-        if n_draws_total >= 2:
-            # The estimate is a mean of iid per-draw terms (0 off the tail),
-            # so its standard error follows from the per-draw moments.
-            mean_h = group_sum / n_draws_total
-            var_h = max(group_sq_sum / n_draws_total - mean_h * mean_h, 0.0)
-            se = float(
-                (terms.p / terms.tail_mass)
-                * math.sqrt(var_h / n_draws_total)
-            )
-        else:
-            se = None
+        value = se = None
+        if n:
+            mean = tail_sum / n
+            value = float(terms.pi_r * group.contract + terms.p * mean)
+            if n >= 2:
+                var = max(tail_sq_sum / n - mean * mean, 0.0)
+                se = float(terms.p * math.sqrt(var / n))
         cvar_out[group.label] = CvarEstimate(
-            value=value, standard_error=se, tail_count=group_count
+            value=value, standard_error=se, tail_count=n
         )
 
     total_windows = n_trials * windows
@@ -570,7 +531,7 @@ def analytic_summary(
 @dataclass(frozen=True)
 class ConvergenceRow:
     quantity: str
-    simulated: float
+    simulated: float | None
     analytic: float
     standard_error: float | None
 

@@ -59,32 +59,22 @@ def quad_expected_profit(terms: ProgramTerms, mu: float, sigma: float, c: float)
 
 
 def quad_cvar(terms: ProgramTerms, mu: float, sigma: float, c: float) -> float:
-    """Tail-integral cvar by quadrature: integrate the event branch to q_hat."""
-    q_hat = stats.norm.ppf(terms.tail_mass, mu, sigma)
-    upper = min(c, q_hat)
+    """Tail-conditional cvar by quadrature over the normal density.
 
-    def event_branch(q: float) -> float:
-        delivered = min(q, c)
-        return terms.pi_e * delivered - terms.pi_p * (c - delivered)
-
-    tail = 0.0
-    if upper > 0.0:
-        tail, _ = integrate.quad(
-            lambda q: event_branch(q) * stats.norm.pdf(q, mu, sigma),
-            0.0,
-            upper,
-            limit=200,
+    The tail is q <= q_hat, q_hat the tail-mass quantile clipped at 0, with
+    the mass below 0 clipped onto 0; E[q | tail] integrates q from 0 to q_hat
+    and divides by the tail's mass.
+    """
+    q_hat = max(stats.norm.ppf(terms.tail_mass, mu, sigma), 0.0)
+    integral = 0.0
+    if q_hat > 0.0:
+        integral, _ = integrate.quad(
+            lambda q: q * stats.norm.pdf(q, mu, sigma), 0.0, q_hat, limit=200
         )
-    if c < q_hat:
-        # Above the contract the branch is pi_e·q with no penalty.
-        extra, _ = integrate.quad(
-            lambda q: terms.pi_e * min(q, c) * stats.norm.pdf(q, mu, sigma),
-            max(c, 0.0),
-            q_hat,
-            limit=200,
-        )
-        tail += extra
-    return terms.pi_r * c + (terms.p / terms.tail_mass) * tail
+    q_tail = integral / stats.norm.cdf(q_hat, mu, sigma)
+    return terms.pi_r * c + terms.p * (
+        terms.pi_e * q_tail - terms.pi_p * (c - q_tail)
+    )
 
 
 def projected_gradient_nnls(
@@ -106,19 +96,15 @@ def empirical_distribution_cvar(
 ) -> float:
     """Direct-sum cvar on a discrete sample set.
 
-    Every atom at or below the tail cutoff contributes its full 1/N mass,
-    mirroring the analytic integral convention; the cutoff uses the same
-    linear-interpolation quantile as the package.
+    The tail is every sample at or below the cutoff, each atom in full, and
+    its terms are averaged over the tail's own count; the cutoff uses the
+    same linear-interpolation quantile as the package.
     """
     samples = np.sort(np.asarray(samples, dtype=float))
-    q_hat = float(np.quantile(samples, terms.tail_mass))
-    in_tail = samples <= q_hat
-    delivered = np.minimum(samples[in_tail], c)
-    branch = terms.pi_e * delivered - terms.pi_p * (c - delivered)
-    return float(
-        terms.pi_r * c
-        + (terms.p / terms.tail_mass) * branch.sum() / samples.size
-    )
+    q_hat = max(float(np.quantile(samples, terms.tail_mass)), 0.0)
+    tail = samples[samples <= q_hat]
+    branch = terms.pi_e * tail - terms.pi_p * (c - tail)
+    return float(terms.pi_r * c + terms.p * branch.sum() / tail.size)
 
 
 def dense_settle(u_event, capability, contracts, pi_r, pi_p, pi_e, p):
@@ -138,15 +124,26 @@ def dense_simulate_horizon(terms, capability, contracts, config, schedule=None):
 
     Each chunk gathers every group's columns, transforms all of their
     uniforms, settles the whole block with dense_settle, and takes each
-    group's tail from its gathered columns in row-major order.  It shares only
-    the plan, the counter-addressed uniforms and CHUNK_TRIALS with the engine,
-    which must agree with it bit for bit.
+    group's tail from its gathered columns.  The tail terms are summed per
+    group and per block of TAIL_BLOCK_ROWS rows, one by one in row-major
+    order, and the (blocks, groups) sums are reduced once at the end.  It
+    shares only the plan, the counter-addressed uniforms, CHUNK_TRIALS and
+    that summation order with the engine, which must agree with it bit for
+    bit.  Clipped normals warn once per call, as the engine's do.
     """
     plan = simulation._normalize_plan(terms, capability, contracts, config, schedule)
     n_trials, windows = config.n_trials, plan.windows
     chunk = simulation.CHUNK_TRIALS
+    block_rows = simulation.TAIL_BLOCK_ROWS
+    n_groups = len(plan.groups)
+    n_blocks = -(-n_trials // block_rows)
+    block_sums = np.zeros((n_blocks, n_groups))
+    block_sq_sums = np.zeros((n_blocks, n_groups))
+    tail_count = np.zeros(n_groups, dtype=np.int64)
+    for group in plan.groups:
+        if isinstance(group.dist, NormalDistribution):
+            group.dist.warn_clipped_mass(stacklevel=1)
     profits, event_counts, shortfall_counts = [], [], []
-    tail = {g.label: [0.0, 0.0, 0] for g in plan.groups}
     clip_count = 0
     for row_start in range(0, n_trials, chunk):
         n_rows = min(chunk, n_trials - row_start)
@@ -165,34 +162,34 @@ def dense_simulate_horizon(terms, capability, contracts, config, schedule=None):
         profits.append(profit)
         event_counts.append(events)
         shortfall_counts.append(shortfalls)
-        for group in plan.groups:
-            dist, cols = group.dist, group.columns
+        for g, group in enumerate(plan.groups):
+            dist, cols, c = group.dist, group.columns, group.contract
             if isinstance(dist, NormalDistribution) and dist.sigma > 0.0:
                 clipped = u_cap[:, cols] < dist.clipped_mass()
                 clip_count += int(np.count_nonzero(clipped))
-            draws = q[:, cols].ravel()
-            in_tail = draws[draws <= float(dist.quantile(terms.tail_mass))]
-            delivered = np.minimum(in_tail, group.contract)
-            settled = terms.pi_e * delivered - terms.pi_p * (group.contract - delivered)
-            acc = tail[group.label]
-            acc[0] += float(settled.sum())
-            acc[1] += float(np.square(settled).sum())
-            acc[2] += int(in_tail.size)
+            draws = q[:, cols]
+            q_hat = max(float(dist.quantile(terms.tail_mass)), 0.0)
+            in_tail = draws <= q_hat
+            row = np.broadcast_to(np.arange(n_rows)[:, None], draws.shape)
+            block = (row_start + row[in_tail]) // block_rows
+            settled = terms.pi_e * draws[in_tail] - terms.pi_p * (c - draws[in_tail])
+            block_sums[:, g] += np.bincount(block, settled, n_blocks)
+            block_sq_sums[:, g] += np.bincount(block, np.square(settled), n_blocks)
+            tail_count[g] += int(np.count_nonzero(in_tail))
 
     cvar = {}
-    for group in plan.groups:
-        tail_sum, tail_sq_sum, tail_count = tail[group.label]
-        n_total = n_trials * group.columns.size
-        value = float(
-            terms.pi_r * group.contract
-            + (terms.p / terms.tail_mass) * tail_sum / n_total
-        )
-        se = None
-        if n_total >= 2:
-            mean_h = tail_sum / n_total
-            var_h = max(tail_sq_sum / n_total - mean_h * mean_h, 0.0)
-            se = float((terms.p / terms.tail_mass) * math.sqrt(var_h / n_total))
-        cvar[group.label] = simulation.CvarEstimate(value, se, tail_count)
+    tail_sums = block_sums.sum(axis=0)
+    tail_sq_sums = block_sq_sums.sum(axis=0)
+    for g, group in enumerate(plan.groups):
+        n = int(tail_count[g])
+        value = se = None
+        if n:
+            mean = tail_sums[g] / n
+            value = float(terms.pi_r * group.contract + terms.p * mean)
+            if n >= 2:
+                var = max(tail_sq_sums[g] / n - mean * mean, 0.0)
+                se = float(terms.p * math.sqrt(var / n))
+        cvar[group.label] = simulation.CvarEstimate(value, se, n)
     profits = np.concatenate(profits)
     event_counts = np.concatenate(event_counts)
     shortfall_counts = np.concatenate(shortfall_counts)

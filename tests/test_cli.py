@@ -542,9 +542,9 @@ def test_cli_import_leaves_scipy_stats_unloaded():
 # A change that moves any of these must be a documented output change.
 GOLDEN_DIGESTS = {
     "model.json": "79983ee80174be4bda163536b4acdfabfce1dd611ab53adcf1ccfe6a2cb5d21c",
-    "contracts.csv": "24d2ac9103a58e7f44262de804ae7754f9df2fc17c91e8e24c9bc682152fba68",
-    "ranking.csv": "56ef99c1bfd0669279c61b3a39eaa7bcfb70258fab0a237ad160733ce5019342",
-    "report.json": "811524391c27f738d3cad6c50ddc7c09207e73390f0c443aba2326cbc6a8c37e",
+    "contracts.csv": "5c4c76aa73a38c59415085db7446189a73cd3f97a5dd9da9a2786cb71c53f77a",
+    "ranking.csv": "648235a3574135943f90c1eb31407850c7d6bd44129b02a9437221d94effc1c5",
+    "report.json": "04e39a3982b6e0ce322167217fffd24b27a1801f15cc7dfe7d5b9ae00231fb6d",
 }
 
 

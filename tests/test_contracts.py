@@ -31,7 +31,7 @@ from drcontracts import (
 from drcontracts.contracts import GRID_POINTS, _search_upper_bound
 
 from conftest import dense_uniform, terms_for_psi
-from oracles import quad_cvar, quad_expected_profit
+from oracles import empirical_distribution_cvar, quad_cvar, quad_expected_profit
 
 # psi = 1.04/2.04 for the closed-form uniform[0,1] scenario
 UNIFORM_PSI = 26.0 / 51.0
@@ -78,12 +78,36 @@ class TestCvar:
 
     def test_uniform_closed_form(self):
         terms = ProgramTerms(pi_e=0.2, pi_r=1.0, pi_p=10.0, p=0.2, c_hat=0.5)
-        # 1 + 0.4·(0.2·0.125 − 10·0.375) = −0.49
+        # E[q | q <= 1/2] = 0.25: 1 + 0.2·(0.2·0.25 − 10·0.75) = −0.49
         assert cvar(terms, dense_uniform(), 1.0) == pytest.approx(-0.49, abs=1e-4)
 
     def test_zero_contract_no_energy_value_is_zero(self):
+        # A tail without capability: CVaR(0) = p*(pi_e + pi_p)*E[q | tail] = 0.
         terms = ProgramTerms(pi_e=0.0, pi_r=1.0, pi_p=10.0, p=0.2, c_hat=0.5)
-        assert cvar(terms, dense_uniform(), 0.0) == 0.0
+        samples = np.concatenate((np.zeros(100), np.linspace(0.0, 1.0, 100)))
+        assert cvar(terms, EmpiricalDistribution(samples), 0.0) == 0.0
+
+    def test_zero_contract_credits_tail_capability(self):
+        # CVaR(0) = p*(pi_e + pi_p)*E[q | q <= 1/2] = 0.2*10*0.25
+        terms = ProgramTerms(pi_e=0.0, pi_r=1.0, pi_p=10.0, p=0.2, c_hat=0.5)
+        assert cvar(terms, dense_uniform(), 0.0) == pytest.approx(0.5, abs=1e-4)
+
+    @pytest.mark.parametrize(
+        "dist",
+        [
+            NormalDistribution(100.0, 10.0),
+            NormalDistribution(1.0, 10.0),
+            NormalDistribution(-1.0, 0.0),
+            EmpiricalDistribution(np.array([0.0, 0.0, 3.0, 7.0, 7.0, 12.0])),
+        ],
+    )
+    def test_linear_in_contract(self, basic_terms, dist):
+        slope = basic_terms.pi_r - basic_terms.p * basic_terms.pi_p
+        base = cvar(basic_terms, dist, 0.0)
+        for c in (0.5, 3.0, 7.0, 95.0, 140.0):
+            assert cvar(basic_terms, dist, c) == pytest.approx(
+                base + slope * c, rel=1e-12, abs=1e-12
+            )
 
     def test_matches_quadrature_on_normal(self):
         terms = ProgramTerms(pi_e=1.5, pi_r=0.05, pi_p=6.0, p=0.1, c_hat=0.9)
@@ -94,18 +118,19 @@ class TestCvar:
             )
 
     def test_tail_below_zero_holds_the_clipped_mass(self, basic_terms):
-        # q_hat < 0: the tail is the capability clipped to 0, with mass F(0).
+        # q_hat < 0: the tail is the capability clipped to 0, all of it at 0.
         dist = NormalDistribution(1.0, 10.0)
         assert dist.quantile(basic_terms.tail_mass) < 0.0
         c = 5.0
-        expected = basic_terms.pi_r * c - (
-            basic_terms.p / basic_terms.tail_mass
-        ) * basic_terms.pi_p * dist.cdf(0.0) * c
+        expected = basic_terms.pi_r * c - basic_terms.p * basic_terms.pi_p * c
         assert cvar(basic_terms, dist, c) == pytest.approx(expected, rel=1e-12)
+        assert cvar(basic_terms, dist, c) == pytest.approx(
+            quad_cvar(basic_terms, 1.0, 10.0, c), rel=1e-12
+        )
 
-    def test_contract_below_cutoff_uses_clamped_integrand(self):
-        # c far below q_hat: the tail integral must not charge penalties on
-        # capability the contract never promised.
+    def test_contract_below_cutoff_credits_capability_above_it(self):
+        # c far below q_hat: tail capability above c earns pi_e*q, and
+        # pi_p*(c - q) turns into a credit, as the definition says.
         terms = ProgramTerms(pi_e=1.5, pi_r=0.05, pi_p=6.0, p=0.1, c_hat=0.6)
         dist = NormalDistribution(100.0, 10.0)
         c = 60.0
@@ -113,6 +138,24 @@ class TestCvar:
         assert cvar(terms, dist, c) == pytest.approx(
             quad_cvar(terms, 100.0, 10.0, c), rel=1e-7
         )
+
+    def test_matches_direct_sum_on_samples(self):
+        rng = np.random.default_rng(9)
+        for i in range(60):
+            samples = np.maximum(rng.normal(10.0, 6.0, int(rng.integers(1, 40))), 0.0)
+            if i % 3 == 0:
+                samples = np.round(samples)  # ties, often on the cutoff
+            terms = ProgramTerms(
+                pi_e=4.0,
+                pi_r=0.01,
+                pi_p=5.0,
+                p=3.0 / 720.0,
+                c_hat=float(rng.choice([0.5, 0.8, 0.95])),
+            )
+            c = float(rng.uniform(0.0, 20.0))
+            assert cvar(terms, EmpiricalDistribution(samples), c) == pytest.approx(
+                empirical_distribution_cvar(terms, samples, c), rel=1e-12, abs=1e-12
+            )
 
 
 class TestObjective:
@@ -193,8 +236,8 @@ class TestOptimalContract:
             optimal_contract(terms, NormalDistribution(100.0, 10.0))
 
     def test_low_region_fractile_below_tail_cutoff(self):
-        # psi below the tail mass with alpha > 0: the optimum sits in the
-        # region where the tail value still varies with c.
+        # psi below the tail mass with alpha > 0: the optimum lies below
+        # q_hat, and it is still the psi-quantile.
         terms = terms_for_psi(0.03, alpha=0.5, c_hat=0.95)
         dist = NormalDistribution(100.0, 10.0)
         decision = optimal_contract(terms, dist)
@@ -202,11 +245,15 @@ class TestOptimalContract:
         oracle = grid_search_optimal(terms, dist)
         step = _search_upper_bound(terms, dist) / GRID_POINTS
         assert abs(decision.c_star - oracle) <= step
-        # the reported optimum beats the formula point on the objective
-        formula_c = float(dist.quantile(quantile_argument(terms)))
-        assert objective(terms, dist, decision.c_star) >= objective(
-            terms, dist, formula_c
-        ) - 1e-12
+        assert decision.c_star == float(dist.quantile(quantile_argument(terms)))
+
+    def test_empirical_psi_on_a_cdf_step_takes_that_sample(self):
+        # psi = 1/2 = F(2) exactly: the objective is flat on [2, 3), and the
+        # smallest sample whose cdf reaches psi is its first maximum.
+        terms = ProgramTerms(pi_e=1.0, pi_r=0.5, pi_p=3.0, p=0.5)
+        assert quantile_argument(terms) == 0.5
+        dist = EmpiricalDistribution(np.array([4.0, 1.0, 3.0, 2.0]))
+        assert optimal_contract(terms, dist).c_star == 2.0
 
     def test_matches_grid_oracle_on_uniform(self, uniform_terms):
         dist = dense_uniform()
@@ -258,7 +305,12 @@ def assert_matches_oracle(terms, dist, *, within_one_step):
 
 
 class TestExactOptimizer:
-    """The optimizer returns the argmax of the objective for every alpha < alpha_0."""
+    """The optimizer returns the objective's argmax for every alpha in [0, 3 alpha_0].
+
+    Past alpha_0 that argmax is 0.  Where the objective is flat (psi = 0 at
+    alpha_0 exactly, psi = F(s_k) on samples) rounding can move the grid's
+    first maximum, so the contracts are compared by objective value.
+    """
 
     @pytest.mark.parametrize(
         "mu, sigma",
@@ -279,6 +331,11 @@ class TestExactOptimizer:
         for alpha in np.linspace(0.0, a0, 50, endpoint=False):
             terms = SHUTOFF_TERMS.with_alpha(float(alpha))
             assert_matches_oracle(terms, dist, within_one_step=True)
+        for alpha in np.append(np.linspace(a0, 3.0 * a0, 25), a0):
+            terms = SHUTOFF_TERMS.with_alpha(float(alpha))
+            assert_matches_oracle(terms, dist, within_one_step=False)
+            if alpha > a0:
+                assert optimal_contract(terms, dist).c_star == 0.0
 
     def test_capped_normal_matches_grid(self):
         for c_max in (60.0, 90.0, 130.0):
@@ -304,7 +361,7 @@ class TestExactOptimizer:
                 pi_r=0.01,
                 pi_p=5.0,
                 p=3.0 / 720.0,
-                alpha=float(rng.uniform(0.0, a0)),
+                alpha=float(rng.uniform(0.0, 3.0 * a0)),
                 c_hat=float(rng.choice([0.8, 0.9, 0.95])),
                 c_max=c_max,
             )
@@ -328,12 +385,11 @@ class TestExactOptimizer:
         assert decision.c_star == 0.0
         assert decision.clipped == "none"
 
-    def test_shutoff_conflicts_with_objective_above_threshold(self):
-        """Past alpha_0 the paper's shutoff c = 0 is not the objective's argmax.
+    def test_shutoff_agrees_with_objective_above_threshold(self):
+        """Past alpha_0 the paper's shutoff c = 0 is the objective's argmax.
 
-        The package keeps the paper's rule (criterion 03); this pins the
-        disagreement that ROADMAP item 1 leaves open, so that a change to
-        either side shows up here.
+        The objective falls from c = 0 on, so the grid's first maximum is 0
+        and every other grid point scores lower.
         """
         dist = NormalDistribution(100.0, 10.0)
         a0 = alpha_threshold(SHUTOFF_TERMS)
@@ -341,9 +397,10 @@ class TestExactOptimizer:
             terms = SHUTOFF_TERMS.with_alpha(float(alpha))
             decision = optimal_contract(terms, dist)
             assert decision.c_star == 0.0
-            oracle = grid_search_optimal(terms, dist)
-            assert oracle > 80.0
-            assert objective(terms, dist, oracle) > decision.objective_value + 1.0
+            assert decision.clipped == "low"
+            assert grid_search_optimal(terms, dist) == 0.0
+            grid = np.linspace(0.0, 140.0, 141)[1:]
+            assert np.all(objective(terms, dist, grid) < decision.objective_value)
 
 
 class TestOptimalProfitFormula:
@@ -355,6 +412,14 @@ class TestOptimalProfitFormula:
         assert audit.formula_value == pytest.approx(
             audit.expected_profit, rel=1e-12
         )
+
+    @pytest.mark.parametrize("psi, alpha", [(0.03, 0.5), (0.02, 2.0)])
+    def test_identity_at_positive_alpha_normal(self, psi, alpha):
+        terms = terms_for_psi(psi, alpha=alpha)
+        dist = NormalDistribution(100.0, 10.0)
+        decision = optimal_contract(terms, dist)
+        audit = optimal_profit_formula(terms, dist, decision.c_star)
+        assert abs(audit.residual) <= 1e-12 * abs(audit.formula_value)
 
     def test_uniform_closed_form_value(self, uniform_terms):
         dist = dense_uniform()

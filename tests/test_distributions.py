@@ -218,7 +218,7 @@ class TestNormal:
         dist = NormalDistribution(0.0, 1.0)
         rng = np.random.default_rng(123)
         with pytest.warns(ClippedMassWarning):
-            draws = dist.transform_uniform(rng.random(1_000_000))
+            draws = dist.sample(rng, 1_000_000)
         assert draws.min() >= 0.0
         half_normal_mean = stats.norm.pdf(0.0)
         se = draws.std(ddof=1) / math.sqrt(draws.size)
@@ -226,7 +226,13 @@ class TestNormal:
 
     def test_no_warning_when_clipped_mass_negligible(self, recwarn):
         dist = NormalDistribution(100.0, 10.0)
-        dist.transform_uniform(np.array([0.2, 0.8]))
+        dist.sample(np.random.default_rng(0), 2)
+        assert not [w for w in recwarn if w.category is ClippedMassWarning]
+
+    def test_transform_uniform_does_not_warn(self, recwarn):
+        # The transform is pure; sample and the Monte Carlo do the warning.
+        dist = NormalDistribution(0.0, 1.0)
+        assert dist.transform_uniform(np.array([0.2, 0.8]))[0] == 0.0
         assert not [w for w in recwarn if w.category is ClippedMassWarning]
 
 

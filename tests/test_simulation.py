@@ -11,6 +11,7 @@ import pytest
 from drcontracts import _kernels
 from drcontracts import (
     ClippedMassWarning,
+    CvarEstimate,
     EmpiricalDistribution,
     ModelConsistencyError,
     NormalDistribution,
@@ -19,14 +20,11 @@ from drcontracts import (
     analytic_summary,
     convergence_rows,
     cvar,
-    empirical_cvar,
     expected_profit,
     optimal_contract,
     simulate_horizon,
     write_profits_csv,
 )
-from drcontracts.simulation import tail_size
-
 from conftest import sampled_normal, terms_for_psi
 from oracles import dense_simulate_horizon
 
@@ -89,13 +87,14 @@ class TestDeterminism:
 
 
 class TestChunkingInvariance:
-    """What chunking and streams may change: only CVaR, and only by chunk size.
+    """Neither chunking nor the stream count moves any output bit.
 
     Profits and counts are per-trial, so no partition of the trials can move
-    them.  A group's tail sum is a per-chunk pairwise sum added up chunk by
-    chunk, so CHUNK_TRIALS regroups its additions and may move the last bits
-    of the CVaR value; the stream count only changes which thread computes a
-    chunk, never the chunks or the order they are added in.
+    them.  A group's tail terms are summed per block of TAIL_BLOCK_ROWS rows,
+    which never straddles a chunk, and the block sums are reduced once at the
+    end, so CVaR values and their standard errors add the same values in the
+    same order at any chunk size; the stream count only changes which thread
+    computes a chunk.
     """
 
     SEEDS = range(6)
@@ -119,6 +118,39 @@ class TestChunkingInvariance:
             assert rechunked.shortfall_total == base.shortfall_total
             assert rechunked.clip_count == base.clip_count
             assert rechunked.cvar["all"].tail_count == base.cvar["all"].tail_count
+
+    def test_cvar_does_not_depend_on_chunking_or_streams(
+        self, basic_terms, monkeypatch
+    ):
+        capability = {
+            "a": NormalDistribution(100.0, 10.0),
+            "b": NormalDistribution(1.0, 10.0),  # cutoff clipped to zero
+            "c": sampled_normal(60.0, 15.0, 23, seed=4),
+            "d": NormalDistribution(40.0, 0.0),
+        }
+        contracts = {"a": 90.0, "b": 5.0, "c": 55.0, "d": 35.0}
+        config = dict(n_trials=1001, windows_per_horizon=22)
+        outputs = []
+        for chunk in (4096, 64):
+            monkeypatch.setattr("drcontracts.simulation.CHUNK_TRIALS", chunk)
+            for streams in (1, 3):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", ClippedMassWarning)
+                    runs = [
+                        simulate_horizon(
+                            basic_terms,
+                            capability,
+                            contracts,
+                            small_config(seed=s, parallel_streams=streams, **config),
+                        )
+                        for s in self.SEEDS
+                    ]
+                outputs.append(
+                    [json.dumps(r.to_json_dict(), sort_keys=True) for r in runs]
+                )
+        assert all(out == outputs[0] for out in outputs[1:])
+        tail_counts = [json.loads(out)["cvar"] for out in outputs[0]]
+        assert all(est["tail_count"] > 0 for cv in tail_counts for est in cv.values())
 
     def test_cvar_does_not_depend_on_stream_count(self, basic_terms, monkeypatch):
         monkeypatch.setattr("drcontracts.simulation.CHUNK_TRIALS", 64)
@@ -175,6 +207,7 @@ def sparse_cases():
         "clip_far": NormalDistribution(3.0, 5.0),
         "clip_tail": NormalDistribution(10.0, 6.0),
         "point": NormalDistribution(40.0, 0.0),
+        "point_frac": NormalDistribution(40.3, 0.0),  # a tail term off the integers
         "point_neg": NormalDistribution(-1.0, 0.0),
         "point_zero": NormalDistribution(0.0, 0.0),
         "flat": NormalDistribution(1e9, 1e-9),
@@ -188,6 +221,7 @@ def sparse_cases():
         "clip_far": 2.0,
         "clip_tail": 8.0,
         "point": 35.0,
+        "point_frac": 36.1,
         "point_neg": 1.0,
         "point_zero": 0.0,
         "flat": 50.0,
@@ -240,10 +274,11 @@ class TestSparseChunkMatchesDense:
         assert set(schedule) == set(capability)
         assert result.clip_count > 0
         counts = {label: est.tail_count for label, est in result.cvar.items()}
-        assert counts["point_neg"] == 0  # clipped to 0, above its cutoff of -1
-        assert counts["clip"] == 0  # its cutoff lies below zero
+        assert counts["clip"] > 0  # its cutoff clips to zero, with the draws
         assert counts["clip_tail"] > 0
-        for label in ("point", "point_zero", "const", "single", "flat"):
+        for label in (
+            "point", "point_frac", "point_neg", "point_zero", "const", "single", "flat"
+        ):
             # a single-point draw sits on its own cutoff: every draw is tail
             assert counts[label] == 300 * schedule.count(label)
 
@@ -270,7 +305,7 @@ class TestSparseChunkMatchesDense:
 
 
 class TestClippedMassWarning:
-    """Sparse chunks still warn once per clipped group and chunk, as dense ones did."""
+    """A clipped normal group warns once per call, however many chunks it spans."""
 
     @staticmethod
     def clipped_warnings(fn, *args):
@@ -285,7 +320,8 @@ class TestClippedMassWarning:
             simulate_horizon, basic_terms, NormalDistribution(-1.0, 0.0), 0.0, config
         )
         assert len(caught) == 1
-        assert result.cvar["all"].tail_count == 0
+        # every draw is clipped onto the cutoff, which clips to zero as well
+        assert result.cvar["all"].tail_count == 50 * 24
 
     def test_warns_without_any_event(self, basic_terms):
         config = small_config(n_trials=1, windows_per_horizon=4)
@@ -297,7 +333,6 @@ class TestClippedMassWarning:
             simulate_horizon, basic_terms, capability, {"x": 0.5, "y": 45.0}, config
         )
         assert result.event_total == 0
-        assert result.cvar["x"].tail_count == 0  # its cutoff lies below zero
         assert len(caught) == 1
         assert "N(1, 2)" in str(caught[0].message)
 
@@ -312,7 +347,7 @@ class TestClippedMassWarning:
         args = (basic_terms, capability, contracts, small_config(n_trials=200))
         _, sparse = self.clipped_warnings(simulate_horizon, *args)
         _, dense = self.clipped_warnings(dense_simulate_horizon, *args)
-        assert len(sparse) == len(dense) == 2 * 4  # two clipped groups, four chunks
+        assert len(sparse) == len(dense) == 2  # two clipped groups, once each
         assert sorted(str(w.message) for w in sparse) == sorted(
             str(w.message) for w in dense
         )
@@ -412,33 +447,26 @@ class TestShortfallAccounting:
 
 
 class TestEmpiricalCvar:
+    """cvar over the empirical distribution of a set of draws."""
+
     def test_exact_toy_value(self):
         terms = ProgramTerms(pi_e=2.0, pi_r=0.2, pi_p=4.0, p=0.1, c_hat=0.95)
-        draws = np.arange(1.0, 101.0)  # tail = {1..5}
-        # settlement 6q - 40 on the tail sums to -110:
-        # cvar = 0.2*10 + (0.1/0.05) * (-110/100) = -0.2
-        assert empirical_cvar(terms, 10.0, draws) == pytest.approx(-0.2, abs=1e-12)
+        draws = EmpiricalDistribution(np.arange(1.0, 101.0))  # tail = {1..5}
+        # settlement 6q - 40 on the tail averages -22:
+        # cvar = 0.2*10 + 0.1 * (-22) = -0.2
+        assert cvar(terms, draws, 10.0) == pytest.approx(-0.2, abs=1e-12)
 
     def test_converges_to_analytic(self, basic_terms):
         dist = NormalDistribution(100.0, 10.0)
         rng = np.random.default_rng(3)
-        draws = rng.normal(100.0, 10.0, 400_000)
-        estimate = empirical_cvar(basic_terms, 90.0, draws)
+        draws = EmpiricalDistribution(rng.normal(100.0, 10.0, 400_000))
+        estimate = cvar(basic_terms, draws, 90.0)
         analytic = cvar(basic_terms, dist, 90.0)
         assert estimate == pytest.approx(analytic, rel=2e-2)
 
-    def test_needs_enough_draws_for_tail(self, basic_terms):
-        with pytest.raises(ValueError, match="at least 20"):
-            empirical_cvar(basic_terms, 10.0, np.arange(10.0))
-
     def test_negative_contract_rejected(self, basic_terms):
         with pytest.raises(ValueError):
-            empirical_cvar(basic_terms, -1.0, np.arange(100.0))
-
-    def test_tail_size_floors_at_one(self):
-        assert tail_size(100, 0.95) == 5
-        assert tail_size(10, 0.99) == 1
-        assert tail_size(1000, 0.95) == 50
+            cvar(basic_terms, EmpiricalDistribution(np.arange(100.0)), -1.0)
 
 
 class TestClipCounting:
@@ -477,6 +505,37 @@ class TestConvergence:
         for row in rows:
             assert row.standard_error is not None
             assert abs(row.z_score) < 4.5, row
+
+    @pytest.mark.parametrize(
+        "mu, sigma, contract", [(1.0, 10.0, 5.0), (10.0, 6.0, 8.0)]
+    )
+    def test_clipped_normal_cvar_converges(self, basic_terms, mu, sigma, contract):
+        # Both put material mass below zero.  The cutoff quantile of N(1, 10)
+        # lies below zero, so its tail is the one atom clipped onto zero: every
+        # tail term is -pi_p*c, the standard error is 0 and the estimate must
+        # be exact.  N(10, 6) holds that atom and a sliver above it.
+        dist = NormalDistribution(mu, sigma)
+        for seed in range(5):
+            config = SimulationConfig(n_trials=2000, windows_per_horizon=48, seed=seed)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ClippedMassWarning)
+                result = simulate_horizon(basic_terms, dist, contract, config)
+            est = result.cvar["all"]
+            assert est.tail_count > 0
+            analytic = cvar(basic_terms, dist, contract)
+            assert abs(est.value - analytic) <= 4.0 * est.standard_error, (seed, est)
+
+    def test_group_without_tail_draws_reports_none(self, basic_terms):
+        # One trial of one window: the draw lies above the cutoff.
+        dist = NormalDistribution(100.0, 10.0)
+        config = SimulationConfig(n_trials=1, windows_per_horizon=1, seed=0)
+        result = simulate_horizon(basic_terms, dist, 90.0, config)
+        assert result.cvar["all"] == CvarEstimate(None, None, 0)
+        summary = analytic_summary(basic_terms, dist, 90.0, config)
+        row = next(
+            r for r in convergence_rows(result, summary) if r.quantity == "cvar[all]"
+        )
+        assert row.simulated is None and row.z_score is None
 
     def test_analytic_summary_totals(self, basic_terms):
         caps = {
