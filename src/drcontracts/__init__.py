@@ -19,14 +19,12 @@ contracts against uncertain customer capability:
 """
 
 from .aggregation import (
-    AggregationReport,
     AssetPortfolio,
     ComparisonVerdict,
     PartnerRank,
     aggregate_distribution,
     aggregation_contract,
     bracket_factor,
-    build_report,
     complementarity,
     contract_comparison,
     member_contracts,
@@ -60,8 +58,6 @@ from .distributions import (
     CovarianceModel,
     EmpiricalDistribution,
     NormalDistribution,
-    distribution_from_json,
-    distribution_to_json,
     fit_normal,
     kolmogorov_distance,
     restrict_to_common,
@@ -113,7 +109,6 @@ from .simulation import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AggregationReport",
     "AlignmentError",
     "AssetPortfolio",
     "BucketKey",
@@ -152,15 +147,12 @@ __all__ = [
     "bracket_factor",
     "bucket",
     "build_capability_model",
-    "build_report",
     "complementarity",
     "contract_comparison",
     "convergence_rows",
     "curtailable_series",
     "cvar",
     "decompose_load",
-    "distribution_from_json",
-    "distribution_to_json",
     "expected_profit",
     "fit_normal",
     "gamma",

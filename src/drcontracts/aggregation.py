@@ -10,17 +10,13 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .contracts import (
-    ContractDecision,
-    expected_profit,
-    gamma,
-    optimal_contract,
-)
+from .contracts import ContractDecision, gamma, optimal_contract
 from .distributions import (
     CovarianceModel,
     CurtailmentDistribution,
@@ -52,17 +48,16 @@ PROFIT_DELTA_MODES = ("as_printed", "mean_cancelled")
 
 @dataclass(frozen=True, eq=False)
 class AssetPortfolio:
-    """Members sharing program terms, plus the aggregation's risk aversion.
+    """Members sharing program terms, and so one risk aversion.
 
-    alpha_ag defaults to the members' common alpha (terms.alpha).  A
-    covariance model is required to sum normal members; its ids must cover
-    the member ids and its moments must agree with the member distributions.
+    The pool signs under the same terms as its members.  A covariance model
+    is required to sum normal members; its ids must cover the member ids and
+    its moments must agree with the member distributions.
     """
 
     members: tuple[tuple[str, CurtailmentDistribution], ...]
     terms: ProgramTerms
     covariance: CovarianceModel | None = None
-    alpha_ag: float | None = None
 
     def __post_init__(self) -> None:
         members = tuple((str(aid), dist) for aid, dist in self.members)
@@ -76,9 +71,6 @@ class AssetPortfolio:
         for aid, dist in members:
             if not isinstance(dist, (EmpiricalDistribution, NormalDistribution)):
                 raise TypeError(f"member {aid!r} has no distribution: {type(dist).__name__}")
-        if self.alpha_ag is not None:
-            if not (np.isfinite(self.alpha_ag) and self.alpha_ag >= 0.0):
-                raise ValueError(f"alpha_ag must be >= 0, got {self.alpha_ag!r}")
         if self.covariance is not None and self.covariance.asset_ids is not None:
             missing = [aid for aid in ids if aid not in self.covariance.asset_ids]
             if missing:
@@ -114,39 +106,29 @@ class AssetPortfolio:
     def member_ids(self) -> tuple[str, ...]:
         return tuple(aid for aid, _ in self.members)
 
-    @property
-    def effective_alpha_ag(self) -> float:
-        return self.terms.alpha if self.alpha_ag is None else self.alpha_ag
-
-    @property
-    def ag_terms(self) -> ProgramTerms:
-        return self.terms.with_alpha(self.effective_alpha_ag)
-
-    def _require_shared_alpha(self, what: str) -> None:
-        if self.alpha_ag is not None and self.alpha_ag != self.terms.alpha:
-            raise ValueError(
-                f"{what} assumes the aggregation shares the members' risk aversion; "
-                f"got alpha_ag={self.alpha_ag:g} vs alpha={self.terms.alpha:g}"
-            )
+    @cached_property
+    def aggregate(self) -> CurtailmentDistribution:
+        """Distribution of the summed capability, built on first access."""
+        dists = [dist for _, dist in self.members]
+        if len(dists) == 1:
+            return dists[0]
+        if all(isinstance(d, EmpiricalDistribution) for d in dists):
+            return sum_empirical(dists)
+        if all(isinstance(d, NormalDistribution) for d in dists):
+            if self.covariance is None:
+                raise ModelConsistencyError(
+                    "summing normal members requires a covariance model"
+                )
+            cov = self.covariance
+            if cov.asset_ids is not None:
+                cov = cov.subset(self.member_ids)
+            return sum_normal(cov)
+        raise AlignmentError("cannot sum a mix of empirical and normal members")
 
 
 def aggregate_distribution(portfolio: AssetPortfolio) -> CurtailmentDistribution:
     """Distribution of the summed capability."""
-    dists = [dist for _, dist in portfolio.members]
-    if len(dists) == 1:
-        return dists[0]
-    if all(isinstance(d, EmpiricalDistribution) for d in dists):
-        return sum_empirical(dists)
-    if all(isinstance(d, NormalDistribution) for d in dists):
-        if portfolio.covariance is None:
-            raise ModelConsistencyError(
-                "summing normal members requires a covariance model"
-            )
-        cov = portfolio.covariance
-        if cov.asset_ids is not None:
-            cov = cov.subset(portfolio.member_ids)
-        return sum_normal(cov)
-    raise AlignmentError("cannot sum a mix of empirical and normal members")
+    return portfolio.aggregate
 
 
 def member_contracts(portfolio: AssetPortfolio) -> list[ContractDecision]:
@@ -155,8 +137,8 @@ def member_contracts(portfolio: AssetPortfolio) -> list[ContractDecision]:
 
 
 def aggregation_contract(portfolio: AssetPortfolio) -> ContractDecision:
-    """The single contract the aggregation signs (risk aversion alpha_ag)."""
-    return optimal_contract(portfolio.ag_terms, aggregate_distribution(portfolio))
+    """The single contract the aggregation signs."""
+    return optimal_contract(portfolio.terms, aggregate_distribution(portfolio))
 
 
 def member_sigmas(portfolio: AssetPortfolio) -> np.ndarray:
@@ -185,7 +167,6 @@ def contract_comparison(portfolio: AssetPortfolio) -> ComparisonVerdict:
     For normal members the ordering follows the sign of gamma whenever
     delta_sigma > 0; that law is checked, not just reported.
     """
-    portfolio._require_shared_alpha("contract comparison")
     c_ag = aggregation_contract(portfolio).c_star
     c_sum = float(sum(d.c_star for d in member_contracts(portfolio)))
     gamma_value = gamma(portfolio.terms)
@@ -220,14 +201,11 @@ def profit_delta_oracle(portfolio: AssetPortfolio) -> float:
 
     Every party signs its own risk-adjusted optimal contract; the delta is
     taken on expected profit, the quantity the complementarity result
-    describes.  Requires a shared risk aversion.
+    describes.
     """
-    portfolio._require_shared_alpha("profit delta")
-    agg = aggregate_distribution(portfolio)
-    joint = optimal_contract(portfolio.ag_terms, agg)
-    joint_profit = expected_profit(portfolio.ag_terms, agg, joint.c_star)
+    joint = aggregation_contract(portfolio)
     separate = sum(d.expected_profit for d in member_contracts(portfolio))
-    return float(joint_profit - separate)
+    return float(joint.expected_profit - separate)
 
 
 def bracket_factor(terms: ProgramTerms) -> float:
@@ -236,8 +214,8 @@ def bracket_factor(terms: ProgramTerms) -> float:
     The alpha term is negative whenever gamma > 0, but at the program's own
     fractile the whole factor stays positive: psi = 1 + (1+alpha)*margin/D
     (D = p*(pi_p+pi_e)) gives alpha*|margin|*gamma/D < (1-psi)*gamma < phi(gamma)
-    by the Gaussian tail bound.  The negative_bracket report flag is therefore a
-    tripwire for inconsistent inputs, not an expected regime.
+    by the Gaussian tail bound.  A negative factor therefore signals
+    inconsistent inputs, not an expected regime.
     """
     g = gamma(terms)
     return float(
@@ -281,42 +259,6 @@ def profit_delta_normal(terms: ProgramTerms, portfolio: AssetPortfolio, mode: st
     sigmas = member_sigmas(portfolio)
     sigma_ag = aggregate_distribution(portfolio).stddev()
     return profit_delta_from_sigmas(terms, sigmas, sigma_ag, mode)
-
-
-@dataclass(frozen=True)
-class AggregationReport:
-    """Everything the aggregate-vs-separate decision needs, in one place."""
-
-    aggregate: CurtailmentDistribution
-    c_star_ag: float
-    c_star_sum: float
-    verdict: str
-    delta_sigma: float
-    delta_j_oracle: float
-    delta_j_printed: float
-    delta_j_cancelled: float
-    negative_bracket: bool
-
-
-def build_report(portfolio: AssetPortfolio) -> AggregationReport:
-    comparison = contract_comparison(portfolio)
-    sigmas = member_sigmas(portfolio)
-    sigma_ag = aggregate_distribution(portfolio).stddev()
-    return AggregationReport(
-        aggregate=aggregate_distribution(portfolio),
-        c_star_ag=comparison.c_star_ag,
-        c_star_sum=comparison.c_star_sum,
-        verdict=comparison.verdict,
-        delta_sigma=comparison.delta_sigma,
-        delta_j_oracle=profit_delta_oracle(portfolio),
-        delta_j_printed=profit_delta_from_sigmas(
-            portfolio.terms, sigmas, sigma_ag, "as_printed"
-        ),
-        delta_j_cancelled=profit_delta_from_sigmas(
-            portfolio.terms, sigmas, sigma_ag, "mean_cancelled"
-        ),
-        negative_bracket=bracket_factor(portfolio.terms) < 0.0,
-    )
 
 
 @dataclass(frozen=True)

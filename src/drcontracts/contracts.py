@@ -197,14 +197,17 @@ def optimal_contract(terms: ProgramTerms, dist: CurtailmentDistribution) -> Cont
         if c >= cap:
             c = cap
             clipped_high = True
+    profit = expected_profit(terms, dist, c)
+    tail = cvar(terms, dist, c)
     return ContractDecision(
         c_star=c,
         psi=psi,
         clipped_low=clipped_low,
         clipped_high=clipped_high,
-        expected_profit=expected_profit(terms, dist, c),
-        cvar_value=cvar(terms, dist, c),
-        objective_value=objective(terms, dist, c),
+        expected_profit=profit,
+        cvar_value=tail,
+        # The expression objective() evaluates, on the values already in hand.
+        objective_value=profit if terms.alpha == 0.0 else profit + terms.alpha * tail,
     )
 
 

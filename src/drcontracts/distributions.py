@@ -100,13 +100,6 @@ class EmpiricalDistribution:
         """Samples in construction order (one per historical window)."""
         return self.samples[self._insertion]
 
-    @property
-    def original_alignment(self) -> tuple[str, ...] | None:
-        """Alignment labels in construction order, if labels were given."""
-        if self.alignment is None:
-            return None
-        return tuple(self.alignment[i] for i in self._insertion)
-
     @cached_property
     def _prefix(self) -> np.ndarray:
         # _prefix[k] = sum of the k smallest samples
@@ -491,40 +484,3 @@ def sum_normal(model: CovarianceModel) -> NormalDistribution:
     variance = float(model.stddevs @ model.correlation @ model.stddevs)
     return NormalDistribution(float(model.means.sum()), math.sqrt(max(variance, 0.0)))
 
-
-def distribution_to_json(dist: CurtailmentDistribution) -> dict:
-    if isinstance(dist, EmpiricalDistribution):
-        # Serialize in construction order so the implicit window pairing of
-        # unlabelled distributions survives a round trip.
-        out = {"type": "empirical", "samples": dist.original_samples.tolist()}
-        if dist.alignment is not None:
-            out["alignment"] = list(dist.original_alignment)
-        return out
-    if isinstance(dist, NormalDistribution):
-        return {"type": "normal", "mu": dist.mu, "sigma": dist.sigma}
-    raise TypeError(f"not a distribution: {type(dist).__name__}")
-
-
-def distribution_from_json(obj: dict) -> CurtailmentDistribution:
-    if not isinstance(obj, dict) or "type" not in obj:
-        raise ValueError("distribution JSON must be an object with a 'type' key")
-    kind = obj["type"]
-    if kind == "empirical":
-        unknown = set(obj) - {"type", "samples", "alignment"}
-        if unknown:
-            raise ValueError(f"unknown empirical-distribution keys: {sorted(unknown)}")
-        if "samples" not in obj:
-            raise ValueError("empirical distribution needs a 'samples' array")
-        alignment = obj.get("alignment")
-        return EmpiricalDistribution(
-            np.asarray(obj["samples"], dtype=float),
-            alignment=tuple(alignment) if alignment is not None else None,
-        )
-    if kind == "normal":
-        unknown = set(obj) - {"type", "mu", "sigma"}
-        if unknown:
-            raise ValueError(f"unknown normal-distribution keys: {sorted(unknown)}")
-        if "mu" not in obj or "sigma" not in obj:
-            raise ValueError("normal distribution needs 'mu' and 'sigma'")
-        return NormalDistribution(float(obj["mu"]), float(obj["sigma"]))
-    raise ValueError(f"unknown distribution type {kind!r}")

@@ -293,7 +293,8 @@ def simulate_horizon(
     or below the group's cutoff q_hat (clipped at zero, as draws are), so an
     atom on the cutoff counts in full, and the estimate is pi_r*c plus p times
     the mean of the tail terms pi_e*q - pi_p*(c - q), with standard error
-    p*sqrt(var/tail_count).  A group without tail draws reports None.
+    p*sqrt(var/tail_count).  var is exactly 0 when the group's smallest and
+    largest tail terms are equal.  A group without tail draws reports None.
 
     A chunk draws both uniform tables in full but transforms only the cells
     that need a capability value: the events, which settle, and the tail
@@ -386,6 +387,13 @@ def simulate_horizon(
         sums = np.bincount(keys, tail_terms, size).reshape(-1, n_groups)
         sq_sums = np.bincount(keys, tail_terms * tail_terms, size).reshape(-1, n_groups)
         counts = np.bincount(tail_group, minlength=n_groups)
+        # Each group's smallest and largest tail term; tail_group is sorted.
+        lows = np.full(n_groups, np.inf)
+        highs = np.full(n_groups, -np.inf)
+        present = counts > 0
+        starts = (np.cumsum(counts) - counts)[present]
+        lows[present] = np.minimum.reduceat(tail_terms, starts)
+        highs[present] = np.maximum.reduceat(tail_terms, starts)
         for g, width, term in point_tails:
             sums[:full, g], sq_sums[:full, g] = _repeated_sums(
                 term, TAIL_BLOCK_ROWS * width
@@ -393,7 +401,8 @@ def simulate_horizon(
             if rest:
                 sums[full, g], sq_sums[full, g] = _repeated_sums(term, rest * width)
             counts[g] = n_rows * width
-        return profit, events, shortfalls, sums, sq_sums, counts, clip_count
+            lows[g] = highs[g] = term
+        return profit, events, shortfalls, sums, sq_sums, counts, lows, highs, clip_count
 
     profits = np.empty(n_trials)
     event_counts = np.empty(n_trials, dtype=np.int64)
@@ -402,11 +411,13 @@ def simulate_horizon(
     block_sums = np.zeros((n_blocks, n_groups))
     block_sq_sums = np.zeros((n_blocks, n_groups))
     tail_count = np.zeros(n_groups, dtype=np.int64)
+    tail_low = np.full(n_groups, np.inf)
+    tail_high = np.full(n_groups, -np.inf)
     clip_count = 0
 
     def fold(row_start: int, chunk_out) -> None:
         nonlocal clip_count
-        profit, events, shortfalls, sums, sq_sums, counts, clipped = chunk_out
+        profit, events, shortfalls, sums, sq_sums, counts, lows, highs, clipped = chunk_out
         n_rows = profit.size
         profits[row_start : row_start + n_rows] = profit
         event_counts[row_start : row_start + n_rows] = events
@@ -415,6 +426,8 @@ def simulate_horizon(
         block_sums[first : first + sums.shape[0]] = sums
         block_sq_sums[first : first + sums.shape[0]] = sq_sums
         tail_count[:] += counts
+        np.minimum(tail_low, lows, out=tail_low)
+        np.maximum(tail_high, highs, out=tail_high)
         clip_count += clipped
 
     starts = list(range(0, n_trials, CHUNK_TRIALS))
@@ -427,18 +440,19 @@ def simulate_horizon(
             fold(row_start, run_chunk(row_start))
 
     cvar_out = {}
-    for group, tail_sum, tail_sq_sum, n in zip(
+    for group, tail_sum, tail_sq_sum, n, constant in zip(
         groups,
         block_sums.sum(axis=0).tolist(),
         block_sq_sums.sum(axis=0).tolist(),
         tail_count.tolist(),
+        (tail_low == tail_high).tolist(),
     ):
         value = se = None
         if n:
             mean = tail_sum / n
             value = float(terms.pi_r * group.contract + terms.p * mean)
             if n >= 2:
-                var = max(tail_sq_sum / n - mean * mean, 0.0)
+                var = 0.0 if constant else max(tail_sq_sum / n - mean * mean, 0.0)
                 se = float(terms.p * math.sqrt(var / n))
         cvar_out[group.label] = CvarEstimate(
             value=value, standard_error=se, tail_count=n

@@ -126,7 +126,8 @@ def dense_simulate_horizon(terms, capability, contracts, config, schedule=None):
     uniforms, settles the whole block with dense_settle, and takes each
     group's tail from its gathered columns.  The tail terms are summed per
     group and per block of TAIL_BLOCK_ROWS rows, one by one in row-major
-    order, and the (blocks, groups) sums are reduced once at the end.  It
+    order, and the (blocks, groups) sums are reduced once at the end.  A
+    group whose whole tail is one value has variance exactly 0.  It
     shares only the plan, the counter-addressed uniforms, CHUNK_TRIALS and
     that summation order with the engine, which must agree with it bit for
     bit.  Clipped normals warn once per call, as the engine's do.
@@ -140,6 +141,7 @@ def dense_simulate_horizon(terms, capability, contracts, config, schedule=None):
     block_sums = np.zeros((n_blocks, n_groups))
     block_sq_sums = np.zeros((n_blocks, n_groups))
     tail_count = np.zeros(n_groups, dtype=np.int64)
+    tails = [[] for _ in plan.groups]
     for group in plan.groups:
         if isinstance(group.dist, NormalDistribution):
             group.dist.warn_clipped_mass(stacklevel=1)
@@ -176,6 +178,7 @@ def dense_simulate_horizon(terms, capability, contracts, config, schedule=None):
             block_sums[:, g] += np.bincount(block, settled, n_blocks)
             block_sq_sums[:, g] += np.bincount(block, np.square(settled), n_blocks)
             tail_count[g] += int(np.count_nonzero(in_tail))
+            tails[g].append(settled)
 
     cvar = {}
     tail_sums = block_sums.sum(axis=0)
@@ -187,7 +190,11 @@ def dense_simulate_horizon(terms, capability, contracts, config, schedule=None):
             mean = tail_sums[g] / n
             value = float(terms.pi_r * group.contract + terms.p * mean)
             if n >= 2:
-                var = max(tail_sq_sums[g] / n - mean * mean, 0.0)
+                tail = np.concatenate(tails[g])
+                if tail.min() == tail.max():
+                    var = 0.0
+                else:
+                    var = max(tail_sq_sums[g] / n - mean * mean, 0.0)
                 se = float(terms.p * math.sqrt(var / n))
         cvar[group.label] = simulation.CvarEstimate(value, se, n)
     profits = np.concatenate(profits)

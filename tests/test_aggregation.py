@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
+import drcontracts.aggregation
 from drcontracts import (
     AlignmentError,
     AssetPortfolio,
@@ -20,11 +21,11 @@ from drcontracts import (
     aggregate_distribution,
     aggregation_contract,
     bracket_factor,
-    build_report,
     complementarity,
     contract_comparison,
     gamma,
     member_contracts,
+    optimal_contract,
     profit_delta_from_sigmas,
     profit_delta_normal,
     profit_delta_oracle,
@@ -49,7 +50,7 @@ def pair_covariance(rho: float, ids=("a", "b")) -> CovarianceModel:
     )
 
 
-def normal_pair_portfolio(terms, rho: float = 0.0, **kwargs) -> AssetPortfolio:
+def normal_pair_portfolio(terms, rho: float = 0.0) -> AssetPortfolio:
     return AssetPortfolio(
         members=(
             ("a", NormalDistribution(100.0, 3.0)),
@@ -57,7 +58,6 @@ def normal_pair_portfolio(terms, rho: float = 0.0, **kwargs) -> AssetPortfolio:
         ),
         terms=terms,
         covariance=pair_covariance(rho),
-        **kwargs,
     )
 
 
@@ -74,14 +74,6 @@ class TestPortfolioValidation:
                     ("a", NormalDistribution(2.0, 1.0)),
                 ),
                 terms=basic_terms,
-            )
-
-    def test_negative_alpha_ag_rejected(self, basic_terms):
-        with pytest.raises(ValueError, match="alpha_ag"):
-            AssetPortfolio(
-                members=(("a", NormalDistribution(1.0, 1.0)),),
-                terms=basic_terms,
-                alpha_ag=-0.5,
             )
 
     def test_covariance_must_cover_member_ids(self, basic_terms):
@@ -123,6 +115,8 @@ class TestAggregateDistribution:
         )
         with pytest.raises(ModelConsistencyError, match="covariance"):
             aggregate_distribution(portfolio)
+        with pytest.raises(ModelConsistencyError, match="covariance"):
+            aggregate_distribution(portfolio)  # a failed sum is not cached
 
     def test_normal_pair_sum_moments(self, basic_terms):
         agg = aggregate_distribution(normal_pair_portfolio(basic_terms, rho=0.0))
@@ -150,6 +144,34 @@ class TestAggregateDistribution:
         )
         agg = aggregate_distribution(portfolio)
         assert agg.samples.tolist() == [11.0, 22.0, 33.0]
+
+    def test_members_are_summed_once_per_portfolio(self, basic_terms, monkeypatch):
+        calls = []
+        real = drcontracts.aggregation.sum_empirical
+
+        def counting(dists):
+            calls.append(len(dists))
+            return real(dists)
+
+        monkeypatch.setattr(drcontracts.aggregation, "sum_empirical", counting)
+        portfolio = AssetPortfolio(
+            members=(
+                ("a", EmpiricalDistribution(np.array([1.0, 2.0, 3.0, 5.0]))),
+                ("b", EmpiricalDistribution(np.array([10.0, 20.0, 30.0, 15.0]))),
+            ),
+            terms=basic_terms,
+        )
+        agg = aggregate_distribution(portfolio)
+        complementarity(portfolio)
+        profit_delta_oracle(portfolio)
+        assert calls == [2]
+        assert aggregate_distribution(portfolio) is agg
+
+    def test_pool_signs_under_the_member_terms(self):
+        terms = terms_for_psi(0.7, alpha=0.5)
+        portfolio = normal_pair_portfolio(terms)
+        joint = aggregation_contract(portfolio)
+        assert joint == optimal_contract(terms, aggregate_distribution(portfolio))
 
 
 class TestContractComparison:
@@ -284,55 +306,18 @@ class TestBracketFactor:
         terms = terms_for_psi(psi, pi_e=0.2, alpha=alpha)
         assert bracket_factor(terms) > 0.0
 
+    def test_bracket_positive_for_extreme_risk_aversion(self):
+        terms = terms_for_psi(0.95, alpha=8.0)
+        assert bracket_factor(terms) > 0.0
+        value = profit_delta_normal(terms, normal_pair_portfolio(terms), "mean_cancelled")
+        assert value > 0.0
+
     def test_bracket_is_negated_sigma_coefficient(self):
         terms = terms_for_psi(0.8, alpha=1.5)
         g = gamma(terms)
         assert bracket_factor(terms) == pytest.approx(
             -sigma_coefficient(terms, g), rel=1e-12
         )
-
-    def test_flag_clear_even_for_extreme_risk_aversion(self):
-        terms = terms_for_psi(0.95, alpha=8.0)
-        report = build_report(normal_pair_portfolio(terms))
-        assert not report.negative_bracket
-        assert report.delta_sigma > 0.0
-        assert report.delta_j_cancelled > 0.0
-
-    def test_report_mirrors_comparison(self):
-        terms = terms_for_psi(CDF_AT_ONE)
-        portfolio = normal_pair_portfolio(terms)
-        report = build_report(portfolio)
-        verdict = contract_comparison(portfolio)
-        assert report.verdict == verdict.verdict
-        assert report.c_star_ag == verdict.c_star_ag
-        assert report.c_star_sum == verdict.c_star_sum
-        assert report.delta_j_oracle == pytest.approx(report.delta_j_cancelled, rel=1e-9)
-        assert not report.negative_bracket
-
-
-class TestAlphaOverride:
-    def test_comparison_requires_shared_alpha(self):
-        terms = terms_for_psi(0.7, alpha=0.5)
-        portfolio = normal_pair_portfolio(terms, alpha_ag=2.0)
-        with pytest.raises(ValueError, match="risk aversion"):
-            contract_comparison(portfolio)
-        with pytest.raises(ValueError, match="risk aversion"):
-            profit_delta_oracle(portfolio)
-
-    def test_aggregation_contract_uses_override(self):
-        terms = terms_for_psi(0.7, alpha=0.5)
-        with_override = normal_pair_portfolio(terms, alpha_ag=2.0)
-        without = normal_pair_portfolio(terms)
-        c_override = aggregation_contract(with_override).c_star
-        c_shared = aggregation_contract(without).c_star
-        # higher risk aversion weights the negative no-asset margin more,
-        # lowering the fractile and hence the contract
-        assert c_override < c_shared
-
-    def test_matching_override_is_allowed(self):
-        terms = terms_for_psi(0.7, alpha=0.5)
-        portfolio = normal_pair_portfolio(terms, alpha_ag=0.5)
-        contract_comparison(portfolio)  # no error
 
 
 class TestRanking:

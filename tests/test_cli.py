@@ -544,7 +544,7 @@ GOLDEN_DIGESTS = {
     "model.json": "79983ee80174be4bda163536b4acdfabfce1dd611ab53adcf1ccfe6a2cb5d21c",
     "contracts.csv": "5c4c76aa73a38c59415085db7446189a73cd3f97a5dd9da9a2786cb71c53f77a",
     "ranking.csv": "648235a3574135943f90c1eb31407850c7d6bd44129b02a9437221d94effc1c5",
-    "report.json": "04e39a3982b6e0ce322167217fffd24b27a1801f15cc7dfe7d5b9ae00231fb6d",
+    "report.json": "c6801bbf9d1045ae6c2c0b4bcf9d274067b14e0231feff58754ae418c44fb69a",
 }
 
 

@@ -30,7 +30,7 @@ from drcontracts import (
 )
 from drcontracts.contracts import GRID_POINTS, _search_upper_bound
 
-from conftest import dense_uniform, terms_for_psi
+from conftest import dense_uniform, sampled_normal, terms_for_psi
 from oracles import empirical_distribution_cvar, quad_cvar, quad_expected_profit
 
 # psi = 1.04/2.04 for the closed-form uniform[0,1] scenario
@@ -178,6 +178,23 @@ class TestObjective:
         dist = dense_uniform()
         expected = expected_profit(terms, dist, 0.6) + 0.1 * 0.6
         assert objective(terms, dist, 0.6) == pytest.approx(expected)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 2.0])
+    @pytest.mark.parametrize(
+        "dist",
+        [
+            NormalDistribution(100.0, 10.0),
+            NormalDistribution(1.0, 10.0),
+            NormalDistribution(40.0, 0.0),
+            sampled_normal(60.0, 15.0, 23, seed=4),
+            EmpiricalDistribution(np.array([0.0, 0.0, 3.3, 4.1, 9.7, 9.7])),
+        ],
+    )
+    def test_decision_objective_is_objective_bitwise(self, basic_terms, alpha, dist):
+        terms = basic_terms.with_alpha(alpha)
+        decision = optimal_contract(terms, dist)
+        value = objective(terms, dist, decision.c_star)
+        assert np.float64(decision.objective_value).tobytes() == np.float64(value).tobytes()
 
 
 class TestOptimalContract:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
@@ -16,8 +15,6 @@ from drcontracts import (
     CovarianceModel,
     EmpiricalDistribution,
     NormalDistribution,
-    distribution_from_json,
-    distribution_to_json,
     fit_normal,
     kolmogorov_distance,
     restrict_to_common,
@@ -380,26 +377,3 @@ class TestSums:
         # se of a sample stddev is roughly sigma/sqrt(2n)
         se = analytic_sigma / math.sqrt(2 * n)
         assert abs(sampled_sigma - analytic_sigma) < 3.0 * se
-
-
-class TestSerialization:
-    def test_empirical_round_trip(self):
-        emp = EmpiricalDistribution([1.0, 2.0], alignment=("a", "b"))
-        restored = distribution_from_json(json.loads(json.dumps(distribution_to_json(emp))))
-        assert isinstance(restored, EmpiricalDistribution)
-        assert restored.samples.tolist() == [1.0, 2.0]
-        assert restored.alignment == emp.alignment
-
-    def test_normal_round_trip(self):
-        dist = NormalDistribution(5.0, 2.0)
-        restored = distribution_from_json(distribution_to_json(dist))
-        assert isinstance(restored, NormalDistribution)
-        assert (restored.mu, restored.sigma) == (5.0, 2.0)
-
-    def test_unknown_type_rejected(self):
-        with pytest.raises(ValueError):
-            distribution_from_json({"type": "lognormal", "mu": 1.0})
-
-    def test_unknown_keys_rejected(self):
-        with pytest.raises(ValueError):
-            distribution_from_json({"type": "normal", "mu": 1.0, "sigma": 2.0, "x": 3})

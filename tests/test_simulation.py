@@ -152,6 +152,35 @@ class TestChunkingInvariance:
         tail_counts = [json.loads(out)["cvar"] for out in outputs[0]]
         assert all(est["tail_count"] > 0 for cv in tail_counts for est in cv.values())
 
+    def test_one_value_tail_has_zero_standard_error(self, monkeypatch):
+        # Every tail draw of "clip" is the atom clipped onto zero and every one
+        # of "ties" is its smallest sample, so each tail settles to one term.
+        # Adding that term up in floating point leaves sum(x^2)/n - mean^2 a
+        # rounding residue; the spread must read exactly 0 all the same.
+        terms = ProgramTerms(pi_e=4.0, pi_r=0.01, pi_p=5.0, p=0.05)
+        capability = {
+            "clip": NormalDistribution(1.0, 10.0),
+            "ties": EmpiricalDistribution(np.array([0.3, 0.3, 0.3, 4.1, 9.7])),
+            "spread": NormalDistribution(50.0, 10.0),
+        }
+        contracts = {"clip": 5.3, "ties": 2.7, "spread": 45.1}
+        config = dict(n_trials=1001, windows_per_horizon=30)
+        for chunk in (4096, 64):
+            monkeypatch.setattr("drcontracts.simulation.CHUNK_TRIALS", chunk)
+            for streams in (1, 3):
+                run = small_config(parallel_streams=streams, **config)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", ClippedMassWarning)
+                    result = simulate_horizon(terms, capability, contracts, run)
+                assert result.cvar["clip"].standard_error == 0.0
+                assert result.cvar["ties"].standard_error == 0.0
+                assert result.cvar["spread"].standard_error > 0.0
+                assert min(est.tail_count for est in result.cvar.values()) > 1
+        summary = analytic_summary(terms, capability, contracts, small_config(**config))
+        z = {row.quantity: row.z_score for row in convergence_rows(result, summary)}
+        assert z["cvar[clip]"] is None and z["cvar[ties]"] is None
+        assert z["cvar[spread]"] is not None
+
     def test_cvar_does_not_depend_on_stream_count(self, basic_terms, monkeypatch):
         monkeypatch.setattr("drcontracts.simulation.CHUNK_TRIALS", 64)
         dist = NormalDistribution(100.0, 10.0)
