@@ -1,7 +1,9 @@
 """Settlement kernel of the Monte Carlo engine.
 
-`simulation.simulate_horizon` calls it as ``_kernels.settle_trials`` so that
-tracing code can wrap the module attribute.
+`simulation.simulate_horizon` finds each chunk's event cells and transforms
+their capability uniforms; the kernel settles those cells.  The engine calls
+it as ``_kernels.settle_trials``, once per chunk, so that tracing code can
+wrap the module attribute.
 """
 
 from __future__ import annotations
@@ -10,46 +12,40 @@ import numpy as np
 
 
 def settle_trials(
-    u_event: np.ndarray,
+    cells: np.ndarray,
     capability: np.ndarray,
     contracts: np.ndarray,
+    n_rows: int,
     pi_r: float,
     pi_p: float,
     pi_e: float,
-    p: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Settle a block of trials against per-window contracts.
+    """Settle a block of n_rows trials against per-window contracts.
 
-    u_event: (trials, windows) event uniforms; a window is an event iff u < p.
-    capability: (trials, windows) realized curtailment capability, kWh.  It is
-        read only where u_event < p, so other cells may hold anything.
+    cells: flat (row-major) indices of the block's event cells, in any order.
+    capability: realized curtailment capability at those cells, kWh.
     contracts: (windows,) contracted sizes, kWh.
 
     Returns (profit per trial, event count per trial, shortfall count per trial).
     The event terms are scattered into a dense zero block before the row sums,
     so each profit adds the same values in the same positions as a sum over
-    every window with 0 at the non-events.
+    every window with 0 at the non-events, whatever the order of the cells.
     """
-    u_event = np.asarray(u_event, dtype=float)
-    capability = np.asarray(capability, dtype=float)
-    contracts = np.asarray(contracts, dtype=float)
-    if u_event.ndim != 2 or capability.shape != u_event.shape:
-        raise ValueError("u_event and capability must share a (trials, windows) shape")
-    if contracts.shape != (u_event.shape[1],):
+    if cells.ndim != 1 or capability.shape != cells.shape:
+        raise ValueError("cells and capability must be 1-d arrays of one length")
+    if contracts.ndim != 1:
         raise ValueError("contracts must have one entry per window")
 
-    n_trials, n_windows = u_event.shape
-    cells = np.flatnonzero(u_event < p)
+    n_windows = contracts.size
     rows, cols = np.divmod(cells, n_windows)
     c = contracts[cols]
-    q = capability.reshape(-1)[cells]
-    delivered = np.minimum(q, c)
-    event_terms = np.zeros((n_trials, n_windows))
+    delivered = np.minimum(capability, c)
+    event_terms = np.zeros((n_rows, n_windows))
     event_terms.reshape(-1)[cells] = pi_e * delivered - pi_p * (c - delivered)
     base = float(np.sum(pi_r * contracts))
     profit = base + event_terms.sum(axis=1)
-    event_count = np.bincount(rows, minlength=n_trials).astype(np.int64, copy=False)
-    shortfall_count = np.bincount(rows[q < c], minlength=n_trials).astype(
+    event_count = np.bincount(rows, minlength=n_rows).astype(np.int64, copy=False)
+    shortfall_count = np.bincount(rows[capability < c], minlength=n_rows).astype(
         np.int64, copy=False
     )
     return profit, event_count, shortfall_count

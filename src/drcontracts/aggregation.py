@@ -251,14 +251,14 @@ def profit_delta_from_sigmas(
     return value
 
 
-def profit_delta_normal(terms: ProgramTerms, portfolio: AssetPortfolio, mode: str) -> float:
+def profit_delta_normal(portfolio: AssetPortfolio, mode: str) -> float:
     """Analytic profit delta for an all-normal portfolio."""
     for aid, dist in portfolio.members:
         if not isinstance(dist, NormalDistribution):
             raise TypeError(f"member {aid!r} is not normal; the formula needs sigmas")
     sigmas = member_sigmas(portfolio)
     sigma_ag = aggregate_distribution(portfolio).stddev()
-    return profit_delta_from_sigmas(terms, sigmas, sigma_ag, mode)
+    return profit_delta_from_sigmas(portfolio.terms, sigmas, sigma_ag, mode)
 
 
 @dataclass(frozen=True)

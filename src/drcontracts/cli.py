@@ -180,7 +180,8 @@ def load_run_config(path_text: str) -> RunConfig:
         block = obj["simulation"]
         if not isinstance(block, dict):
             raise InputFormatError(f"{path}: simulation block must be an object")
-        allowed = {"n_trials", "windows_per_horizon", "seed", "parallel_streams"}
+        # The horizon is the contract schedule; its length fixes the windows.
+        allowed = {"n_trials", "seed", "parallel_streams"}
         unknown = set(block) - allowed
         if unknown:
             raise InputFormatError(f"{path}: unknown simulation keys {sorted(unknown)}")

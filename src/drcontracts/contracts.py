@@ -75,6 +75,11 @@ def expected_profit(terms: ProgramTerms, dist: CurtailmentDistribution, c):
     return out if np.ndim(c) else float(out)
 
 
+def tail_cutoff(terms: ProgramTerms, dist: CurtailmentDistribution) -> float:
+    """q_hat, the 1 - c_hat quantile of dist clipped at zero, as capability is."""
+    return max(float(dist.quantile(terms.tail_mass)), 0.0)
+
+
 def cvar(terms: ProgramTerms, dist: CurtailmentDistribution, c):
     """CVaR at level c_hat of the per-window profit of contract c.
 
@@ -93,7 +98,7 @@ def cvar(terms: ProgramTerms, dist: CurtailmentDistribution, c):
     c_arr = np.asarray(c, dtype=float)
     if c_arr.size and np.min(c_arr) < 0.0:
         raise ValueError("contract size must be >= 0")
-    q_hat = max(float(dist.quantile(terms.tail_mass)), 0.0)
+    q_hat = tail_cutoff(terms, dist)
     q_tail = float(dist.partial_expectation(q_hat)) / float(dist.cdf(q_hat))
     out = terms.pi_r * c_arr + terms.p * (
         terms.pi_e * q_tail - terms.pi_p * (c_arr - q_tail)

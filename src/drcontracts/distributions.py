@@ -47,7 +47,7 @@ def standard_normal_quantile(u):
 
 
 def _check_unit_interval(u: np.ndarray) -> None:
-    if u.size and (np.min(u) < 0.0 or np.max(u) > 1.0):
+    if u.size and not (u.min() >= 0.0 and u.max() <= 1.0):
         raise ValueError("quantile argument must lie in [0, 1]")
 
 
@@ -116,28 +116,24 @@ class EmpiricalDistribution:
         out = np.searchsorted(self.samples, x, side="right") / self.n
         return out if out.ndim else float(out)
 
-    @cached_property
-    def _quantile_memo(self) -> dict[float, float]:
-        return {}
-
     def quantile(self, u):
-        """Interpolated quantile, numpy's default method.
+        """Interpolated quantile, bit for bit numpy's default ``linear`` method.
 
-        Scalar results are memoized per instance, keyed by float(u): the
-        optimizer asks each bucket for the same few levels (psi, 1 - c_hat)
-        thousands of times, and a repeat returns the float computed first.
-        Invalid levels are never stored, so they raise on every call.
+        The virtual index (n - 1)*u falls between the samples at its floor
+        and the next index; from the last index on, numpy takes the last
+        sample on both sides and measures the weight t from index -1.  Its
+        lerp steps back from the upper sample once t >= 0.5.
         """
-        if np.ndim(u) == 0:
-            key = float(u)
-            out = self._quantile_memo.get(key)
-            if out is None:
-                _check_unit_interval(np.asarray(key))
-                out = self._quantile_memo[key] = float(np.quantile(self.samples, key))
-            return out
         u_arr = np.asarray(u, dtype=float)
         _check_unit_interval(u_arr)
-        return np.quantile(self.samples, u_arr)
+        virtual = (self.n - 1) * u_arr
+        top = virtual >= self.n - 1
+        below = np.where(top, -1.0, np.floor(virtual))
+        lo = below.astype(np.intp)
+        a, b = self.samples[lo], self.samples[np.where(top, -1, lo + 1)]
+        t = virtual - below
+        out = np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t)
+        return out if np.ndim(u) else float(out)
 
     def partial_expectation(self, c):
         """Integral of q dF over [0, c]: mean contribution of samples <= c."""

@@ -20,6 +20,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import _kernels
+from .contracts import cvar as analytic_cvar
+from .contracts import expected_profit, tail_cutoff
 from .distributions import (
     CurtailmentDistribution,
     EmpiricalDistribution,
@@ -296,11 +298,11 @@ def simulate_horizon(
     p*sqrt(var/tail_count).  var is exactly 0 when the group's smallest and
     largest tail terms are equal.  A group without tail draws reports None.
 
-    A chunk draws both uniform tables in full but transforms only the cells
-    that need a capability value: the events, which settle, and the tail
-    candidates, cells whose capability uniform lies below the group's
-    _tail_level.  Single-point groups have no candidates; every draw is in
-    their tail.
+    A chunk draws both uniform tables in full but keeps only the event cells
+    of the first, and transforms only the cells that need a capability
+    value: the events, which settle, and the tail candidates, cells whose
+    capability uniform lies below the group's _tail_level.  Single-point
+    groups have no candidates; every draw is in their tail.
     """
     plan = _normalize_plan(terms, capability, contracts, config, schedule)
     n_trials = config.n_trials
@@ -310,15 +312,15 @@ def simulate_horizon(
 
     col_group = np.empty(windows, dtype=np.min_scalar_type(n_groups))
     tail_u = np.zeros(windows)
-    clip_u = np.zeros(windows)
     cutoffs = np.empty(n_groups)
     group_contracts = np.empty(n_groups)
+    group_clip = np.zeros(n_groups)
     # (group index, window count, tail term) of each point group
     point_tails = []
     for g, group in enumerate(groups):
         dist, cols = group.dist, group.columns
         col_group[cols] = g
-        cutoffs[g] = max(float(dist.quantile(terms.tail_mass)), 0.0)
+        cutoffs[g] = tail_cutoff(terms, dist)
         group_contracts[g] = group.contract
         point = _point_value(dist)
         if point is None:
@@ -328,20 +330,18 @@ def simulate_horizon(
         if isinstance(dist, NormalDistribution):
             dist.warn_clipped_mass(stacklevel=2)
             if dist.sigma > 0.0:
-                clip_u[cols] = dist.clipped_mass()
-    clipping = bool(clip_u.any())
+                group_clip[g] = dist.clipped_mass()
 
     def run_chunk(row_start: int):
         n_rows = min(CHUNK_TRIALS, n_trials - row_start)
-        u_event = _uniform_block(
-            config.seed, EVENT_PURPOSE, windows, row_start, n_rows
+        event_cells = np.flatnonzero(
+            _uniform_block(config.seed, EVENT_PURPOSE, windows, row_start, n_rows)
+            < terms.p
         )
         u_cap = _uniform_block(
             config.seed, CAPABILITY_PURPOSE, windows, row_start, n_rows
         )
-        event_cells = np.flatnonzero(u_event < terms.p)
         tail_cells = np.flatnonzero(u_cap < tail_u)
-        clip_count = int(np.count_nonzero(u_cap < clip_u)) if clipping else 0
 
         # Sort the cells by group, stably: each group's events come first,
         # then its tail candidates, each in row-major order.
@@ -359,21 +359,21 @@ def simulate_horizon(
                 q_cells[start:end] = group.dist.transform_uniform(u_cells[start:end])
             start = end
 
-        # The kernel reads capability only at the events, so the event
-        # values go into u_cap in place; its other cells keep their uniforms.
-        u_cap.reshape(-1)[cells[is_event]] = q_cells[is_event]
         profit, events, shortfalls = _kernels.settle_trials(
-            u_event,
-            u_cap,
+            cells[is_event],
+            q_cells[is_event],
             plan.contracts,
+            n_rows,
             terms.pi_r,
             terms.pi_p,
             terms.pi_e,
-            terms.p,
         )
 
         candidate = ~is_event
         cand_group = cell_group[candidate]
+        # Cutoffs are clipped at 0, so each clipped draw, u < F(0), lies below
+        # its group's tail level: counting among the candidates counts them all.
+        clip_count = int(np.count_nonzero(u_cells[candidate] < group_clip[cand_group]))
         cand_q = q_cells[candidate]
         in_tail = cand_q <= cutoffs[cand_group]
         tail_group = cand_group[in_tail]
@@ -513,9 +513,6 @@ def analytic_summary(
     schedule: Sequence | None = None,
 ) -> AnalyticSummary:
     """The analytic counterparts of everything the simulation measures."""
-    from .contracts import cvar as analytic_cvar
-    from .contracts import expected_profit
-
     plan = _normalize_plan(terms, capability, contracts, config, schedule)
     total = 0.0
     shortfall_prob_sum = 0.0

@@ -325,8 +325,8 @@ def test_06_aggregation_profit_audit():
                         covariance=cov,
                     )
                     oracle = profit_delta_oracle(portfolio)
-                    cancelled = profit_delta_normal(terms, portfolio, "mean_cancelled")
-                    printed = profit_delta_normal(terms, portfolio, "as_printed")
+                    cancelled = profit_delta_normal(portfolio, "mean_cancelled")
+                    printed = profit_delta_normal(portfolio, "as_printed")
                     worst_oracle = max(
                         worst_oracle, abs(cancelled - oracle) / max(abs(oracle), 1e-9)
                     )

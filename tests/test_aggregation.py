@@ -230,13 +230,13 @@ class TestContractComparison:
 class TestProfitDeltas:
     def test_mean_cancelled_matches_frozen_value(self):
         terms = terms_for_psi(CDF_AT_ONE)
-        value = profit_delta_normal(terms, normal_pair_portfolio(terms), "mean_cancelled")
+        value = profit_delta_normal(normal_pair_portfolio(terms), "mean_cancelled")
         # delta_sigma = 2, bracket = p*(pi_p+pi_e)*pdf(1) = 1.0*pdf(1) at alpha=0
         assert value == pytest.approx(2.0 * PHI_AT_ONE, rel=1e-12)
 
     def test_as_printed_keeps_count_term(self):
         terms = terms_for_psi(CDF_AT_ONE)
-        value = profit_delta_normal(terms, normal_pair_portfolio(terms), "as_printed")
+        value = profit_delta_normal(normal_pair_portfolio(terms), "as_printed")
         expected = 2.0 * PHI_AT_ONE - 1.0 * CDF_AT_ONE
         assert value == pytest.approx(expected, rel=1e-12)
         assert value < 0.0  # the count term can flip the sign on its own
@@ -246,14 +246,14 @@ class TestProfitDeltas:
         terms = terms_for_psi(psi, pi_e=0.2)
         portfolio = normal_pair_portfolio(terms)
         oracle = profit_delta_oracle(portfolio)
-        analytic = profit_delta_normal(terms, portfolio, "mean_cancelled")
+        analytic = profit_delta_normal(portfolio, "mean_cancelled")
         assert oracle == pytest.approx(analytic, rel=1e-9)
 
     def test_oracle_matches_mean_cancelled_risk_averse(self):
         terms = terms_for_psi(0.7, alpha=0.5)
         portfolio = normal_pair_portfolio(terms)
         oracle = profit_delta_oracle(portfolio)
-        analytic = profit_delta_normal(terms, portfolio, "mean_cancelled")
+        analytic = profit_delta_normal(portfolio, "mean_cancelled")
         assert oracle == pytest.approx(analytic, rel=1e-9)
 
     def test_identical_comonotone_pair_gains_nothing(self):
@@ -273,7 +273,7 @@ class TestProfitDeltas:
             covariance=cov,
         )
         assert profit_delta_oracle(portfolio) == pytest.approx(0.0, abs=1e-9)
-        assert profit_delta_normal(terms, portfolio, "mean_cancelled") == pytest.approx(
+        assert profit_delta_normal(portfolio, "mean_cancelled") == pytest.approx(
             0.0, abs=1e-12
         )
 
@@ -288,7 +288,7 @@ class TestProfitDeltas:
             terms=basic_terms,
         )
         with pytest.raises(TypeError, match="not normal"):
-            profit_delta_normal(basic_terms, portfolio, "mean_cancelled")
+            profit_delta_normal(portfolio, "mean_cancelled")
 
 
 class TestBracketFactor:
@@ -309,7 +309,7 @@ class TestBracketFactor:
     def test_bracket_positive_for_extreme_risk_aversion(self):
         terms = terms_for_psi(0.95, alpha=8.0)
         assert bracket_factor(terms) > 0.0
-        value = profit_delta_normal(terms, normal_pair_portfolio(terms), "mean_cancelled")
+        value = profit_delta_normal(normal_pair_portfolio(terms), "mean_cancelled")
         assert value > 0.0
 
     def test_bracket_is_negated_sigma_coefficient(self):

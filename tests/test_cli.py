@@ -127,6 +127,22 @@ class TestConfigValidation:
         assert code == 2
         assert "unknown estimation keys" in capsys.readouterr().err
 
+    def test_simulation_windows_key_rejected(self, tmp_path, capsys):
+        # simulate replays the contract schedule, whose length fixes the windows.
+        obj = self.base_config()
+        obj["simulation"]["windows_per_horizon"] = 24
+        code = run(
+            "simulate",
+            "--config",
+            self.write_config(tmp_path, obj),
+            "--building",
+            "acme_plant",
+            "--out",
+            str(tmp_path / "r.json"),
+        )
+        assert code == 2
+        assert "unknown simulation keys" in capsys.readouterr().err
+
     def test_estimation_fraction_must_be_explicit(self, tmp_path, capsys):
         obj = self.base_config()
         del obj["estimation"]["curtailable_fraction"]

@@ -28,7 +28,7 @@ from drcontracts import (
     sigma_coefficient,
     sigma_sensitivity,
 )
-from drcontracts.contracts import GRID_POINTS, _search_upper_bound
+from drcontracts.contracts import GRID_POINTS, _search_upper_bound, tail_cutoff
 
 from conftest import dense_uniform, sampled_normal, terms_for_psi
 from oracles import empirical_distribution_cvar, quad_cvar, quad_expected_profit
@@ -127,6 +127,14 @@ class TestCvar:
         assert cvar(basic_terms, dist, c) == pytest.approx(
             quad_cvar(basic_terms, 1.0, 10.0, c), rel=1e-12
         )
+
+    def test_tail_cutoff_clips_the_quantile_at_zero(self, basic_terms):
+        normal = NormalDistribution(1.0, 10.0)
+        assert normal.quantile(basic_terms.tail_mass) < 0.0
+        assert tail_cutoff(basic_terms, normal) == 0.0
+        samples = EmpiricalDistribution([4.0, 1.0, 9.0, 2.0])
+        expected = float(np.quantile([1.0, 2.0, 4.0, 9.0], basic_terms.tail_mass))
+        assert tail_cutoff(basic_terms, samples) == expected > 0.0
 
     def test_contract_below_cutoff_credits_capability_above_it(self):
         # c far below q_hat: tail capability above c earns pi_e*q, and

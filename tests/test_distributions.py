@@ -52,10 +52,9 @@ class TestEmpirical:
 
     def test_quantile_rejects_out_of_range(self):
         emp = EmpiricalDistribution(QUAD)
-        with pytest.raises(ValueError):
-            emp.quantile(-0.1)
-        with pytest.raises(ValueError):
-            emp.quantile(1.1)
+        for u in (-0.1, -1e-300, 1.1, math.nextafter(1.0, 2.0), math.nan, [0.5, math.nan]):
+            with pytest.raises(ValueError):
+                emp.quantile(u)
 
     def test_partial_expectation_direct_sum(self):
         emp = EmpiricalDistribution(QUAD)
@@ -107,45 +106,26 @@ class TestEmpirical:
         samples=st.lists(
             st.floats(min_value=0.0, max_value=1e4), min_size=1, max_size=40
         ),
-        u=st.floats(min_value=0.0, max_value=1.0),
-    )
-    def test_scalar_quantile_memo_is_bitwise(self, samples, u):
-        emp = EmpiricalDistribution(samples)
-        expected = float(np.quantile(np.asarray(samples, dtype=float), u))
-        first = emp.quantile(u)
-        assert type(first) is float
-        assert np.float64(first).tobytes() == np.float64(expected).tobytes()
-        assert emp.quantile(u) is first
-        assert emp.quantile(np.float64(u)) is first
-        assert emp.quantile(np.asarray(u)) is first
-
-    @given(
-        samples=st.lists(
-            st.floats(min_value=0.0, max_value=1e4), min_size=1, max_size=40
+        u=st.lists(
+            st.one_of(
+                st.floats(min_value=0.0, max_value=1.0),
+                st.sampled_from([0.0, 0.5, 0.95, 1.0, math.nextafter(1.0, 0.0)]),
+            ),
+            min_size=0,
+            max_size=8,
         ),
-        u=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=0, max_size=8),
     )
-    def test_array_quantile_bypasses_memo(self, samples, u):
+    def test_quantile_matches_numpy_bitwise(self, samples, u):
         emp = EmpiricalDistribution(samples)
-        if u:
-            emp.quantile(u[0])
+        values = np.asarray(samples, dtype=float)
+        for level in u:
+            out = emp.quantile(level)
+            assert type(out) is float
+            expected = np.float64(np.quantile(values, level))
+            assert np.float64(out).tobytes() == expected.tobytes()
         out = emp.quantile(np.asarray(u))
-        assert isinstance(out, np.ndarray) and out.shape == (len(u),)
-        expected = np.quantile(np.asarray(samples, dtype=float), np.asarray(u))
-        np.testing.assert_array_equal(out, expected)
-
-    @given(
-        u=st.one_of(
-            st.floats(max_value=-1e-300),
-            st.floats(min_value=1.0, exclude_min=True),
-            st.just(math.nan),
-        )
-    )
-    def test_invalid_quantile_raises_on_every_call(self, u):
-        emp = EmpiricalDistribution([1.0, 2.0, 3.0])
-        for _ in range(3):
-            with pytest.raises(ValueError):
-                emp.quantile(u)
+        assert out.shape == (len(u),)
+        assert out.tobytes() == np.quantile(values, np.asarray(u)).tobytes()
 
     @given(
         c1=st.floats(min_value=0.0, max_value=100.0),
@@ -206,6 +186,14 @@ class TestNormal:
         assert pm.shortfall_expectation(10.0) == pytest.approx(3.0)
         rng = np.random.default_rng(1)
         assert pm.sample(rng) == 7.0
+
+    def test_nan_level_rejected(self):
+        dist = NormalDistribution(100.0, 10.0)
+        for u in (math.nan, [0.5, math.nan]):
+            with pytest.raises(ValueError):
+                dist.quantile(u)
+            with pytest.raises(ValueError):
+                dist.transform_uniform(u)
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):

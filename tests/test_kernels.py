@@ -9,7 +9,8 @@ from drcontracts._kernels import settle_trials
 
 from oracles import dense_settle
 
-RATES = dict(pi_r=0.01, pi_p=5.0, pi_e=4.0, p=0.3)
+RATES = dict(pi_r=0.01, pi_p=5.0, pi_e=4.0)
+P = 0.3
 
 
 def random_block(trials: int, windows: int, seed: int):
@@ -28,6 +29,13 @@ def edge_block(trials: int, windows: int, seed: int):
     return u_event, capability, contracts
 
 
+def shuffled_events(u_event, capability, seed: int):
+    """The block's event cells in a random order, and the capability at them."""
+    cells = np.flatnonzero(u_event < P)
+    np.random.default_rng(seed).shuffle(cells)
+    return cells, capability.reshape(-1)[cells]
+
+
 def assert_same_bits(left, right) -> None:
     for a, b in zip(left, right):
         assert a.dtype == b.dtype
@@ -35,42 +43,30 @@ def assert_same_bits(left, right) -> None:
 
 
 class TestSettlementContract:
-    """Capability is read only where u_event < p."""
+    """The kernel settles the event cells it is given, in any order."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_python_kernel_matches_dense_formula(self, seed):
         u_event, capability, contracts = edge_block(97, 1 + 13 * seed, seed)
-        expected = dense_settle(u_event, capability, contracts, **RATES)
-        # The same values as C-ordered, Fortran-ordered and strided arrays.
-        wide_event = np.repeat(u_event, 2, axis=1)
-        wide_cap = np.repeat(capability, 2, axis=1)
-        layouts = [
-            (u_event, capability),
-            (np.asfortranarray(u_event), np.asfortranarray(capability)),
-            (wide_event[:, ::2], wide_cap[:, 1::2]),
-        ]
+        expected = dense_settle(u_event, capability, contracts, p=P, **RATES)
+        cells, q = shuffled_events(u_event, capability, seed)
+        # The same cells, values and contracts as contiguous and strided arrays.
+        wide_cells, wide_q = np.repeat(cells, 2), np.repeat(q, 2)
         strided_contracts = np.repeat(contracts, 2)[::2]
-        for eu, cap in layouts:
+        for cc, qq in ((cells, q), (wide_cells[::2], wide_q[1::2])):
             for con in (contracts, strided_contracts):
-                assert_same_bits(settle_trials(eu, cap, con, **RATES), expected)
-
-    def test_non_event_capability_is_never_read(self):
-        u_event, capability, contracts = edge_block(64, 29, 4)
-        poisoned = np.where(u_event < RATES["p"], capability, np.nan)
-        assert_same_bits(
-            settle_trials(u_event, poisoned, contracts, **RATES),
-            settle_trials(u_event, capability, contracts, **RATES),
-        )
+                out = settle_trials(cc, qq, con, u_event.shape[0], **RATES)
+                assert_same_bits(out, expected)
 
 
 class TestPythonKernel:
     def test_hand_computed_case(self):
-        # one trial, three windows; p = 0.5 marks windows 0 and 2 as events
-        u_event = np.array([[0.1, 0.9, 0.2]])
-        capability = np.array([[10.0, 10.0, 3.0]])
+        # one trial, three windows; windows 2 and 0 are the events
+        cells = np.array([2, 0])
+        capability = np.array([3.0, 10.0])
         contracts = np.array([5.0, 5.0, 5.0])
         profit, events, shortfalls = settle_trials(
-            u_event, capability, contracts, pi_r=1.0, pi_p=4.0, pi_e=2.0, p=0.5
+            cells, capability, contracts, 1, pi_r=1.0, pi_p=4.0, pi_e=2.0
         )
         # reservation 3*5 = 15; window 0 delivers 5 -> +10;
         # window 2 delivers 3, shorts 2 -> 6 - 8 = -2
@@ -79,22 +75,22 @@ class TestPythonKernel:
         assert shortfalls.tolist() == [1]
 
     def test_no_events_leaves_reservation_only(self):
-        u_event = np.full((4, 3), 0.99)
-        capability = np.zeros((4, 3))
+        cells = np.array([], dtype=np.intp)
+        capability = np.array([])
         contracts = np.array([1.0, 2.0, 3.0])
         profit, events, shortfalls = settle_trials(
-            u_event, capability, contracts, pi_r=0.5, pi_p=4.0, pi_e=2.0, p=0.01
+            cells, capability, contracts, 4, pi_r=0.5, pi_p=4.0, pi_e=2.0
         )
         assert profit.tolist() == [3.0] * 4
         assert events.tolist() == [0] * 4
         assert shortfalls.tolist() == [0] * 4
 
     def test_shortfall_is_strict(self):
-        u_event = np.zeros((1, 2))  # both windows are events
-        capability = np.array([[5.0, 4.999]])
+        cells = np.array([0, 1])  # both windows are events
+        capability = np.array([5.0, 4.999])
         contracts = np.array([5.0, 5.0])
         _, events, shortfalls = settle_trials(
-            u_event, capability, contracts, pi_r=0.0, pi_p=1.0, pi_e=1.0, p=0.5
+            cells, capability, contracts, 1, pi_r=0.0, pi_p=1.0, pi_e=1.0
         )
         assert events.tolist() == [2]
         assert shortfalls.tolist() == [1]
@@ -102,12 +98,12 @@ class TestPythonKernel:
     @pytest.mark.parametrize(
         "shapes",
         [
-            ((3, 4), (3, 5), (4,)),  # capability shape mismatch
-            ((3, 4), (3, 4), (3,)),  # contracts length mismatch
-            ((12,), (12,), (12,)),  # not 2-D
+            ((4,), (5,), (4,)),  # capability length mismatch
+            ((2, 2), (2, 2), (4,)),  # cells not 1-D
+            ((3,), (3,), (4, 1)),  # contracts not 1-D
         ],
     )
     def test_shape_validation(self, shapes):
-        (eu, cap, con) = (np.zeros(s) for s in shapes)
+        (cells, cap, con) = (np.zeros(s) for s in shapes)
         with pytest.raises(ValueError):
-            settle_trials(eu, cap, con, **RATES)
+            settle_trials(cells, cap, con, 1, **RATES)

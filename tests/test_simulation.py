@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from drcontracts import _kernels
+from drcontracts import _kernels, simulation
 from drcontracts import (
     ClippedMassWarning,
     CvarEstimate,
@@ -200,18 +200,32 @@ class TestChunkingInvariance:
 
 def test_each_chunk_settles_through_the_kernel_module(basic_terms, monkeypatch):
     # Tracing wraps the module attribute, so the engine must look it up there.
-    rows = []
+    calls = []
     settle = _kernels.settle_trials
 
-    def counting_settle(u_event, *args):
-        rows.append(u_event.shape[0])
-        return settle(u_event, *args)
+    def recording_settle(cells, capability, contracts, n_rows, *rates):
+        calls.append((n_rows, np.sort(cells).tobytes()))
+        return settle(cells, capability, contracts, n_rows, *rates)
 
-    monkeypatch.setattr(_kernels, "settle_trials", counting_settle)
+    monkeypatch.setattr(_kernels, "settle_trials", recording_settle)
     monkeypatch.setattr("drcontracts.simulation.CHUNK_TRIALS", 64)
+    config = small_config(parallel_streams=3)
     dist = NormalDistribution(100.0, 10.0)
-    simulate_horizon(basic_terms, dist, 90.0, small_config(parallel_streams=3))
-    assert sorted(rows) == [24] + [64] * 9
+    simulate_horizon(basic_terms, dist, 90.0, config)
+    assert sorted(n_rows for n_rows, _ in calls) == [24] + [64] * 9
+    # Each call gets exactly its chunk's event cells.
+    expected = []
+    for row_start in range(0, config.n_trials, 64):
+        n_rows = min(64, config.n_trials - row_start)
+        u_event = simulation._uniform_block(
+            config.seed,
+            simulation.EVENT_PURPOSE,
+            config.windows_per_horizon,
+            row_start,
+            n_rows,
+        )
+        expected.append((n_rows, np.flatnonzero(u_event < basic_terms.p).tobytes()))
+    assert sorted(calls) == sorted(expected)
 
 
 def assert_bitwise_equal(result, oracle) -> None:
