@@ -106,6 +106,27 @@ class TestEmpirical:
         samples=st.lists(
             st.floats(min_value=0.0, max_value=1e4), min_size=1, max_size=40
         ),
+        u=st.one_of(
+            st.floats(min_value=0.0, max_value=1.0),
+            st.sampled_from([0.0, 0.5, 0.95, 1.0, math.nextafter(1.0, 0.0)]),
+        ),
+    )
+    def test_scalar_quantile_memo_is_bitwise(self, samples, u):
+        """Scalar levels recompute numpy's linear rule; no memo, same bits."""
+        emp = EmpiricalDistribution(samples)
+        expected = np.float64(np.quantile(np.asarray(samples, dtype=float), u))
+        first = emp.quantile(u)
+        assert type(first) is float
+        assert np.float64(first).tobytes() == expected.tobytes()
+        for again in (u, np.float64(u), np.asarray(u)):
+            out = emp.quantile(again)
+            assert type(out) is float
+            assert np.float64(out).tobytes() == expected.tobytes()
+
+    @given(
+        samples=st.lists(
+            st.floats(min_value=0.0, max_value=1e4), min_size=1, max_size=40
+        ),
         u=st.lists(
             st.one_of(
                 st.floats(min_value=0.0, max_value=1.0),
@@ -115,17 +136,28 @@ class TestEmpirical:
             max_size=8,
         ),
     )
-    def test_quantile_matches_numpy_bitwise(self, samples, u):
+    def test_array_quantile_bypasses_memo(self, samples, u):
+        """Array levels follow the scalar path's rule, bit for bit numpy's."""
         emp = EmpiricalDistribution(samples)
-        values = np.asarray(samples, dtype=float)
-        for level in u:
-            out = emp.quantile(level)
-            assert type(out) is float
-            expected = np.float64(np.quantile(values, level))
-            assert np.float64(out).tobytes() == expected.tobytes()
+        if u:
+            emp.quantile(u[0])
         out = emp.quantile(np.asarray(u))
-        assert out.shape == (len(u),)
-        assert out.tobytes() == np.quantile(values, np.asarray(u)).tobytes()
+        assert isinstance(out, np.ndarray) and out.shape == (len(u),)
+        expected = np.quantile(np.asarray(samples, dtype=float), np.asarray(u))
+        assert out.tobytes() == expected.tobytes()
+
+    @given(
+        u=st.one_of(
+            st.floats(max_value=-1e-300),
+            st.floats(min_value=1.0, exclude_min=True),
+            st.just(math.nan),
+        )
+    )
+    def test_invalid_quantile_raises_on_every_call(self, u):
+        emp = EmpiricalDistribution([1.0, 2.0, 3.0])
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                emp.quantile(u)
 
     @given(
         c1=st.floats(min_value=0.0, max_value=100.0),
