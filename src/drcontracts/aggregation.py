@@ -283,10 +283,14 @@ def rank_partners(
     most complementary partner comes first.
     """
     base_id, _ = base
+    ids = [cand_id for cand_id, _ in candidates]
+    if base_id in ids:
+        raise ValueError(f"candidate {base_id!r} duplicates the base asset")
+    repeated = sorted({cand_id for cand_id in ids if ids.count(cand_id) > 1})
+    if repeated:
+        raise ValueError(f"candidates listed more than once: {repeated}")
     rows = []
     for cand_id, cand_dist in candidates:
-        if cand_id == base_id:
-            raise ValueError(f"candidate {cand_id!r} duplicates the base asset")
         pair = AssetPortfolio(
             members=(base, (cand_id, cand_dist)),
             terms=terms,

@@ -58,7 +58,7 @@ from .estimation import (
     read_load_csv,
     read_shapes_csv,
 )
-from .formatting import flag, parse_flag, sig9
+from .formatting import flag, parse_flag, read_csv_rows, read_json_block, sig9
 from .program import ProgramTerms
 from .simulation import (
     SimulationConfig,
@@ -120,10 +120,7 @@ class RunConfig:
         raw = dict(self.simulation_raw)
         if seed_override is not None:
             raw["seed"] = seed_override
-        try:
-            return SimulationConfig(**raw)
-        except (TypeError, ValueError) as exc:
-            raise InputFormatError(f"{self.config_path}: simulation block: {exc}") from exc
+        return SimulationConfig(**raw)
 
     def path(self, key: str) -> Path:
         if key not in self.paths:
@@ -145,49 +142,28 @@ def load_run_config(path_text: str) -> RunConfig:
     if unknown:
         raise InputFormatError(f"{path}: unknown config blocks {sorted(unknown)}")
 
-    terms = None
-    if "terms" in obj:
-        try:
+    terms = estimation = simulation_raw = None
+    try:
+        if "terms" in obj:
             terms = ProgramTerms.from_json_dict(obj["terms"])
-        except IllPosedProgramError:
-            raise
-        except ValueError as exc:
-            raise InputFormatError(f"{path}: terms block: {exc}") from exc
-
-    estimation = None
-    if "estimation" in obj:
-        block = obj["estimation"]
-        if not isinstance(block, dict):
-            raise InputFormatError(f"{path}: estimation block must be an object")
-        allowed = {"curtailable_fraction", "min_bucket_size", "curtailable_end_use"}
-        unknown = set(block) - allowed
-        if unknown:
-            raise InputFormatError(
-                f"{path}: unknown estimation keys {sorted(unknown)}"
+        if "estimation" in obj:
+            estimation = read_json_block(
+                EstimationConfig,
+                "estimation",
+                obj["estimation"],
+                required=("curtailable_fraction", "curtailable_end_use"),
             )
-        for required in ("curtailable_fraction", "curtailable_end_use"):
-            if required not in block:
-                raise InputFormatError(
-                    f"{path}: estimation block must state {required!r} explicitly"
-                )
-        try:
-            estimation = EstimationConfig(**block)
-        except (TypeError, ValueError) as exc:
-            raise InputFormatError(f"{path}: estimation block: {exc}") from exc
-
-    simulation_raw = None
-    if "simulation" in obj:
-        block = obj["simulation"]
-        if not isinstance(block, dict):
-            raise InputFormatError(f"{path}: simulation block must be an object")
-        # The horizon is the contract schedule; its length fixes the windows.
-        allowed = {"n_trials", "seed", "parallel_streams"}
-        unknown = set(block) - allowed
-        if unknown:
-            raise InputFormatError(f"{path}: unknown simulation keys {sorted(unknown)}")
-        if "n_trials" not in block:
-            raise InputFormatError(f"{path}: simulation block needs 'n_trials'")
-        simulation_raw = dict(block)
+        if "simulation" in obj:
+            # The horizon is the contract schedule; its length fixes the windows.
+            read_json_block(
+                SimulationConfig,
+                "simulation",
+                obj["simulation"],
+                exclude=("windows_per_horizon",),
+            )
+            simulation_raw = dict(obj["simulation"])
+    except InputFormatError as exc:
+        raise InputFormatError(f"{path}: {exc}") from exc
 
     paths: dict[str, Path] = {}
     if "paths" in obj:
@@ -427,6 +403,9 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
     base = model.building(args.base)
     if args.base in args.candidates:
         raise ModelConsistencyError(f"base {args.base!r} listed among candidates")
+    repeated = sorted({c for c in args.candidates if args.candidates.count(c) > 1})
+    if repeated:
+        raise ModelConsistencyError(f"candidates listed more than once: {repeated}")
 
     ranks = []
     unalignable: list[str] = []
@@ -477,38 +456,17 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
 
 
 def _read_contracts_csv(path: Path) -> dict[BucketKey, float]:
-    try:
-        lines = path.read_text().splitlines()
-    except OSError as exc:
-        raise InputFormatError(f"cannot read contracts CSV {path}: {exc}") from exc
-    reader = csv.reader(lines)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise InputFormatError(f"{path}: empty file") from None
-    if header not in (SCHEDULE_CSV_HEADER, SCHEDULE_CSV_HEADER_FULL):
-        raise InputFormatError(
-            f"{path}: expected contract schedule header, got {','.join(header)}"
-        )
     contracts: dict[BucketKey, float] = {}
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        where = f"{path}:{lineno}"
-        if len(row) != len(header):
-            raise InputFormatError(
-                f"{where}: expected {len(header)} fields, got {len(row)}"
-            )
-        try:
-            key = BucketKey(int(row[0]), int(row[1]), parse_flag(row[2]))
-            c_star = float(row[4])
-        except ValueError as exc:
-            raise InputFormatError(f"{where}: {exc}") from exc
+
+    def parse(row: list[str]) -> None:
+        key = BucketKey(int(row[0]), int(row[1]), parse_flag(row[2]))
+        c_star = float(row[4])
         if key in contracts:
-            raise InputFormatError(f"{where}: duplicate bucket {key.label}")
+            raise ValueError(f"duplicate bucket {key.label}")
         contracts[key] = c_star
-    if not contracts:
-        raise InputFormatError(f"{path}: no contract rows")
+
+    headers = (SCHEDULE_CSV_HEADER, SCHEDULE_CSV_HEADER_FULL)
+    read_csv_rows(path, "contracts CSV", headers, parse)
     return contracts
 
 

@@ -146,22 +146,15 @@ def _search_upper_bound(terms: ProgramTerms, dist: CurtailmentDistribution) -> f
     return min(upper, terms.contract_cap)
 
 
-def grid_search_optimal(
-    terms: ProgramTerms,
-    dist: CurtailmentDistribution,
-    resolution: float | None = None,
-) -> float:
-    """Argmax of the objective over {0, r, 2r, ...} up to the search bound.
+def grid_search_optimal(terms: ProgramTerms, dist: CurtailmentDistribution) -> float:
+    """Argmax of the objective on GRID_POINTS equal steps from 0 to the search bound.
 
     Ties break toward the smaller contract (first maximum).
     """
     upper = _search_upper_bound(terms, dist)
     if upper <= 0.0:
         return 0.0
-    if resolution is None:
-        resolution = upper / GRID_POINTS
-    if not (resolution > 0.0 and math.isfinite(resolution)):
-        raise ValueError(f"grid resolution must be positive, got {resolution!r}")
+    resolution = upper / GRID_POINTS
     steps = int(math.floor(upper / resolution + 1e-9))
     grid = np.arange(steps + 1) * resolution
     if grid[-1] > upper:
@@ -280,13 +273,13 @@ def sigma_coefficient(terms: ProgramTerms, gamma_value: float) -> float:
     ) - terms.alpha * (terms.pi_r - terms.p * terms.pi_p) * gamma_value
 
 
-def gamma_hat(terms: ProgramTerms, tolerance: float = GAMMA_HAT_TOLERANCE) -> float | None:
+def gamma_hat(terms: ProgramTerms) -> float | None:
     """Sign-change point of the sigma coefficient, or None when there is none.
 
     At alpha = 0 the coefficient is -p*(pi_p+pi_e)*phi(gamma) < 0 everywhere.
     For alpha > 0 (and a negative no-asset margin) the coefficient is negative
     at 0 and grows linearly, so a root exists; it is located by bisection to
-    the given bracket width.
+    a bracket width of GAMMA_HAT_TOLERANCE.
     """
     if terms.alpha == 0.0 or terms.no_asset_margin >= 0.0:
         return None
@@ -298,7 +291,7 @@ def gamma_hat(terms: ProgramTerms, tolerance: float = GAMMA_HAT_TOLERANCE) -> fl
         hi *= 2.0
     else:
         return None
-    while hi - lo > tolerance:
+    while hi - lo > GAMMA_HAT_TOLERANCE:
         mid = 0.5 * (lo + hi)
         if sigma_coefficient(terms, mid) > 0.0:
             hi = mid
@@ -314,21 +307,16 @@ class SigmaSensitivity:
     gamma_hat: float | None
 
 
-def sigma_sensitivity(
-    terms: ProgramTerms, mu: float, sigma: float, delta: float | None = None
-) -> SigmaSensitivity:
+def sigma_sensitivity(terms: ProgramTerms, mu: float, sigma: float) -> SigmaSensitivity:
     """Central finite difference of the optimal profit J* in sigma at N(mu, sigma).
 
     J* is the closed-form optimal profit evaluated at the optimizer for each
-    perturbed sigma.  The companion gamma_hat locates where the analytic sigma
+    perturbed sigma, sigma +/- 1e-4 * sigma.  The companion gamma_hat locates where the analytic sigma
     coefficient changes sign.
     """
     if sigma <= 0.0:
         raise ValueError("sigma must be > 0 for a sigma sensitivity")
-    if delta is None:
-        delta = 1e-4 * sigma
-    if not 0.0 < delta < sigma:
-        raise ValueError(f"delta must lie in (0, sigma), got {delta!r}")
+    delta = 1e-4 * sigma
 
     def j_star(s: float) -> float:
         dist = NormalDistribution(mu, s)

@@ -9,7 +9,6 @@ empirical distribution with a fitted normal alongside.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from datetime import datetime
@@ -24,6 +23,7 @@ from .distributions import (
     fit_normal,
 )
 from .errors import InputFormatError, ModelConsistencyError
+from .formatting import is_integer, is_number, read_csv_rows
 from .nnls import nnls
 
 HOURS_PER_DAY = 24
@@ -47,6 +47,8 @@ class LoadRecord:
 
     def __post_init__(self) -> None:
         ts = self.timestamp
+        if ts.tzinfo is not None:
+            raise ValueError(f"timestamps must be naive local time, got {ts.isoformat()}")
         if ts.minute or ts.second or ts.microsecond:
             raise ValueError(f"timestamps must be on the hour, got {ts.isoformat()}")
         if not self.building_id:
@@ -160,7 +162,6 @@ class CurtailableSeries:
     values: np.ndarray
     days_used: int
     skipped_days: int
-    residual_norms: tuple[float, ...]
 
     @property
     def points(self) -> list[tuple[datetime, float]]:
@@ -196,7 +197,6 @@ def curtailable_series(
     ci = shapes.curtailable_index
     times: list[datetime] = []
     values: list[float] = []
-    residuals: list[float] = []
     skipped = 0
     for day in sorted(by_day):
         hours = by_day[day]
@@ -205,21 +205,19 @@ def curtailable_series(
             continue
         profile = np.array([hours[h] for h in range(HOURS_PER_DAY)])
         is_weekend = day.weekday() >= 5
-        weights, residual = decompose_load(profile, shapes, is_weekend)
+        weights, _ = decompose_load(profile, shapes, is_weekend)
         shape_c = shapes.curtailable_shape(is_weekend)
         day_q = fraction * weights[ci] * shape_c
         for h in range(HOURS_PER_DAY):
             times.append(datetime(day.year, day.month, day.day, h))
             values.append(float(day_q[h]))
-        residuals.append(residual)
 
     return CurtailableSeries(
         building_id=building_id,
         times=tuple(times),
         values=np.asarray(values),
-        days_used=len(residuals),
+        days_used=len(by_day) - skipped,
         skipped_days=skipped,
-        residual_norms=tuple(residuals),
     )
 
 
@@ -248,16 +246,18 @@ class EstimationConfig:
     curtailable_end_use: str = "hvac"
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.curtailable_fraction <= 1.0:
+        fraction = self.curtailable_fraction
+        if not (is_number(fraction) and 0.0 <= fraction <= 1.0):
             raise ValueError(
-                f"curtailable_fraction must lie in [0, 1], got {self.curtailable_fraction!r}"
+                f"curtailable_fraction must be a number in [0, 1], got {fraction!r}"
             )
-        if int(self.min_bucket_size) != self.min_bucket_size or self.min_bucket_size < 2:
+        if not (is_integer(self.min_bucket_size) and self.min_bucket_size >= 2):
             raise ValueError(
                 f"min_bucket_size must be an integer >= 2, got {self.min_bucket_size!r}"
             )
-        if not self.curtailable_end_use:
-            raise ValueError("curtailable_end_use must be non-empty")
+        end_use = self.curtailable_end_use
+        if not (isinstance(end_use, str) and end_use):
+            raise ValueError(f"curtailable_end_use must be a non-empty string, got {end_use!r}")
 
 
 @dataclass(frozen=True)
@@ -380,9 +380,6 @@ class CapabilityModel:
                 raise
             raise InputFormatError(f"malformed capability model: {exc}") from exc
 
-    def save(self, path) -> None:
-        Path(path).write_text(model_json_text(self))
-
     @classmethod
     def load(cls, path) -> CapabilityModel:
         try:
@@ -446,61 +443,33 @@ def build_capability_model(
     )
 
 
-def _parse_hour_timestamp(text: str, where: str) -> datetime:
+def _parse_hour_timestamp(text: str) -> datetime:
     try:
-        ts = datetime.fromisoformat(text)
+        return datetime.fromisoformat(text)
     except ValueError as exc:
-        raise InputFormatError(f"{where}: bad timestamp {text!r}: {exc}") from exc
-    if ts.tzinfo is not None:
-        raise InputFormatError(f"{where}: timestamps must be naive local time, got {text!r}")
-    if ts.minute or ts.second or ts.microsecond:
-        raise InputFormatError(f"{where}: timestamps must be on the hour, got {text!r}")
-    return ts
+        raise ValueError(f"bad timestamp {text!r}: {exc}") from None
 
 
 def read_load_csv(path) -> list[LoadRecord]:
     """Parse the metered-load CSV (header: timestamp,building_id,load_kwh)."""
-    path = Path(path)
-    try:
-        lines = path.read_text().splitlines()
-    except OSError as exc:
-        raise InputFormatError(f"cannot read load CSV {path}: {exc}") from exc
-    reader = csv.reader(lines)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise InputFormatError(f"{path}: empty file") from None
-    if header != LOAD_CSV_HEADER:
-        raise InputFormatError(
-            f"{path}: expected header {','.join(LOAD_CSV_HEADER)}, got {','.join(header)}"
-        )
-    records = []
     seen: set[tuple[str, datetime]] = set()
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        where = f"{path}:{lineno}"
-        if len(row) != 3:
-            raise InputFormatError(f"{where}: expected 3 fields, got {len(row)}")
-        ts = _parse_hour_timestamp(row[0], where)
-        bid = row[1].strip()
+
+    def parse(row: list[str]) -> LoadRecord:
+        ts = _parse_hour_timestamp(row[0])
         try:
             load = float(row[2])
         except ValueError:
-            raise InputFormatError(f"{where}: bad load_kwh {row[2]!r}") from None
-        key = (bid, ts)
+            raise ValueError(f"bad load_kwh {row[2]!r}") from None
+        record = LoadRecord(timestamp=ts, building_id=row[1].strip(), load_kwh=load)
+        key = (record.building_id, ts)
         if key in seen:
-            raise InputFormatError(
-                f"{where}: duplicate timestamp {ts.isoformat()} for building {bid!r}"
+            raise ValueError(
+                f"duplicate timestamp {ts.isoformat()} for building {record.building_id!r}"
             )
         seen.add(key)
-        try:
-            records.append(LoadRecord(timestamp=ts, building_id=bid, load_kwh=load))
-        except ValueError as exc:
-            raise InputFormatError(f"{where}: {exc}") from exc
-    if not records:
-        raise InputFormatError(f"{path}: no data rows")
-    return records
+        return record
+
+    return read_csv_rows(path, "load CSV", (LOAD_CSV_HEADER,), parse)
 
 
 def read_shapes_csv(path, curtailable: str) -> EndUseShapes:
@@ -509,53 +478,32 @@ def read_shapes_csv(path, curtailable: str) -> EndUseShapes:
     An end use provides either a single 'all' shape or separate complete
     weekday and weekend shapes; mixing the two styles is rejected.
     """
-    path = Path(path)
-    try:
-        lines = path.read_text().splitlines()
-    except OSError as exc:
-        raise InputFormatError(f"cannot read shapes CSV {path}: {exc}") from exc
-    reader = csv.reader(lines)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise InputFormatError(f"{path}: empty file") from None
-    if header != SHAPES_CSV_HEADER:
-        raise InputFormatError(
-            f"{path}: expected header {','.join(SHAPES_CSV_HEADER)}, got {','.join(header)}"
-        )
     vectors: dict[tuple[str, str], dict[int, float]] = {}
-    order: list[str] = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        where = f"{path}:{lineno}"
-        if len(row) != 4:
-            raise InputFormatError(f"{where}: expected 4 fields, got {len(row)}")
+
+    def parse(row: list[str]) -> str:
         name, day_type, hour_text, weight_text = (f.strip() for f in row)
         if day_type not in _DAY_TYPES:
-            raise InputFormatError(
-                f"{where}: day_type must be one of {_DAY_TYPES}, got {day_type!r}"
-            )
+            raise ValueError(f"day_type must be one of {_DAY_TYPES}, got {day_type!r}")
         try:
             hour = int(hour_text)
         except ValueError:
-            raise InputFormatError(f"{where}: bad hour {hour_text!r}") from None
+            raise ValueError(f"bad hour {hour_text!r}") from None
         if not 0 <= hour <= 23:
-            raise InputFormatError(f"{where}: hour must lie in 0..23, got {hour}")
+            raise ValueError(f"hour must lie in 0..23, got {hour}")
         try:
             weight = float(weight_text)
         except ValueError:
-            raise InputFormatError(f"{where}: bad weight {weight_text!r}") from None
+            raise ValueError(f"bad weight {weight_text!r}") from None
         if not (np.isfinite(weight) and weight >= 0.0):
-            raise InputFormatError(f"{where}: weight must be finite and >= 0")
-        if name not in order:
-            order.append(name)
+            raise ValueError("weight must be finite and >= 0")
         vec = vectors.setdefault((name, day_type), {})
         if hour in vec:
-            raise InputFormatError(
-                f"{where}: duplicate hour {hour} for ({name!r}, {day_type!r})"
-            )
+            raise ValueError(f"duplicate hour {hour} for ({name!r}, {day_type!r})")
         vec[hour] = weight
+        return name
+
+    names = read_csv_rows(path, "shapes CSV", (SHAPES_CSV_HEADER,), parse)
+    order = list(dict.fromkeys(names))
 
     def complete(name: str, day_type: str) -> np.ndarray:
         vec = vectors[(name, day_type)]
@@ -587,8 +535,6 @@ def read_shapes_csv(path, curtailable: str) -> EndUseShapes:
                 )
             weekday_rows.append(complete(name, "weekday"))
             weekend_rows.append(complete(name, "weekend"))
-    if not order:
-        raise InputFormatError(f"{path}: no shape rows")
     try:
         return EndUseShapes(
             names=tuple(order),

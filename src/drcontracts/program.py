@@ -8,9 +8,10 @@ the retail rate, and penalizes the undelivered remainder.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, fields
 
 from .errors import IllPosedProgramError
+from .formatting import is_number, read_json_block
 
 # Three hour-long events in a 720-hour month.
 DEFAULT_EVENT_PROBABILITY = 3.0 / 720.0
@@ -45,6 +46,10 @@ class ProgramTerms:
     allow_ill_posed: InitVar[bool] = False
 
     def __post_init__(self, allow_ill_posed: bool) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (is_number(value) or (f.name == "c_max" and value is None)):
+                raise ValueError(f"{f.name} must be a number, got {value!r}")
         for name in ("pi_e", "pi_r", "pi_p"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0.0):
@@ -106,22 +111,7 @@ class ProgramTerms:
 
     @classmethod
     def from_json_dict(cls, obj: dict, *, allow_ill_posed: bool = False) -> ProgramTerms:
-        if not isinstance(obj, dict):
-            raise ValueError(f"program terms must be an object, got {type(obj).__name__}")
-        known = {"pi_e", "pi_r", "pi_p", "p", "alpha", "c_hat", "c_max"}
-        unknown = set(obj) - known
-        if unknown:
-            raise ValueError(f"unknown program-terms keys: {sorted(unknown)}")
-        for key in ("pi_e", "pi_r", "pi_p"):
-            if key not in obj:
-                raise ValueError(f"program terms missing required key {key!r}")
-        kwargs = {k: obj[k] for k in known & set(obj)}
-        for key, value in kwargs.items():
-            if key == "c_max" and value is None:
-                continue
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ValueError(f"program-terms key {key!r} must be a number, got {value!r}")
-        return cls(allow_ill_posed=allow_ill_posed, **kwargs)
+        return read_json_block(cls, "terms", obj, allow_ill_posed=allow_ill_posed)
 
 
 def realized_curtailment(contract_c: float, capability_q: float) -> float:

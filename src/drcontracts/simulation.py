@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -28,7 +28,7 @@ from .distributions import (
     NormalDistribution,
 )
 from .errors import ModelConsistencyError
-from .formatting import sig9
+from .formatting import is_integer, sig9
 from .program import ProgramTerms
 
 EVENT_PURPOSE = 0
@@ -57,9 +57,9 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         for name in ("n_trials", "windows_per_horizon", "parallel_streams"):
             value = getattr(self, name)
-            if int(value) != value or value < 1:
+            if not (is_integer(value) and value >= 1):
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
-        if int(self.seed) != self.seed or not 0 <= self.seed < 2**64:
+        if not (is_integer(self.seed) and 0 <= self.seed < 2**64):
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
 
 

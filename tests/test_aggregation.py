@@ -362,6 +362,11 @@ class TestRanking:
         with pytest.raises(ValueError, match="duplicates"):
             rank_partners(base, [base], terms, covariance=cov)
 
+    def test_repeated_candidate_rejected(self):
+        terms, cov, base, candidates = self.ranking_inputs()
+        with pytest.raises(ValueError, match="more than once"):
+            rank_partners(base, [candidates[0], candidates[0]], terms, covariance=cov)
+
     def test_csv_bytes(self, tmp_path):
         terms, cov, base, candidates = self.ranking_inputs()
         rows = rank_partners(base, candidates[:1], terms, covariance=cov)

@@ -184,6 +184,34 @@ class TestConfigValidation:
         assert code == 2
         assert "n_trials" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "block, key, value",
+        [
+            ("simulation", "n_trials", 100.0),
+            ("simulation", "n_trials", True),
+            ("simulation", "seed", 7.0),
+            ("simulation", "seed", True),
+            ("simulation", "parallel_streams", True),
+            ("estimation", "curtailable_fraction", True),
+            ("estimation", "min_bucket_size", 4.0),
+        ],
+    )
+    def test_malformed_config_value_rejected(self, tmp_path, capsys, block, key, value):
+        # JSON 100.0 and true are not the integer 100: no block coerces them.
+        obj = self.base_config()
+        obj[block][key] = value
+        out = tmp_path / "out.json"
+        argv = ["--config", self.write_config(tmp_path, obj), "--out", str(out)]
+        if block == "simulation":
+            argv = ["simulate", *argv, "--building", "acme_plant"]
+        else:
+            argv = ["estimate", *argv]
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{block} block" in err and key in err
+        assert not out.exists()
+
     def test_ill_posed_terms_rejected(self, tmp_path, capsys):
         obj = self.base_config()
         obj["terms"]["pi_r"] = 1.0  # pi_r >= p*pi_p: reservation dominates penalty
@@ -354,6 +382,24 @@ class TestAggregate:
         )
         assert code == 3
         assert "candidates" in capsys.readouterr().err
+
+    def test_repeated_candidate_rejected(self, workspace, capsys):
+        out = workspace / "r_repeated.csv"
+        code = run(
+            "aggregate",
+            "--config",
+            str(workspace / "config.json"),
+            "--base",
+            "acme_plant",
+            "--candidates",
+            "birch_mall",
+            "birch_mall",
+            "--out",
+            str(out),
+        )
+        assert code == 3
+        assert "birch_mall" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_candidate_rejected(self, workspace):
         code = run(

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
@@ -72,6 +72,30 @@ class TestLoadRecord:
     def test_rejects_empty_building_id(self):
         with pytest.raises(ValueError):
             LoadRecord(datetime(2021, 3, 1, 10), "", 1.0)
+
+    def test_rejects_timezone_aware_timestamps(self):
+        with pytest.raises(ValueError, match="naive"):
+            LoadRecord(datetime(2021, 3, 1, 10, tzinfo=timezone.utc), "b1", 1.0)
+
+
+class TestEstimationConfig:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"curtailable_fraction": True},
+            {"curtailable_fraction": 1.5},
+            {"min_bucket_size": 4.0},
+            {"min_bucket_size": True},
+            {"min_bucket_size": 1},
+            {"curtailable_end_use": ""},
+        ],
+    )
+    def test_invalid_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            EstimationConfig(**kwargs)
+
+    def test_numpy_integer_bucket_size_accepted(self):
+        assert EstimationConfig(min_bucket_size=np.int64(6)).min_bucket_size == 6
 
 
 class TestBucketKey:
@@ -277,6 +301,21 @@ class TestCsvReaders:
         )
         with pytest.raises(InputFormatError, match="load.csv:3"):
             read_load_csv(path)
+
+    @pytest.mark.parametrize("shapes", [False, True])
+    def test_row_errors_located_by_line(self, tmp_path, shapes):
+        header = "end_use,day_type,hour,weight" if shapes else "timestamp,building_id,load_kwh"
+
+        def read(text):
+            path = self.write(tmp_path, "in.csv", text)
+            return read_shapes_csv(path, "hvac") if shapes else read_load_csv(path)
+
+        with pytest.raises(InputFormatError, match="empty file"):
+            read("")
+        with pytest.raises(InputFormatError, match="no data rows"):
+            read(header + "\n\n")
+        with pytest.raises(InputFormatError, match=r"in\.csv:3: expected \d fields, got 2"):
+            read(header + "\n\nb1,5.0\n")
 
     def test_load_csv_duplicate_rows_rejected(self, tmp_path):
         path = self.write(

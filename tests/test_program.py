@@ -39,6 +39,9 @@ def test_defaults():
         {"pi_e": 1.0, "pi_r": 0.01, "pi_p": 5.0, "c_hat": 0.0},
         {"pi_e": 1.0, "pi_r": 0.01, "pi_p": 5.0, "c_hat": 1.0},
         {"pi_e": 1.0, "pi_r": 0.01, "pi_p": 5.0, "c_max": -3.0},
+        {"pi_e": True, "pi_r": 0.01, "pi_p": 5.0},
+        {"pi_e": 1.0, "pi_r": 0.01, "pi_p": 5.0, "c_max": False},
+        {"pi_e": 1.0, "pi_r": 0.01, "pi_p": 5.0, "alpha": "0.5"},
     ],
 )
 def test_invalid_terms_rejected(kwargs):

@@ -45,11 +45,22 @@ class TestSimulationConfig:
             {"n_trials": 10, "parallel_streams": 0},
             {"n_trials": 10, "seed": -1},
             {"n_trials": 10, "seed": 2**64},
+            {"n_trials": 100.0},
+            {"n_trials": True},
+            {"n_trials": 10, "seed": 7.0},
+            {"n_trials": 10, "seed": True},
+            {"n_trials": 10, "parallel_streams": True},
         ],
     )
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SimulationConfig(**kwargs)
+
+    def test_numpy_integers_accepted(self):
+        config = SimulationConfig(
+            n_trials=np.int64(10), seed=np.uint64(7), parallel_streams=np.int32(2)
+        )
+        assert config.n_trials == 10 and config.seed == 7
 
 
 class TestDeterminism:
