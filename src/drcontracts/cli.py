@@ -51,6 +51,7 @@ from .errors import (
 )
 from .estimation import (
     BucketKey,
+    BuildingModel,
     CapabilityModel,
     EstimationConfig,
     build_capability_model,
@@ -232,8 +233,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _schedule_rows(model: CapabilityModel, building_id: str, terms: ProgramTerms):
-    building = model.building(building_id)
+def _schedule_rows(building: BuildingModel, terms: ProgramTerms):
     for key in building.sorted_keys():
         emp = building.buckets[key].empirical
         decision = optimal_contract(terms, emp)
@@ -285,8 +285,11 @@ def _parse_alpha_sweep(spec_text: str) -> np.ndarray:
 def cmd_contract(args: argparse.Namespace) -> int:
     config = load_run_config(args.config)
     terms = config.require_terms()
-    model = CapabilityModel.load(config.path("model"))
-    rows = list(_schedule_rows(model, args.building, terms))
+    alphas = _parse_alpha_sweep(args.alpha_sweep) if args.alpha_sweep else None
+    building = CapabilityModel.load(config.path("model")).building(args.building)
+    if not building.buckets:
+        raise ModelConsistencyError(f"building {args.building!r} has no buckets")
+    rows = list(_schedule_rows(building, terms))
     _write_schedule_csv(args.out, rows)
 
     weights = np.array([emp.n for _, emp, _, _ in rows], dtype=float)
@@ -301,23 +304,19 @@ def cmd_contract(args: argparse.Namespace) -> int:
     )
     print(f"schedule written to {args.out}")
 
-    if args.alpha_sweep:
-        alphas = _parse_alpha_sweep(args.alpha_sweep)
+    if alphas is not None:
         out = Path(args.out)
         sweep_path = out.with_name(out.stem + "_alpha_sweep.csv")
-        building = model.building(args.building)
-        keys = building.sorted_keys()
-        emps = [building.buckets[k].empirical for k in keys]
-        counts = np.array([e.n for e in emps], dtype=float)
+        emps = [emp for _, emp, _, _ in rows]
         with sweep_path.open("w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(ALPHA_SWEEP_HEADER)
             for alpha in alphas:
                 swept = terms.with_alpha(float(alpha))
                 decisions = [optimal_contract(swept, e) for e in emps]
-                total_c = float(np.dot(counts, [d.c_star for d in decisions]))
-                total_j = float(np.dot(counts, [d.expected_profit for d in decisions]))
-                total_obj = float(np.dot(counts, [d.objective_value for d in decisions]))
+                total_c = float(np.dot(weights, [d.c_star for d in decisions]))
+                total_j = float(np.dot(weights, [d.expected_profit for d in decisions]))
+                total_obj = float(np.dot(weights, [d.objective_value for d in decisions]))
                 zero_buckets = sum(1 for d in decisions if d.c_star == 0.0)
                 writer.writerow(
                     [

@@ -1,17 +1,20 @@
 """Capability estimation from metered load data.
 
-Pipeline: decompose each day's 24-hour load profile into reference end-use
-shapes by non-negative least squares, take the curtailable fraction of the
-HVAC component as the hourly curtailment-capability estimate, and pool the
-estimates into calendar buckets (month, hour-of-day, weekday/weekend), each an
-empirical distribution with a fitted normal alongside.
+Pipeline: decompose each complete day's 24-hour load profile into reference
+end-use shapes by non-negative least squares and take the curtailable fraction
+of the HVAC component as that day's hourly curtailment-capability estimate,
+one row of a (days x 24) array.  The buckets slice that array: the days of one
+(month, weekday/weekend) give each hour-of-day's bucket its column, an
+empirical distribution labelled by hourly timestamps, with a fitted normal
+alongside.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
-from datetime import datetime
+from datetime import date, datetime
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -53,7 +56,7 @@ class LoadRecord:
             raise ValueError(f"timestamps must be on the hour, got {ts.isoformat()}")
         if not self.building_id:
             raise ValueError("building_id must be non-empty")
-        if not (np.isfinite(self.load_kwh) and self.load_kwh >= 0.0):
+        if not (math.isfinite(self.load_kwh) and self.load_kwh >= 0.0):
             raise ValueError(f"load_kwh must be finite and >= 0, got {self.load_kwh!r}")
 
 
@@ -70,10 +73,6 @@ class BucketKey:
             raise ValueError(f"month must lie in 1..12, got {self.month}")
         if not 0 <= self.hour <= 23:
             raise ValueError(f"hour must lie in 0..23, got {self.hour}")
-
-    @classmethod
-    def from_timestamp(cls, ts: datetime) -> BucketKey:
-        return cls(month=ts.month, hour=ts.hour, is_weekend=ts.weekday() >= 5)
 
     @property
     def label(self) -> str:
@@ -136,10 +135,6 @@ class EndUseShapes:
         mat = self.weekend if is_weekend else self.weekday
         return mat.T
 
-    def curtailable_shape(self, is_weekend: bool) -> np.ndarray:
-        mat = self.weekend if is_weekend else self.weekday
-        return mat[self.curtailable_index]
-
 
 def decompose_load(
     day_profile, shapes: EndUseShapes, is_weekend: bool = False
@@ -155,39 +150,31 @@ def decompose_load(
 
 @dataclass(frozen=True)
 class CurtailableSeries:
-    """Hourly curtailment-capability estimates for one building."""
+    """One building's complete days, ascending, and their read-only (days x 24) kWh."""
 
-    building_id: str
-    times: tuple[datetime, ...]
+    days: tuple[date, ...]
     values: np.ndarray
-    days_used: int
     skipped_days: int
-
-    @property
-    def points(self) -> list[tuple[datetime, float]]:
-        """(timestamp, curtailable kWh) pairs, one per estimated hour."""
-        return list(zip(self.times, self.values.tolist()))
 
 
 def curtailable_series(
     records: Iterable[LoadRecord], shapes: EndUseShapes, fraction: float
 ) -> CurtailableSeries:
-    """Estimate hourly curtailable kWh from one building's load records.
+    """Estimate one building's curtailable kWh, one row of 24 hours per complete day.
 
     Only complete days (all 24 hours present) are decomposed; incomplete days
     are skipped and counted.
     """
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"curtailable fraction must lie in [0, 1], got {fraction!r}")
-    records = sorted(records, key=lambda r: r.timestamp)
+    records = list(records)
     if not records:
         raise ValueError("no load records given")
     buildings = {r.building_id for r in records}
     if len(buildings) != 1:
         raise ValueError(f"records span multiple buildings: {sorted(buildings)}")
-    building_id = records[0].building_id
 
-    by_day: dict = {}
+    by_day: dict[date, dict[int, float]] = {}
     for rec in records:
         day = by_day.setdefault(rec.timestamp.date(), {})
         if rec.timestamp.hour in day:
@@ -195,47 +182,42 @@ def curtailable_series(
         day[rec.timestamp.hour] = rec.load_kwh
 
     ci = shapes.curtailable_index
-    times: list[datetime] = []
-    values: list[float] = []
-    skipped = 0
+    days: list[date] = []
+    rows: list[np.ndarray] = []
     for day in sorted(by_day):
         hours = by_day[day]
         if len(hours) != HOURS_PER_DAY:
-            skipped += 1
             continue
-        profile = np.array([hours[h] for h in range(HOURS_PER_DAY)])
         is_weekend = day.weekday() >= 5
+        profile = [hours[h] for h in range(HOURS_PER_DAY)]
         weights, _ = decompose_load(profile, shapes, is_weekend)
-        shape_c = shapes.curtailable_shape(is_weekend)
-        day_q = fraction * weights[ci] * shape_c
-        for h in range(HOURS_PER_DAY):
-            times.append(datetime(day.year, day.month, day.day, h))
-            values.append(float(day_q[h]))
+        days.append(day)
+        rows.append(fraction * weights[ci] * shapes.day_matrix(is_weekend)[:, ci])
 
-    return CurtailableSeries(
-        building_id=building_id,
-        times=tuple(times),
-        values=np.asarray(values),
-        days_used=len(by_day) - skipped,
-        skipped_days=skipped,
-    )
+    values = np.array(rows).reshape(len(days), HOURS_PER_DAY)
+    values.flags.writeable = False
+    return CurtailableSeries(tuple(days), values, skipped_days=len(by_day) - len(days))
 
 
-def bucket(points: Iterable[tuple[datetime, float]]) -> dict[BucketKey, EmpiricalDistribution]:
-    """Pool (timestamp, q) points into calendar buckets.
+def bucket(series: CurtailableSeries) -> dict[BucketKey, EmpiricalDistribution]:
+    """Pool a series' day rows into calendar buckets.
 
-    Each bucket's empirical distribution carries the source timestamps as
-    alignment labels, so buckets from different buildings can be realigned.
+    The days of one (month, day type) give each hour's bucket its column of
+    samples.  Each sample carries its hour's ISO timestamp as alignment label,
+    so buckets from different buildings can be realigned.
     """
-    grouped: dict[BucketKey, list[tuple[str, float]]] = {}
-    for ts, q in points:
-        key = BucketKey.from_timestamp(ts)
-        grouped.setdefault(key, []).append((ts.isoformat(), float(q)))
+    groups: dict[tuple[int, bool], list[int]] = {}
+    for row, day in enumerate(series.days):
+        groups.setdefault((day.month, day.weekday() >= 5), []).append(row)
     out = {}
-    for key, pairs in grouped.items():
-        labels = tuple(lab for lab, _ in pairs)
-        vals = np.array([v for _, v in pairs])
-        out[key] = EmpiricalDistribution(vals, alignment=labels)
+    for (month, is_weekend), rows in groups.items():
+        stamps = [series.days[row].isoformat() for row in rows]
+        block = series.values[rows]
+        for hour in range(HOURS_PER_DAY):
+            labels = tuple(f"{stamp}T{hour:02d}:00:00" for stamp in stamps)
+            out[BucketKey(month, hour, is_weekend)] = EmpiricalDistribution(
+                block[:, hour], alignment=labels
+            )
     return out
 
 
@@ -341,6 +323,11 @@ class CapabilityModel:
                     f"unsupported model schema version {version!r}"
                 )
             meta = obj["metadata"]
+            config = EstimationConfig(
+                curtailable_fraction=meta["curtailable_fraction"],
+                min_bucket_size=meta["min_bucket_size"],
+                curtailable_end_use=meta["curtailable_end_use"],
+            )
             buildings = {}
             for bid, raw in obj["buildings"].items():
                 buckets = {}
@@ -351,28 +338,32 @@ class CapabilityModel:
                         alignment=tuple(alignment) if alignment else None,
                     )
                     normal = NormalDistribution(
-                        float(braw["normal"]["mu"]), float(braw["normal"]["sigma"])
+                        _number("mu", braw["normal"]["mu"]),
+                        _number("sigma", braw["normal"]["sigma"]),
                     )
                     buckets[BucketKey.from_label(label)] = BucketModel(
                         empirical=emp,
                         normal=normal,
-                        fit_distance=float(braw["fit_distance"]),
+                        fit_distance=_number("fit_distance", braw["fit_distance"]),
                     )
                 buildings[bid] = BuildingModel(
                     building_id=bid,
                     buckets=buckets,
                     dropped_buckets=tuple(
-                        (str(lab), int(cnt)) for lab, cnt in raw["dropped_buckets"]
+                        (str(lab), _count("dropped bucket size", cnt))
+                        for lab, cnt in raw["dropped_buckets"]
                     ),
-                    days_used=int(raw["days_used"]),
-                    skipped_days=int(raw["skipped_days"]),
+                    days_used=_count("days_used", raw["days_used"]),
+                    skipped_days=_count("skipped_days", raw["skipped_days"]),
                 )
             return cls(
                 buildings=buildings,
-                curtailable_fraction=float(meta["curtailable_fraction"]),
-                curtailable_end_use=str(meta["curtailable_end_use"]),
-                min_bucket_size=int(meta["min_bucket_size"]),
-                record_counts={k: int(v) for k, v in meta["record_counts"].items()},
+                curtailable_fraction=float(config.curtailable_fraction),
+                curtailable_end_use=config.curtailable_end_use,
+                min_bucket_size=config.min_bucket_size,
+                record_counts={
+                    k: _count("record count", v) for k, v in meta["record_counts"].items()
+                },
                 source_digest=meta.get("source_digest"),
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -387,6 +378,18 @@ class CapabilityModel:
         except (OSError, json.JSONDecodeError) as exc:
             raise InputFormatError(f"cannot read capability model {path}: {exc}") from exc
         return cls.from_json_dict(obj)
+
+
+def _number(name: str, value) -> float:
+    if not is_number(value):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _count(name: str, value) -> int:
+    if not (is_integer(value) and value >= 0):
+        raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
+    return value
 
 
 def model_json_text(model: CapabilityModel) -> str:
@@ -413,7 +416,7 @@ def build_capability_model(
         series = curtailable_series(
             by_building[bid], shapes, config.curtailable_fraction
         )
-        raw_buckets = bucket(series.points)
+        raw_buckets = bucket(series)
         kept = {}
         dropped = []
         for key in sorted(raw_buckets):
@@ -428,7 +431,7 @@ def build_capability_model(
             building_id=bid,
             buckets=kept,
             dropped_buckets=tuple(dropped),
-            days_used=series.days_used,
+            days_used=len(series.days),
             skipped_days=series.skipped_days,
         )
     if total_buckets == 0:
@@ -443,19 +446,15 @@ def build_capability_model(
     )
 
 
-def _parse_hour_timestamp(text: str) -> datetime:
-    try:
-        return datetime.fromisoformat(text)
-    except ValueError as exc:
-        raise ValueError(f"bad timestamp {text!r}: {exc}") from None
-
-
 def read_load_csv(path) -> list[LoadRecord]:
     """Parse the metered-load CSV (header: timestamp,building_id,load_kwh)."""
     seen: set[tuple[str, datetime]] = set()
 
     def parse(row: list[str]) -> LoadRecord:
-        ts = _parse_hour_timestamp(row[0])
+        try:
+            ts = datetime.fromisoformat(row[0])
+        except ValueError as exc:
+            raise ValueError(f"bad timestamp {row[0]!r}: {exc}") from None
         try:
             load = float(row[2])
         except ValueError:
@@ -494,7 +493,7 @@ def read_shapes_csv(path, curtailable: str) -> EndUseShapes:
             weight = float(weight_text)
         except ValueError:
             raise ValueError(f"bad weight {weight_text!r}") from None
-        if not (np.isfinite(weight) and weight >= 0.0):
+        if not (math.isfinite(weight) and weight >= 0.0):
             raise ValueError("weight must be finite and >= 0")
         vec = vectors.setdefault((name, day_type), {})
         if hour in vec:

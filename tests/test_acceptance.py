@@ -486,9 +486,9 @@ def test_09_estimation_pipeline(tmp_path):
             for h in range(24)
         ]
     series = curtailable_series(records, shapes, fraction=0.6)
-    buckets = bucket(series.points)
+    buckets = bucket(series)
     bucket_ok = (
-        sum(d.n for d in buckets.values()) == len(series.points) == 21 * 24
+        sum(d.n for d in buckets.values()) == series.values.size == 21 * 24
     )
 
     for name in ("config.json", "sample_load.csv", "shapes.csv"):

@@ -342,6 +342,48 @@ class TestContract:
         )
         assert code == 2
         assert "--alpha-sweep" in capsys.readouterr().err
+        assert not (workspace / "y.csv").exists()
+
+    def test_building_without_buckets_writes_nothing(self, tmp_path, capsys):
+        for name in INPUTS:
+            shutil.copy(FIXTURES / name, tmp_path / name)
+        # two 23-hour days: estimate keeps the building with no buckets
+        ghost = [
+            f"2021-03-0{day}T{hour:02d}:00:00,ghost_site,5.0\n"
+            for day in (1, 2)
+            for hour in range(23)
+        ]
+        with (tmp_path / "sample_load.csv").open("a") as handle:
+            handle.writelines(ghost)
+        config = str(tmp_path / "config.json")
+        assert run("estimate", "--config", config, "--out", str(tmp_path / "model.json")) == 0
+        model = json.loads((tmp_path / "model.json").read_text())
+        assert model["buildings"]["ghost_site"]["buckets"] == {}
+        capsys.readouterr()
+
+        out = tmp_path / "ghost.csv"
+        code = run("contract", "--config", config, "--building", "ghost_site", "--out", str(out))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "ghost_site" in err and "no buckets" in err
+        assert not out.exists()
+
+    def test_coerced_model_field_rejected(self, workspace, capsys):
+        model = json.loads((workspace / "model.json").read_text())
+        model["buildings"]["acme_plant"]["days_used"] = 61.9
+        (workspace / "model_coerced.json").write_text(json.dumps(model))
+        obj = json.loads((workspace / "config.json").read_text())
+        obj["paths"]["model"] = "model_coerced.json"
+        config = workspace / "config_coerced.json"
+        config.write_text(json.dumps(obj))
+        out = workspace / "coerced.csv"
+        code = run(
+            "contract", "--config", str(config), "--building", "acme_plant", "--out", str(out)
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "days_used" in err
+        assert not out.exists()
 
 
 class TestAggregate:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from datetime import datetime, timedelta, timezone
+from datetime import date, datetime, timedelta, timezone
 
 import numpy as np
 import pytest
@@ -101,11 +101,12 @@ class TestEstimationConfig:
 class TestBucketKey:
     def test_weekday_weekend_split(self):
         # 2021-03-06 was a Saturday
-        saturday = BucketKey.from_timestamp(datetime(2021, 3, 6, 14))
-        monday = BucketKey.from_timestamp(datetime(2021, 3, 1, 14))
-        assert saturday.is_weekend and not monday.is_weekend
-        assert saturday.month == monday.month == 3
-        assert saturday.hour == 14
+        shapes = two_use_shapes()
+        records = day_records("b1", datetime(2021, 3, 6), shapes, 120.0, 80.0)
+        records += day_records("b1", datetime(2021, 3, 1), shapes, 120.0, 80.0)
+        buckets = bucket(curtailable_series(records, shapes, fraction=0.6))
+        assert buckets[BucketKey(3, 14, True)].alignment == ("2021-03-06T14:00:00",)
+        assert buckets[BucketKey(3, 14, False)].alignment == ("2021-03-01T14:00:00",)
 
     def test_label_round_trip(self):
         key = BucketKey(11, 7, True)
@@ -157,11 +158,10 @@ class TestCurtailableSeries:
         shapes = two_use_shapes()
         records = day_records("b1", datetime(2021, 3, 1), shapes, 120.0, 80.0)
         series = curtailable_series(records, shapes, fraction=0.5)
-        values = dict(series.points)
+        assert series.days == (date(2021, 3, 1),)
         # hour 10 carries hvac weight 80/12; half of it is curtailable
-        assert values[datetime(2021, 3, 1, 10)] == pytest.approx(0.5 * 80.0 / 12.0)
-        assert values[datetime(2021, 3, 1, 2)] == pytest.approx(0.0)
-        assert series.days_used == 1
+        assert series.values[0, 10] == pytest.approx(0.5 * 80.0 / 12.0)
+        assert series.values[0, 2] == pytest.approx(0.0)
         assert series.skipped_days == 0
 
     def test_incomplete_days_skipped_and_counted(self):
@@ -169,7 +169,7 @@ class TestCurtailableSeries:
         records = day_records("b1", datetime(2021, 3, 1), shapes, 120.0, 80.0)
         records += day_records("b1", datetime(2021, 3, 2), shapes, 120.0, 80.0)[:23]
         series = curtailable_series(records, shapes, fraction=0.5)
-        assert series.days_used == 1
+        assert series.days == (date(2021, 3, 1),)
         assert series.skipped_days == 1
 
     def test_duplicate_timestamps_rejected(self):
@@ -195,7 +195,7 @@ class TestBucketing:
                 "b1", datetime(2021, 3, 1) + timedelta(days=day), shapes, 120.0, 80.0
             )
         series = curtailable_series(records, shapes, fraction=0.6)
-        buckets = bucket(series.points)
+        buckets = bucket(series)
         total = sum(dist.n for dist in buckets.values())
         assert total == 14 * 24
         # 10 weekdays and 4 weekend days in the first two March weeks
@@ -206,9 +206,44 @@ class TestBucketing:
         shapes = two_use_shapes()
         records = day_records("b1", datetime(2021, 3, 1), shapes, 120.0, 80.0)
         series = curtailable_series(records, shapes, fraction=0.6)
-        buckets = bucket(series.points)
+        buckets = bucket(series)
         labels = buckets[BucketKey(3, 10, False)].alignment
         assert labels == ("2021-03-01T10:00:00",)
+
+    def test_day_rows_across_month_end_and_weekend(self):
+        shapes = two_use_shapes(weekend_scale=0.5)
+        records: list[LoadRecord] = []
+        # Thu 2021-02-25 .. Wed 2021-03-03; Sat 2021-02-27 misses its last hour
+        for i in range(7):
+            day = datetime(2021, 2, 25) + timedelta(days=i)
+            hours = day_records("b1", day, shapes, 100.0 + i, 60.0 + 5.0 * i)
+            records += hours[:23] if i == 2 else hours
+        series = curtailable_series(records, shapes, fraction=0.6)
+        assert series.skipped_days == 1
+        assert date(2021, 2, 27) not in series.days
+        assert series.values.shape == (6, 24) and not series.values.flags.writeable
+
+        buckets = bucket(series)
+        placed: dict[str, BucketKey] = {}
+        for key, dist in buckets.items():
+            for label in dist.alignment:
+                assert label not in placed
+                placed[label] = key
+            stamps = [datetime.fromisoformat(label) for label in dist.alignment]
+            assert {(t.month, t.hour, t.weekday() >= 5) for t in stamps} == {
+                (key.month, key.hour, key.is_weekend)
+            }
+            expected = [series.values[series.days.index(t.date()), t.hour] for t in stamps]
+            assert dist.aligned_values(dist.alignment).tolist() == expected
+        assert set(placed) == {
+            datetime(d.year, d.month, d.day, h).isoformat()
+            for d in series.days
+            for h in range(24)
+        }
+        assert len(placed) == 6 * 24
+        # only Sun 2021-02-28 is left of the weekend
+        assert buckets[BucketKey(2, 9, True)].alignment == ("2021-02-28T09:00:00",)
+        assert buckets[BucketKey(3, 9, False)].n == 3
 
 
 class TestCapabilityModel:
@@ -256,6 +291,31 @@ class TestCapabilityModel:
         obj = json.loads(model_json_text(model))
         obj["schema_version"] = 99
         with pytest.raises(InputFormatError):
+            CapabilityModel.from_json_dict(obj)
+
+    @pytest.mark.parametrize(
+        "path, value, named",
+        [
+            (("metadata", "curtailable_fraction"), True, "curtailable_fraction"),
+            (("metadata", "min_bucket_size"), 4.7, "min_bucket_size"),
+            (("metadata", "curtailable_end_use"), 7, "curtailable_end_use"),
+            (("metadata", "record_counts", "b1"), -240, "record count"),
+            (("metadata", "record_counts", "b1"), 240.0, "record count"),
+            (("buildings", "b1", "days_used"), 61.9, "days_used"),
+            (("buildings", "b1", "skipped_days"), -1, "skipped_days"),
+            (("buildings", "b1", "dropped_buckets", 0, 1), -2, "dropped bucket size"),
+            (("buildings", "b1", "buckets", "03-10-weekday", "fit_distance"), True, "fit_distance"),
+            (("buildings", "b1", "buckets", "03-10-weekday", "normal", "mu"), "8.0", "mu"),
+            (("buildings", "b1", "buckets", "03-10-weekday", "normal", "sigma"), False, "sigma"),
+        ],
+    )
+    def test_field_types_checked_not_coerced(self, path, value, named):
+        obj = json.loads(model_json_text(self.build_small_model()))
+        target = obj
+        for step in path[:-1]:
+            target = target[step]
+        target[path[-1]] = value
+        with pytest.raises(InputFormatError, match=named):
             CapabilityModel.from_json_dict(obj)
 
     def test_empty_model_rejected(self):
