@@ -6,7 +6,7 @@ of the HVAC component as that day's hourly curtailment-capability estimate,
 one row of a (days x 24) array.  The buckets slice that array: the days of one
 (month, weekday/weekend) give each hour-of-day's bucket its column, an
 empirical distribution labelled by hourly timestamps, with a fitted normal
-alongside.
+alongside.  model.json stores the array and the fits; its reader re-buckets it.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import json
 import math
 from dataclasses import dataclass
 from datetime import date, datetime
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -33,7 +34,7 @@ HOURS_PER_DAY = 24
 DEFAULT_CURTAILABLE_FRACTION = 0.6
 DEFAULT_MIN_BUCKET_SIZE = 4
 
-MODEL_SCHEMA_VERSION = 1
+MODEL_SCHEMA_VERSION = 2
 
 LOAD_CSV_HEADER = ["timestamp", "building_id", "load_kwh"]
 SHAPES_CSV_HEADER = ["end_use", "day_type", "hour", "weight"]
@@ -78,13 +79,6 @@ class BucketKey:
     def label(self) -> str:
         day = "weekend" if self.is_weekend else "weekday"
         return f"{self.month:02d}-{self.hour:02d}-{day}"
-
-    @classmethod
-    def from_label(cls, label: str) -> BucketKey:
-        parts = label.split("-")
-        if len(parts) != 3 or parts[2] not in ("weekday", "weekend"):
-            raise ValueError(f"malformed bucket label {label!r}")
-        return cls(int(parts[0]), int(parts[1]), parts[2] == "weekend")
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,21 +198,32 @@ def bucket(series: CurtailableSeries) -> dict[BucketKey, EmpiricalDistribution]:
 
     The days of one (month, day type) give each hour's bucket its column of
     samples.  Each sample carries its hour's ISO timestamp as alignment label,
-    so buckets from different buildings can be realigned.
+    so buckets from different buildings can be realigned.  ``estimate`` and
+    the model reader both bucket through here, by way of ``split_buckets``.
     """
     groups: dict[tuple[int, bool], list[int]] = {}
     for row, day in enumerate(series.days):
         groups.setdefault((day.month, day.weekday() >= 5), []).append(row)
     out = {}
     for (month, is_weekend), rows in groups.items():
-        stamps = [series.days[row].isoformat() for row in rows]
+        stamps = [series.days[row].isoformat() + "T" for row in rows]
         block = series.values[rows]
         for hour in range(HOURS_PER_DAY):
-            labels = tuple(f"{stamp}T{hour:02d}:00:00" for stamp in stamps)
+            suffix = f"{hour:02d}:00:00"  # formatted once: a format per label slowed loads
+            labels = tuple([stamp + suffix for stamp in stamps])
             out[BucketKey(month, hour, is_weekend)] = EmpiricalDistribution(
                 block[:, hour], alignment=labels
             )
     return out
+
+
+def split_buckets(
+    series: CurtailableSeries, min_bucket_size: int
+) -> tuple[dict[BucketKey, EmpiricalDistribution], tuple[tuple[str, int], ...]]:
+    """The buckets of at least min_bucket_size samples, and (label, size) of the rest."""
+    buckets = sorted(bucket(series).items())
+    kept = {key: emp for key, emp in buckets if emp.n >= min_bucket_size}
+    return kept, tuple((key.label, emp.n) for key, emp in buckets if key not in kept)
 
 
 @dataclass(frozen=True)
@@ -253,11 +258,20 @@ class BucketModel:
 
 @dataclass(frozen=True)
 class BuildingModel:
+    """One building's day matrix and the fitted buckets kept from it."""
+
     building_id: str
+    series: CurtailableSeries
     buckets: Mapping[BucketKey, BucketModel]
     dropped_buckets: tuple[tuple[str, int], ...]
-    days_used: int
-    skipped_days: int
+
+    @property
+    def days_used(self) -> int:
+        return len(self.series.days)
+
+    @property
+    def skipped_days(self) -> int:
+        return self.series.skipped_days
 
     def sorted_keys(self) -> list[BucketKey]:
         return sorted(self.buckets)
@@ -265,12 +279,10 @@ class BuildingModel:
 
 @dataclass(frozen=True)
 class CapabilityModel:
-    """Per-building bucket distributions plus provenance metadata."""
+    """Per-building bucket distributions, the settings that made them, and provenance."""
 
     buildings: Mapping[str, BuildingModel]
-    curtailable_fraction: float
-    curtailable_end_use: str
-    min_bucket_size: int
+    config: EstimationConfig
     record_counts: Mapping[str, int]
     source_digest: str | None = None
 
@@ -286,28 +298,23 @@ class CapabilityModel:
         buildings = {}
         for bid in sorted(self.buildings):
             bm = self.buildings[bid]
-            buckets = {}
-            for key in bm.sorted_keys():
-                bucket_model = bm.buckets[key]
-                emp = bucket_model.empirical
-                buckets[key.label] = {
-                    "samples": emp.samples.tolist(),
-                    "alignment": list(emp.alignment) if emp.alignment else None,
-                    "normal": {"mu": bucket_model.normal.mu, "sigma": bucket_model.normal.sigma},
-                    "fit_distance": bucket_model.fit_distance,
-                }
             buildings[bid] = {
-                "days_used": bm.days_used,
+                "days": [day.isoformat() for day in bm.series.days],
+                "values": bm.series.values.tolist(),
                 "skipped_days": bm.skipped_days,
-                "dropped_buckets": [list(item) for item in bm.dropped_buckets],
-                "buckets": buckets,
+                "buckets": {
+                    key.label: {
+                        "mu": b.normal.mu, "sigma": b.normal.sigma, "fit_distance": b.fit_distance
+                    }
+                    for key, b in bm.buckets.items()
+                },
             }
         return {
             "schema_version": MODEL_SCHEMA_VERSION,
             "metadata": {
-                "curtailable_fraction": self.curtailable_fraction,
-                "curtailable_end_use": self.curtailable_end_use,
-                "min_bucket_size": self.min_bucket_size,
+                "curtailable_fraction": self.config.curtailable_fraction,
+                "curtailable_end_use": self.config.curtailable_end_use,
+                "min_bucket_size": int(self.config.min_bucket_size),
                 "source_digest": self.source_digest,
                 "record_counts": {k: self.record_counts[k] for k in sorted(self.record_counts)},
             },
@@ -320,53 +327,22 @@ class CapabilityModel:
             version = obj["schema_version"]
             if version != MODEL_SCHEMA_VERSION:
                 raise InputFormatError(
-                    f"unsupported model schema version {version!r}"
+                    f"unsupported model schema version {version!r}; re-run estimate"
                 )
             meta = obj["metadata"]
-            config = EstimationConfig(
-                curtailable_fraction=meta["curtailable_fraction"],
-                min_bucket_size=meta["min_bucket_size"],
-                curtailable_end_use=meta["curtailable_end_use"],
-            )
-            buildings = {}
-            for bid, raw in obj["buildings"].items():
-                buckets = {}
-                for label, braw in raw["buckets"].items():
-                    alignment = braw["alignment"]
-                    emp = EmpiricalDistribution(
-                        np.asarray(braw["samples"], dtype=float),
-                        alignment=tuple(alignment) if alignment else None,
-                    )
-                    normal = NormalDistribution(
-                        _number("mu", braw["normal"]["mu"]),
-                        _number("sigma", braw["normal"]["sigma"]),
-                    )
-                    buckets[BucketKey.from_label(label)] = BucketModel(
-                        empirical=emp,
-                        normal=normal,
-                        fit_distance=_number("fit_distance", braw["fit_distance"]),
-                    )
-                buildings[bid] = BuildingModel(
-                    building_id=bid,
-                    buckets=buckets,
-                    dropped_buckets=tuple(
-                        (str(lab), _count("dropped bucket size", cnt))
-                        for lab, cnt in raw["dropped_buckets"]
-                    ),
-                    days_used=_count("days_used", raw["days_used"]),
-                    skipped_days=_count("skipped_days", raw["skipped_days"]),
-                )
+            settings = ("curtailable_fraction", "min_bucket_size", "curtailable_end_use")
+            config = EstimationConfig(**{name: meta[name] for name in settings})
+            counts = meta["record_counts"]
             return cls(
-                buildings=buildings,
-                curtailable_fraction=float(config.curtailable_fraction),
-                curtailable_end_use=config.curtailable_end_use,
-                min_bucket_size=config.min_bucket_size,
-                record_counts={
-                    k: _count("record count", v) for k, v in meta["record_counts"].items()
+                buildings={
+                    bid: _read_building(bid, raw, config.min_bucket_size)
+                    for bid, raw in obj["buildings"].items()
                 },
+                config=config,
+                record_counts={k: _count("record count", v) for k, v in counts.items()},
                 source_digest=meta.get("source_digest"),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             if isinstance(exc, InputFormatError):
                 raise
             raise InputFormatError(f"malformed capability model: {exc}") from exc
@@ -378,6 +354,49 @@ class CapabilityModel:
         except (OSError, json.JSONDecodeError) as exc:
             raise InputFormatError(f"cannot read capability model {path}: {exc}") from exc
         return cls.from_json_dict(obj)
+
+
+def _read_building(bid: str, raw: dict, min_bucket_size: int) -> BuildingModel:
+    """Re-bucket the stored days and values and attach the stored fits."""
+    series = _read_series(raw)
+    kept, dropped = split_buckets(series, min_bucket_size)
+    fits = raw["buckets"]
+    labels = {key.label for key in kept}
+    if set(fits) != labels:
+        raise ValueError(
+            f"building {bid!r}: bucket labels differ from the buckets its days and values "
+            f"keep (missing {sorted(labels - set(fits))}, extra {sorted(set(fits) - labels)})"
+        )
+    buckets = {}
+    for key, emp in kept.items():
+        fit = fits[key.label]
+        normal = NormalDistribution(_number("mu", fit["mu"]), _number("sigma", fit["sigma"]))
+        buckets[key] = BucketModel(emp, normal, _number("fit_distance", fit["fit_distance"]))
+    return BuildingModel(bid, series, buckets, dropped)
+
+
+def _read_series(raw: dict) -> CurtailableSeries:
+    rows, texts = raw["values"], raw["days"]
+    # Check element types first: NumPy would turn "1.5" and true into floats.
+    if not (
+        isinstance(rows, list)
+        and all(isinstance(row, list) and len(row) == HOURS_PER_DAY for row in rows)
+        and set(map(type, chain.from_iterable(rows))) <= {int, float}
+    ):
+        raise ValueError("values must be a list of 24-long rows of JSON numbers")
+    values = np.array(rows, dtype=float).reshape(len(rows), HOURS_PER_DAY)
+    if not (np.isfinite(values).all() and (values >= 0.0).all()):
+        raise ValueError("values must be finite and >= 0")
+    values.flags.writeable = False
+    try:
+        days = tuple(map(date.fromisoformat, texts))
+    except (TypeError, ValueError):
+        days = ()
+    if [d.isoformat() for d in days] != texts or any(a >= b for a, b in zip(days, days[1:])):
+        raise ValueError("days must be a list of YYYY-MM-DD dates, strictly ascending")
+    if len(days) != len(rows):
+        raise ValueError(f"values has {len(rows)} rows for {len(days)} days")
+    return CurtailableSeries(days, values, _count("skipped_days", raw["skipped_days"]))
 
 
 def _number(name: str, value) -> float:
@@ -411,36 +430,16 @@ def build_capability_model(
         raise ModelConsistencyError("no load records: no valid buckets")
 
     buildings = {}
-    total_buckets = 0
     for bid in sorted(by_building):
-        series = curtailable_series(
-            by_building[bid], shapes, config.curtailable_fraction
-        )
-        raw_buckets = bucket(series)
-        kept = {}
-        dropped = []
-        for key in sorted(raw_buckets):
-            emp = raw_buckets[key]
-            if emp.n < config.min_bucket_size:
-                dropped.append((key.label, emp.n))
-                continue
-            normal, distance = fit_normal(emp)
-            kept[key] = BucketModel(empirical=emp, normal=normal, fit_distance=distance)
-        total_buckets += len(kept)
-        buildings[bid] = BuildingModel(
-            building_id=bid,
-            buckets=kept,
-            dropped_buckets=tuple(dropped),
-            days_used=len(series.days),
-            skipped_days=series.skipped_days,
-        )
-    if total_buckets == 0:
+        series = curtailable_series(by_building[bid], shapes, config.curtailable_fraction)
+        kept, dropped = split_buckets(series, config.min_bucket_size)
+        buckets = {key: BucketModel(emp, *fit_normal(emp)) for key, emp in kept.items()}
+        buildings[bid] = BuildingModel(bid, series, buckets, dropped)
+    if not any(b.buckets for b in buildings.values()):
         raise ModelConsistencyError("no valid buckets after the minimum-size rule")
     return CapabilityModel(
         buildings=buildings,
-        curtailable_fraction=config.curtailable_fraction,
-        curtailable_end_use=config.curtailable_end_use,
-        min_bucket_size=int(config.min_bucket_size),
+        config=config,
         record_counts={bid: len(recs) for bid, recs in by_building.items()},
         source_digest=source_digest,
     )

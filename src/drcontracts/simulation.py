@@ -34,9 +34,9 @@ from .program import ProgramTerms
 EVENT_PURPOSE = 0
 CAPABILITY_PURPOSE = 1
 
-# Trials per work unit; a multiple of 4 keeps the 4-word counter blocks of the
-# generator aligned with chunk boundaries for any window count.
-CHUNK_TRIALS = 4096
+# Trials per work unit, a multiple of 4 so the generator's 4-word counter blocks
+# align with chunks; each per-chunk table holds CHUNK_TRIALS x windows doubles.
+CHUNK_TRIALS = 1024
 
 # Rows per tail block.  Each group's tail terms are summed per block, in
 # row-major order, and the block sums are reduced once at the end, so the

@@ -370,7 +370,7 @@ class TestContract:
 
     def test_coerced_model_field_rejected(self, workspace, capsys):
         model = json.loads((workspace / "model.json").read_text())
-        model["buildings"]["acme_plant"]["days_used"] = 61.9
+        model["buildings"]["acme_plant"]["values"][0][0] = "1.5"
         (workspace / "model_coerced.json").write_text(json.dumps(model))
         obj = json.loads((workspace / "config.json").read_text())
         obj["paths"]["model"] = "model_coerced.json"
@@ -382,8 +382,49 @@ class TestContract:
         )
         assert code == 2
         err = capsys.readouterr().err
-        assert err.count("error:") == 1 and "days_used" in err
+        assert err.count("error:") == 1 and "values" in err
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("contract", "--building", "acme_plant"),
+        ("aggregate", "--base", "acme_plant", "--candidates", "birch_mall"),
+        ("simulate", "--building", "acme_plant"),
+    ],
+)
+def test_schema_1_model_asks_for_reestimation(workspace, capsys, argv):
+    v2 = json.loads((workspace / "model.json").read_text())
+    v1 = {
+        "schema_version": 1,
+        "metadata": v2["metadata"],
+        "buildings": {
+            "acme_plant": {
+                "days_used": 1,
+                "skipped_days": 0,
+                "dropped_buckets": [],
+                "buckets": {
+                    "03-10-weekday": {
+                        "samples": [1.0],
+                        "alignment": ["2021-03-01T10:00:00"],
+                        "normal": {"mu": 1.0, "sigma": 0.0},
+                        "fit_distance": 0.0,
+                    }
+                },
+            }
+        },
+    }
+    (workspace / "model_v1.json").write_text(json.dumps(v1))
+    obj = json.loads((workspace / "config.json").read_text())
+    obj["paths"]["model"] = "model_v1.json"
+    config = workspace / "config_v1.json"
+    config.write_text(json.dumps(obj))
+    out = workspace / f"v1_{argv[0]}.out"
+    assert run(*argv, "--config", str(config), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "re-run estimate" in err
+    assert not out.exists()
 
 
 class TestAggregate:
@@ -645,7 +686,7 @@ def test_cli_import_leaves_scipy_stats_unloaded():
 # SHA-256 of the fixture pipeline's outputs with the committed config (seed 7).
 # A change that moves any of these must be a documented output change.
 GOLDEN_DIGESTS = {
-    "model.json": "79983ee80174be4bda163536b4acdfabfce1dd611ab53adcf1ccfe6a2cb5d21c",
+    "model.json": "dbe77db2aa1886425848351452b55dd5e51bd91f4ad1e7d1e11e4cbbe0c2f48d",
     "contracts.csv": "5c4c76aa73a38c59415085db7446189a73cd3f97a5dd9da9a2786cb71c53f77a",
     "ranking.csv": "648235a3574135943f90c1eb31407850c7d6bd44129b02a9437221d94effc1c5",
     "report.json": "c6801bbf9d1045ae6c2c0b4bcf9d274067b14e0231feff58754ae418c44fb69a",

@@ -111,7 +111,13 @@ class TestBucketKey:
     def test_label_round_trip(self):
         key = BucketKey(11, 7, True)
         assert key.label == "11-07-weekend"
-        assert BucketKey.from_label(key.label) == key
+        # The model reader matches stored labels against rebuilt keys, so
+        # labels must name keys one to one, and sort as the keys do.
+        keys = [
+            BucketKey(m, h, w) for m in range(1, 13) for h in range(24) for w in (False, True)
+        ]
+        assert len({k.label for k in keys}) == len(keys)
+        assert sorted(keys, key=lambda k: k.label) == sorted(keys)
 
     def test_ranges_validated(self):
         with pytest.raises(ValueError):
@@ -247,10 +253,12 @@ class TestBucketing:
 
 
 class TestCapabilityModel:
-    def build_small_model(self, days: int = 10) -> CapabilityModel:
+    def build_small_model(
+        self, days: int = 10, extra: tuple[LoadRecord, ...] = ()
+    ) -> CapabilityModel:
         shapes = two_use_shapes()
         rng = np.random.default_rng(4)
-        records: list[LoadRecord] = []
+        records: list[LoadRecord] = list(extra)
         for building, scale in (("b1", 1.0), ("b2", 1.4)):
             for day in range(days):
                 records += day_records(
@@ -286,6 +294,40 @@ class TestCapabilityModel:
         restored = CapabilityModel.from_json_dict(json.loads(text))
         assert model_json_text(restored) == text
 
+    def test_load_rebuilds_estimate_time_buckets(self):
+        shapes = two_use_shapes()
+        # b3: 10 complete days and a 23-hour one; b4: 2 days, every bucket dropped.
+        extra = []
+        for day in range(11):
+            start = datetime(2021, 3, 1) + timedelta(days=day)
+            records = day_records("b3", start, shapes, 100.0, 60.0 + day)
+            extra += records if day < 10 else records[:23]
+        extra += day_records("b4", datetime(2021, 4, 5), shapes, 90.0, 50.0)
+        extra += day_records("b4", datetime(2021, 4, 6), shapes, 90.0, 55.0)
+        model = self.build_small_model(extra=tuple(extra))
+        assert model.building("b3").skipped_days == 1
+        assert model.building("b4").buckets == {}
+
+        text = model_json_text(model)
+        restored = CapabilityModel.from_json_dict(json.loads(text))
+        assert model_json_text(restored) == text
+        assert sorted(restored.buildings) == ["b1", "b2", "b3", "b4"]
+        for bid, built in model.buildings.items():
+            loaded = restored.building(bid)
+            assert loaded.dropped_buckets == built.dropped_buckets
+            assert loaded.days_used == built.days_used
+            assert loaded.skipped_days == built.skipped_days
+            assert loaded.series.days == built.series.days
+            assert loaded.series.values.tobytes() == built.series.values.tobytes()
+            assert loaded.sorted_keys() == built.sorted_keys()
+            for key, fit in built.buckets.items():
+                back = loaded.buckets[key]
+                assert back.empirical.samples.tobytes() == fit.empirical.samples.tobytes()
+                assert back.empirical.alignment == fit.empirical.alignment
+                assert back.normal.mu.hex() == fit.normal.mu.hex()
+                assert back.normal.sigma.hex() == fit.normal.sigma.hex()
+                assert back.fit_distance.hex() == fit.fit_distance.hex()
+
     def test_schema_version_checked(self):
         model = self.build_small_model()
         obj = json.loads(model_json_text(model))
@@ -301,12 +343,31 @@ class TestCapabilityModel:
             (("metadata", "curtailable_end_use"), 7, "curtailable_end_use"),
             (("metadata", "record_counts", "b1"), -240, "record count"),
             (("metadata", "record_counts", "b1"), 240.0, "record count"),
-            (("buildings", "b1", "days_used"), 61.9, "days_used"),
+            (("buildings", "b1", "values", 0, 10), "1.5", "JSON numbers"),
             (("buildings", "b1", "skipped_days"), -1, "skipped_days"),
-            (("buildings", "b1", "dropped_buckets", 0, 1), -2, "dropped bucket size"),
+            (("buildings", "b1", "values", 0, 10), True, "JSON numbers"),
             (("buildings", "b1", "buckets", "03-10-weekday", "fit_distance"), True, "fit_distance"),
-            (("buildings", "b1", "buckets", "03-10-weekday", "normal", "mu"), "8.0", "mu"),
-            (("buildings", "b1", "buckets", "03-10-weekday", "normal", "sigma"), False, "sigma"),
+            (("buildings", "b1", "buckets", "03-10-weekday", "mu"), "8.0", "mu"),
+            (("buildings", "b1", "buckets", "03-10-weekday", "sigma"), False, "sigma"),
+            (("buildings", "b1", "values", 0, 10), None, "JSON numbers"),
+            (("buildings", "b1", "values", 0), lambda row: row[:23], "JSON numbers"),
+            (("buildings", "b1", "values", 0, 10), float("nan"), "finite and >= 0"),
+            (("buildings", "b1", "values", 0, 10), -1.0, "finite and >= 0"),
+            (("buildings", "b1", "days", 0), "2021-02-30", "YYYY-MM-DD dates"),
+            (("buildings", "b1", "days", 1), "2021-03-01", "YYYY-MM-DD dates, strictly ascending"),
+            (("buildings", "b1", "days", 1), "2021-02-28", "YYYY-MM-DD dates, strictly ascending"),
+            (("buildings", "b1", "days"), lambda days: days[:-1], "10 rows for 9 days"),
+            (
+                ("buildings", "b1", "buckets"),
+                lambda fits: {k: v for k, v in fits.items() if k != "03-10-weekday"},
+                "bucket labels",
+            ),
+            (
+                ("buildings", "b1", "buckets", "03-10-weekend"),
+                {"mu": 1.0, "sigma": 0.0, "fit_distance": 0.0},
+                "bucket labels",
+            ),
+            (("schema_version",), 1, "re-run estimate"),
         ],
     )
     def test_field_types_checked_not_coerced(self, path, value, named):
@@ -314,7 +375,8 @@ class TestCapabilityModel:
         target = obj
         for step in path[:-1]:
             target = target[step]
-        target[path[-1]] = value
+        # A callable edits the stored value; anything else replaces it.
+        target[path[-1]] = value(target[path[-1]]) if callable(value) else value
         with pytest.raises(InputFormatError, match=named):
             CapabilityModel.from_json_dict(obj)
 
