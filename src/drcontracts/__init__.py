@@ -60,7 +60,6 @@ from .distributions import (
     NormalDistribution,
     fit_normal,
     kolmogorov_distance,
-    restrict_to_common,
     sum_empirical,
     sum_normal,
 )
@@ -87,6 +86,7 @@ from .estimation import (
     decompose_load,
     read_load_csv,
     read_shapes_csv,
+    restrict_to_common,
 )
 from .nnls import nnls
 from .program import (

@@ -40,7 +40,6 @@ from .contracts import (
     grid_search_optimal,
     optimal_contract,
 )
-from .distributions import restrict_to_common
 from .errors import (
     AlignmentError,
     DrContractsError,
@@ -54,10 +53,12 @@ from .estimation import (
     BuildingModel,
     CapabilityModel,
     EstimationConfig,
+    bucket,
     build_capability_model,
     model_json_text,
     read_load_csv,
     read_shapes_csv,
+    restrict_to_common,
 )
 from .formatting import flag, parse_flag, read_csv_rows, read_json_block, sig9
 from .program import ProgramTerms
@@ -332,19 +333,9 @@ def cmd_contract(args: argparse.Namespace) -> int:
 
 
 def _pair_metrics(
-    terms: ProgramTerms,
-    base_bucket,
-    cand_bucket,
-) -> tuple[float, float, float, float, int] | None:
-    """Per-window metrics for one bucket pair, or None when unalignable."""
-    try:
-        base_emp, cand_emp = restrict_to_common(
-            [base_bucket.empirical, cand_bucket.empirical]
-        )
-    except AlignmentError:
-        return None
-    if base_emp.n < 2:
-        return None
+    terms: ProgramTerms, base_emp, cand_emp
+) -> tuple[float, float, float, float, int]:
+    """Per-window metrics for one bucket's columns over the days both buildings have."""
     pair = AssetPortfolio(
         members=(("base", base_emp), ("candidate", cand_emp)), terms=terms
     )
@@ -410,14 +401,13 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
     unalignable: list[str] = []
     for cand_id in args.candidates:
         cand = model.building(cand_id)
-        common_keys = sorted(set(base.buckets) & set(cand.buckets))
+        base_shared, cand_shared = map(bucket, restrict_to_common([base.series, cand.series]))
         metrics = []
-        for key in common_keys:
-            result = _pair_metrics(terms, base.buckets[key], cand.buckets[key])
-            if result is None:
+        for key in sorted(set(base.buckets) & set(cand.buckets)):
+            if key not in base_shared or base_shared[key].n < 2:
                 unalignable.append(f"{cand_id}:{key.label}")
                 continue
-            metrics.append(result)
+            metrics.append(_pair_metrics(terms, base_shared[key], cand_shared[key]))
         if not metrics:
             raise ModelConsistencyError(
                 f"candidate {cand_id!r} has no alignable buckets with base {args.base!r}"
@@ -604,7 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="rank aggregation partners for a base building",
         description=(
             "For each candidate, restricts every shared bucket to the "
-            "timestamps both buildings observed, evaluates the complementarity "
+            "days both buildings observed, evaluates the complementarity "
             "delta_sigma and the aggregation profit delta per window, and "
             "writes the ranking CSV: candidate_id,delta_sigma,delta_j_oracle,"
             "delta_j_printed,delta_j_cancelled,individual_profit.  Metrics are "

@@ -55,14 +55,11 @@ def _check_unit_interval(u: np.ndarray) -> None:
 class EmpiricalDistribution:
     """Distribution putting mass 1/n on each stored sample.
 
-    Samples are stored sorted ascending.  When ``alignment`` labels are given
-    (one per sample, unique), they are permuted together with the sort so the
-    original pairing of sample to label survives; index-wise operations across
-    distributions then realign by label.
+    Samples are stored sorted ascending; ``original_samples`` gives them back
+    in construction order, which is how distributions pair sample by sample.
     """
 
     samples: np.ndarray
-    alignment: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
         values = np.asarray(self.samples, dtype=float)
@@ -73,18 +70,9 @@ class EmpiricalDistribution:
         if np.min(values) < 0.0:
             raise ValueError("samples must be >= 0 (curtailment capability in kWh)")
         order = np.argsort(values, kind="stable")
-        if self.alignment is not None:
-            labels = tuple(str(lab) for lab in self.alignment)
-            if len(labels) != values.size:
-                raise AlignmentError(
-                    f"{len(labels)} alignment labels for {values.size} samples"
-                )
-            if len(set(labels)) != len(labels):
-                raise AlignmentError("alignment labels must be unique")
-            object.__setattr__(self, "alignment", tuple(labels[i] for i in order))
         values = values[order]
         # Inverse permutation: samples[_insertion] restores construction order,
-        # which is the implicit window pairing for unlabelled index-wise sums.
+        # which pairs samples across distributions.
         insertion = np.argsort(order)
         values.flags.writeable = False
         insertion.flags.writeable = False
@@ -104,12 +92,6 @@ class EmpiricalDistribution:
     def _prefix(self) -> np.ndarray:
         # _prefix[k] = sum of the k smallest samples
         return np.concatenate(([0.0], np.cumsum(self.samples)))
-
-    @cached_property
-    def _by_label(self) -> dict[str, float]:
-        if self.alignment is None:
-            raise AlignmentError("distribution carries no alignment labels")
-        return dict(zip(self.alignment, self.samples.tolist()))
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -168,14 +150,6 @@ class EmpiricalDistribution:
 
     def sample(self, rng: np.random.Generator, size=None):
         return self.transform_uniform(rng.random(size))
-
-    def aligned_values(self, labels: Sequence[str]) -> np.ndarray:
-        """Samples reordered to the given label order."""
-        by_label = self._by_label
-        missing = [lab for lab in labels if lab not in by_label]
-        if missing:
-            raise AlignmentError(f"missing alignment labels: {missing[:5]}")
-        return np.array([by_label[lab] for lab in labels], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -394,18 +368,17 @@ class CovarianceModel:
         dists: Sequence[EmpiricalDistribution],
         asset_ids: Sequence[str] | None = None,
     ) -> CovarianceModel:
-        """Estimate the model from label-aligned empirical distributions.
+        """Estimate the model from empirical distributions paired sample by sample.
 
-        All inputs must carry alignment labels with a common intersection of
-        at least two labels.  Assets with zero variance get correlation zero
+        The inputs pair in construction order, so they must have one size of
+        at least two samples.  Assets with zero variance get correlation zero
         against everything (they contribute nothing to the aggregate variance).
         """
         if len(dists) == 0:
             raise ValueError("need at least one distribution")
-        labels = common_labels(dists)
-        if len(labels) < 2:
-            raise AlignmentError("need at least two common labels to estimate moments")
-        matrix = np.stack([d.aligned_values(labels) for d in dists])
+        matrix = np.stack(_paired_samples(dists))
+        if matrix.shape[1] < 2:
+            raise AlignmentError("need at least two paired samples to estimate moments")
         means = matrix.mean(axis=1)
         stds = matrix.std(axis=1, ddof=1)
         k = len(dists)
@@ -419,59 +392,29 @@ class CovarianceModel:
         return cls(means=means, stddevs=stds, correlation=rho, asset_ids=ids)
 
 
-def common_labels(dists: Sequence[EmpiricalDistribution]) -> tuple[str, ...]:
-    """Sorted intersection of alignment labels across distributions."""
-    if any(d.alignment is None for d in dists):
-        raise AlignmentError("all distributions must carry alignment labels")
-    labels = set(dists[0].alignment)
-    for d in dists[1:]:
-        labels &= set(d.alignment)
-    return tuple(sorted(labels))
-
-
-def restrict_to_common(
-    dists: Sequence[EmpiricalDistribution],
-) -> list[EmpiricalDistribution]:
-    """Restrict each distribution to the shared label set."""
-    labels = common_labels(dists)
-    if not labels:
-        raise AlignmentError("distributions share no alignment labels")
-    return [
-        EmpiricalDistribution(d.aligned_values(labels), alignment=labels) for d in dists
-    ]
+def _paired_samples(dists: Sequence[EmpiricalDistribution]) -> list[np.ndarray]:
+    """Each input's samples in construction order; the k-th samples pair up."""
+    sizes = {d.n for d in dists}
+    if len(sizes) != 1:
+        raise AlignmentError(f"paired distributions differ in size: {sorted(sizes)}")
+    return [d.original_samples for d in dists]
 
 
 def sum_empirical(dists: Sequence[EmpiricalDistribution]) -> EmpiricalDistribution:
     """Index-wise sum: the empirical distribution of the pooled asset.
 
-    With alignment labels, samples are paired by label (intersection must be
-    non-empty).  Without labels everywhere, equal-length inputs are paired in
-    construction order, which preserves whatever cross-asset correlation the
-    caller's window ordering encodes.  Mixing labelled and unlabelled inputs
-    is refused.
+    Equal-size inputs pair in construction order, which preserves whatever
+    cross-asset correlation the caller's window ordering encodes.
     """
     dists = list(dists)
     if not dists:
         raise ValueError("need at least one distribution")
     if len(dists) == 1:
         return dists[0]
-    labelled = [d.alignment is not None for d in dists]
-    if all(labelled):
-        labels = common_labels(dists)
-        if not labels:
-            raise AlignmentError("distributions share no alignment labels")
-        total = np.zeros(len(labels))
-        for d in dists:
-            total += d.aligned_values(labels)
-        return EmpiricalDistribution(total, alignment=labels)
-    if any(labelled):
-        raise AlignmentError("cannot mix labelled and unlabelled distributions")
-    sizes = {d.n for d in dists}
-    if len(sizes) != 1:
-        raise AlignmentError(f"unlabelled distributions differ in size: {sorted(sizes)}")
-    total = np.zeros(sizes.pop())
-    for d in dists:
-        total += d.original_samples
+    paired = _paired_samples(dists)
+    total = np.zeros(paired[0].size)
+    for samples in paired:
+        total += samples
     return EmpiricalDistribution(total)
 
 

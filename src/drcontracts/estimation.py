@@ -4,9 +4,11 @@ Pipeline: decompose each complete day's 24-hour load profile into reference
 end-use shapes by non-negative least squares and take the curtailable fraction
 of the HVAC component as that day's hourly curtailment-capability estimate,
 one row of a (days x 24) array.  The buckets slice that array: the days of one
-(month, weekday/weekend) give each hour-of-day's bucket its column, an
-empirical distribution labelled by hourly timestamps, with a fitted normal
-alongside.  model.json stores the array and the fits; its reader re-buckets it.
+(month, weekday/weekend) give each hour-of-day's bucket its column, in day
+order, as an empirical distribution with a fitted normal alongside.  model.json
+stores the array and the fits; its reader re-buckets it.  Two buildings' samples
+pair by day: ``restrict_to_common`` keeps the days both have, so the same
+bucket of each restricted series holds the same days in the same order.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 from datetime import date, datetime
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -197,23 +199,35 @@ def bucket(series: CurtailableSeries) -> dict[BucketKey, EmpiricalDistribution]:
     """Pool a series' day rows into calendar buckets.
 
     The days of one (month, day type) give each hour's bucket its column of
-    samples.  Each sample carries its hour's ISO timestamp as alignment label,
-    so buckets from different buildings can be realigned.  ``estimate`` and
-    the model reader both bucket through here, by way of ``split_buckets``.
+    samples, in day order.  ``estimate`` and the model reader both bucket
+    through here, by way of ``split_buckets``; ``aggregate`` buckets the
+    series ``restrict_to_common`` returns.
     """
     groups: dict[tuple[int, bool], list[int]] = {}
     for row, day in enumerate(series.days):
         groups.setdefault((day.month, day.weekday() >= 5), []).append(row)
     out = {}
     for (month, is_weekend), rows in groups.items():
-        stamps = [series.days[row].isoformat() + "T" for row in rows]
         block = series.values[rows]
         for hour in range(HOURS_PER_DAY):
-            suffix = f"{hour:02d}:00:00"  # formatted once: a format per label slowed loads
-            labels = tuple([stamp + suffix for stamp in stamps])
-            out[BucketKey(month, hour, is_weekend)] = EmpiricalDistribution(
-                block[:, hour], alignment=labels
-            )
+            out[BucketKey(month, hour, is_weekend)] = EmpiricalDistribution(block[:, hour])
+    return out
+
+
+def restrict_to_common(series: Sequence[CurtailableSeries]) -> list[CurtailableSeries]:
+    """Each series restricted to the days all of them have, in ascending order.
+
+    This is the one rule by which buildings' samples pair: the same bucket of
+    each restricted series holds the same days in the same order.  Series
+    that share no day come back with no days.
+    """
+    shared = set(series[0].days).intersection(*(s.days for s in series[1:]))
+    out = []
+    for s in series:
+        rows = [row for row, day in enumerate(s.days) if day in shared]
+        values = s.values[rows]
+        values.flags.writeable = False
+        out.append(CurtailableSeries(tuple(s.days[r] for r in rows), values, s.skipped_days))
     return out
 
 
@@ -329,10 +343,15 @@ class CapabilityModel:
                 raise InputFormatError(
                     f"unsupported model schema version {version!r}; re-run estimate"
                 )
+            _check_keys("model", obj, ("schema_version", "metadata", "buildings"))
             meta = obj["metadata"]
             settings = ("curtailable_fraction", "min_bucket_size", "curtailable_end_use")
+            _check_keys("metadata", meta, settings + ("source_digest", "record_counts"))
             config = EstimationConfig(**{name: meta[name] for name in settings})
             counts = meta["record_counts"]
+            digest = meta["source_digest"]
+            if not (digest is None or isinstance(digest, str)):
+                raise ValueError(f"source_digest must be a string or null, got {digest!r}")
             return cls(
                 buildings={
                     bid: _read_building(bid, raw, config.min_bucket_size)
@@ -340,7 +359,7 @@ class CapabilityModel:
                 },
                 config=config,
                 record_counts={k: _count("record count", v) for k, v in counts.items()},
-                source_digest=meta.get("source_digest"),
+                source_digest=digest,
             )
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             if isinstance(exc, InputFormatError):
@@ -358,6 +377,7 @@ class CapabilityModel:
 
 def _read_building(bid: str, raw: dict, min_bucket_size: int) -> BuildingModel:
     """Re-bucket the stored days and values and attach the stored fits."""
+    _check_keys(f"building {bid!r}", raw, ("days", "values", "skipped_days", "buckets"))
     series = _read_series(raw)
     kept, dropped = split_buckets(series, min_bucket_size)
     fits = raw["buckets"]
@@ -370,6 +390,7 @@ def _read_building(bid: str, raw: dict, min_bucket_size: int) -> BuildingModel:
     buckets = {}
     for key, emp in kept.items():
         fit = fits[key.label]
+        _check_keys(f"bucket {key.label} of {bid!r}", fit, ("mu", "sigma", "fit_distance"))
         normal = NormalDistribution(_number("mu", fit["mu"]), _number("sigma", fit["sigma"]))
         buckets[key] = BucketModel(emp, normal, _number("fit_distance", fit["fit_distance"]))
     return BuildingModel(bid, series, buckets, dropped)
@@ -397,6 +418,14 @@ def _read_series(raw: dict) -> CurtailableSeries:
     if len(days) != len(rows):
         raise ValueError(f"values has {len(rows)} rows for {len(days)} days")
     return CurtailableSeries(days, values, _count("skipped_days", raw["skipped_days"]))
+
+
+def _check_keys(where: str, obj, keys: tuple[str, ...]) -> None:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be an object")
+    unknown = sorted(set(obj) - set(keys))
+    if unknown:
+        raise ValueError(f"unknown keys in {where}: {unknown}")
 
 
 def _number(name: str, value) -> float:

@@ -720,3 +720,71 @@ def test_fixture_pipeline_outputs_are_golden(tmp_path):
         for name in GOLDEN_DIGESTS
     }
     assert digests == GOLDEN_DIGESTS
+
+
+# Days made incomplete (their 12:00 reading removed) per building, so the
+# buildings' complete days overlap only in part.  acme_plant keeps the March
+# weekend days 6, 7, 13 and 14 and birch_mall keeps 14, 20, 21 and 27: both keep
+# every March weekend bucket, but with one common day, which cannot be paired.
+PARTIAL_GAPS = {
+    "acme_plant": ("2021-03-02", "2021-03-20", "2021-03-21", "2021-03-27", "2021-03-28",
+                   "2021-04-13"),
+    "birch_mall": ("2021-03-06", "2021-03-07", "2021-03-13", "2021-03-28", "2021-04-05",
+                   "2021-04-06"),
+    "cedar_office": ("2021-03-10", "2021-04-01", "2021-04-20", "2021-04-24"),
+}
+# dune_depot: cedar_office's load on exactly the days acme_plant lacks.
+DUNE_DAYS = ("2021-03-20", "2021-03-21", "2021-03-27", "2021-03-28")
+
+# SHA-256 of ranking.csv, stdout and stderr of the two partial-overlap runs,
+# recorded when samples were still paired by timestamp label.
+PARTIAL_OVERLAP_DIGESTS = {
+    "ranking.csv": "a05a0c9778b42622c98647695406696c6464012f730246eab21847e71fd7565b",
+    "stdout": "843fa4b180a5e260b3992a0fd77fb054b15882c16ea18411f1c46bd7b96d9bcd",
+    "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "disjoint stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "disjoint stderr": "b9c98ef6c5e7596830f3ca68ca978cf739578ffbc61e4bb2c8e200f7f5bcd37b",
+}
+
+
+def _partial_overlap_load(src: Path) -> str:
+    header, *rows = src.read_text().splitlines()
+    out = [header]
+    for row in rows:
+        stamp, bid, _ = row.split(",")
+        day = stamp[:10]
+        if not (day in PARTIAL_GAPS[bid] and stamp.endswith("T12:00:00")):
+            out.append(row)
+        if bid == "cedar_office" and day in DUNE_DAYS:
+            out.append(row.replace("cedar_office", "dune_depot"))
+    return "\n".join(out) + "\n"
+
+
+def test_partial_overlap_aggregation_is_golden(tmp_path, monkeypatch, capsys):
+    for name in INPUTS:
+        shutil.copy(FIXTURES / name, tmp_path / name)
+    (tmp_path / "sample_load.csv").write_text(
+        _partial_overlap_load(FIXTURES / "sample_load.csv")
+    )
+    monkeypatch.chdir(tmp_path)
+    assert run("estimate", "--config", "config.json", "--out", "model.json") == 0
+    capsys.readouterr()
+
+    def digest(text: str) -> str:
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    argv = ("aggregate", "--config", "config.json", "--base", "acme_plant", "--candidates")
+    assert run(*argv, "birch_mall", "cedar_office", "--out", "ranking.csv") == 0
+    shared = capsys.readouterr()
+    assert "unalignable buckets skipped: birch_mall:03-00-weekend" in shared.out
+    assert run(*argv, "dune_depot", "--out", "disjoint.csv") == 3
+    disjoint = capsys.readouterr()
+    assert not (tmp_path / "disjoint.csv").exists()
+    digests = {
+        "ranking.csv": hashlib.sha256((tmp_path / "ranking.csv").read_bytes()).hexdigest(),
+        "stdout": digest(shared.out),
+        "stderr": digest(shared.err),
+        "disjoint stdout": digest(disjoint.out),
+        "disjoint stderr": digest(disjoint.err),
+    }
+    assert digests == PARTIAL_OVERLAP_DIGESTS

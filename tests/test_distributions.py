@@ -1,4 +1,4 @@
-"""Empirical/normal distribution layer: moments, tails, sums, alignment."""
+"""Empirical/normal distribution layer: moments, tails, sums, pairing."""
 
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ from drcontracts import (
     NormalDistribution,
     fit_normal,
     kolmogorov_distance,
-    restrict_to_common,
     sum_empirical,
     sum_normal,
 )
@@ -309,32 +308,11 @@ class TestSums:
         total = sum_empirical(parts)
         assert total.mean() == pytest.approx(sum(p.mean() for p in parts))
 
-    def test_sum_empirical_alignment_by_label(self):
-        a = EmpiricalDistribution(
-            [1.0, 3.0, 5.0], alignment=("t1", "t2", "t3")
-        )
-        b = EmpiricalDistribution([40.0, 20.0], alignment=("t3", "t1"))
-        total = sum_empirical([a, b])
-        # Common labels are t1 and t3: sums 1+20 and 5+40.
-        assert sorted(total.samples.tolist()) == [21.0, 45.0]
-
     def test_sum_empirical_mismatched_counts_rejected(self):
         a = EmpiricalDistribution([1.0, 3.0])
         b = EmpiricalDistribution([1.0, 2.0, 3.0])
         with pytest.raises(AlignmentError):
             sum_empirical([a, b])
-
-    def test_sum_empirical_mixed_labelling_rejected(self):
-        a = EmpiricalDistribution([1.0, 3.0], alignment=("t1", "t2"))
-        b = EmpiricalDistribution([1.0, 2.0])
-        with pytest.raises(AlignmentError):
-            sum_empirical([a, b])
-
-    def test_restrict_to_common_empty_intersection(self):
-        a = EmpiricalDistribution([1.0], alignment=("t1",))
-        b = EmpiricalDistribution([2.0], alignment=("t2",))
-        with pytest.raises(AlignmentError):
-            restrict_to_common([a, b])
 
     def test_sum_normal_independence(self):
         model = CovarianceModel(
@@ -371,11 +349,16 @@ class TestSums:
     def test_covariance_from_aligned_samples(self):
         rng = np.random.default_rng(11)
         x = rng.normal(0.0, 1.0, 4000)
-        labels = tuple(f"t{i}" for i in range(4000))
-        a = EmpiricalDistribution(10.0 + x, alignment=labels)
-        b = EmpiricalDistribution(20.0 - x, alignment=labels)
+        a = EmpiricalDistribution(10.0 + x)
+        b = EmpiricalDistribution(20.0 - x)
         model = CovarianceModel.from_aligned([a, b], asset_ids=("a", "b"))
         assert model.correlation[0, 1] == pytest.approx(-1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("sizes", [(3, 2), (1, 1)])
+    def test_covariance_from_aligned_needs_two_pairs(self, sizes):
+        dists = [EmpiricalDistribution(np.arange(1.0, n + 1.0)) for n in sizes]
+        with pytest.raises(AlignmentError):
+            CovarianceModel.from_aligned(dists)
 
     def test_sum_normal_vs_sum_empirical_on_gaussian_samples(self):
         rng = np.random.default_rng(21)
@@ -386,12 +369,7 @@ class TestSums:
         b_samples = 80.0 + 4.0 * (0.5 * x + math.sqrt(1 - 0.25) * y)
         a = EmpiricalDistribution(a_samples)
         b = EmpiricalDistribution(b_samples)
-        model = CovarianceModel.from_aligned(
-            [
-                EmpiricalDistribution(a_samples, alignment=tuple(map(str, range(n)))),
-                EmpiricalDistribution(b_samples, alignment=tuple(map(str, range(n)))),
-            ]
-        )
+        model = CovarianceModel.from_aligned([a, b])
         analytic_sigma = sum_normal(model).sigma
         sampled_sigma = sum_empirical([a, b]).stddev()
         # se of a sample stddev is roughly sigma/sqrt(2n)

@@ -18,6 +18,8 @@ from drcontracts import (
     decompose_load,
     read_load_csv,
     read_shapes_csv,
+    restrict_to_common,
+    sum_empirical,
 )
 from drcontracts.estimation import (
     BucketKey,
@@ -58,6 +60,16 @@ def day_records(
         LoadRecord(date + timedelta(hours=h), building, float(loads[h]))
         for h in range(24)
     ]
+
+
+def day_column(series, key: BucketKey) -> list[float]:
+    """The key's hour over the series' days of its (month, day type), in day order."""
+    rows = [
+        row
+        for row, day in enumerate(series.days)
+        if (day.month, day.weekday() >= 5) == (key.month, key.is_weekend)
+    ]
+    return series.values[rows, key.hour].tolist()
 
 
 class TestLoadRecord:
@@ -104,9 +116,17 @@ class TestBucketKey:
         shapes = two_use_shapes()
         records = day_records("b1", datetime(2021, 3, 6), shapes, 120.0, 80.0)
         records += day_records("b1", datetime(2021, 3, 1), shapes, 120.0, 80.0)
-        buckets = bucket(curtailable_series(records, shapes, fraction=0.6))
-        assert buckets[BucketKey(3, 14, True)].alignment == ("2021-03-06T14:00:00",)
-        assert buckets[BucketKey(3, 14, False)].alignment == ("2021-03-01T14:00:00",)
+        series = curtailable_series(records, shapes, fraction=0.6)
+        assert series.days == (date(2021, 3, 1), date(2021, 3, 6))
+        buckets = bucket(series)
+        assert buckets[BucketKey(3, 14, True)].original_samples.tolist() == [
+            series.values[1, 14]
+        ]
+        assert buckets[BucketKey(3, 14, False)].original_samples.tolist() == [
+            series.values[0, 14]
+        ]
+        for key, dist in buckets.items():
+            assert dist.original_samples.tolist() == day_column(series, key)
 
     def test_label_round_trip(self):
         key = BucketKey(11, 7, True)
@@ -212,9 +232,11 @@ class TestBucketing:
         shapes = two_use_shapes()
         records = day_records("b1", datetime(2021, 3, 1), shapes, 120.0, 80.0)
         series = curtailable_series(records, shapes, fraction=0.6)
+        assert series.days == (date(2021, 3, 1),)
         buckets = bucket(series)
-        labels = buckets[BucketKey(3, 10, False)].alignment
-        assert labels == ("2021-03-01T10:00:00",)
+        assert buckets[BucketKey(3, 10, False)].original_samples.tolist() == [
+            series.values[0, 10]
+        ]
 
     def test_day_rows_across_month_end_and_weekend(self):
         shapes = two_use_shapes(weekend_scale=0.5)
@@ -230,26 +252,74 @@ class TestBucketing:
         assert series.values.shape == (6, 24) and not series.values.flags.writeable
 
         buckets = bucket(series)
-        placed: dict[str, BucketKey] = {}
+        # Every (day, hour) lands in exactly one bucket: the bucket of its
+        # hour and its day's (month, day type), which holds those days in order.
+        cells = {(d.month, h, d.weekday() >= 5) for d in series.days for h in range(24)}
+        assert {(k.month, k.hour, k.is_weekend) for k in buckets} == cells
         for key, dist in buckets.items():
-            for label in dist.alignment:
-                assert label not in placed
-                placed[label] = key
-            stamps = [datetime.fromisoformat(label) for label in dist.alignment]
-            assert {(t.month, t.hour, t.weekday() >= 5) for t in stamps} == {
-                (key.month, key.hour, key.is_weekend)
-            }
-            expected = [series.values[series.days.index(t.date()), t.hour] for t in stamps]
-            assert dist.aligned_values(dist.alignment).tolist() == expected
-        assert set(placed) == {
-            datetime(d.year, d.month, d.day, h).isoformat()
-            for d in series.days
-            for h in range(24)
-        }
-        assert len(placed) == 6 * 24
+            assert dist.original_samples.tolist() == day_column(series, key)
+        assert sum(dist.n for dist in buckets.values()) == 6 * 24
         # only Sun 2021-02-28 is left of the weekend
-        assert buckets[BucketKey(2, 9, True)].alignment == ("2021-02-28T09:00:00",)
+        sunday = series.days.index(date(2021, 2, 28))
+        assert buckets[BucketKey(2, 9, True)].original_samples.tolist() == [
+            series.values[sunday, 9]
+        ]
         assert buckets[BucketKey(3, 9, False)].n == 3
+
+
+class TestRestrictToCommon:
+    """Buildings pair their samples by day, through restrict_to_common."""
+
+    @staticmethod
+    def series_of(building: str, days: list[int], gaps: tuple[int, ...] = ()):
+        """March 2021 days, in the order given; a day in gaps misses its last hour."""
+        shapes = two_use_shapes(weekend_scale=0.5)
+        records: list[LoadRecord] = []
+        for day in days:
+            hours = day_records(
+                building, datetime(2021, 3, day), shapes, 100.0 + day, 40.0 + 3.0 * day
+            )
+            records += hours[:23] if day in gaps else hours
+        return curtailable_series(records, shapes, fraction=0.6)
+
+    def test_shared_days_in_ascending_order(self):
+        a = self.series_of("a", [1, 2, 3, 4, 5, 6])
+        b = self.series_of("b", [3, 4, 5, 6, 7, 8, 9], gaps=(4,))
+        ra, rb = restrict_to_common([a, b])
+        shared = (date(2021, 3, 3), date(2021, 3, 5), date(2021, 3, 6))
+        assert ra.days == rb.days == shared
+        for full, restricted in ((a, ra), (b, rb)):
+            rows = [full.days.index(day) for day in shared]
+            assert restricted.values.tobytes() == full.values[rows].tobytes()
+            assert not restricted.values.flags.writeable
+        assert restrict_to_common([a])[0].days == a.days
+
+    def test_days_shuffled_across_two_series(self):
+        a = self.series_of("a", [8, 1, 5, 2, 4])
+        b = self.series_of("b", [9, 5, 1, 8, 2, 3])
+        ra, rb = restrict_to_common([a, b])
+        shared = [date(2021, 3, d) for d in (1, 2, 5, 8)]
+        assert list(ra.days) == list(rb.days) == shared
+        ba, bb = bucket(ra), bucket(rb)
+        assert set(ba) == set(bb)
+        for key in ba:
+            # The k-th samples of a bucket pair come from the same day.
+            cell = (key.month, key.is_weekend)
+            days = [d for d in shared if (d.month, d.weekday() >= 5) == cell]
+            expected = [
+                a.values[a.days.index(d), key.hour] + b.values[b.days.index(d), key.hour]
+                for d in days
+            ]
+            total = sum_empirical([ba[key], bb[key]])
+            assert total.original_samples.tolist() == expected
+
+    def test_no_shared_day_gives_empty_series(self):
+        a = self.series_of("a", [1, 2])
+        b = self.series_of("b", [3, 4])
+        for restricted in restrict_to_common([a, b]):
+            assert restricted.days == ()
+            assert restricted.values.shape == (0, 24)
+            assert bucket(restricted) == {}
 
 
 class TestCapabilityModel:
@@ -323,10 +393,17 @@ class TestCapabilityModel:
             for key, fit in built.buckets.items():
                 back = loaded.buckets[key]
                 assert back.empirical.samples.tobytes() == fit.empirical.samples.tobytes()
-                assert back.empirical.alignment == fit.empirical.alignment
+                assert back.empirical.original_samples.tolist() == day_column(
+                    loaded.series, key
+                )
                 assert back.normal.mu.hex() == fit.normal.mu.hex()
                 assert back.normal.sigma.hex() == fit.normal.sigma.hex()
                 assert back.fit_distance.hex() == fit.fit_distance.hex()
+
+    def test_null_source_digest_loads(self):
+        obj = json.loads(model_json_text(self.build_small_model()))
+        obj["metadata"]["source_digest"] = None
+        assert CapabilityModel.from_json_dict(obj).source_digest is None
 
     def test_schema_version_checked(self):
         model = self.build_small_model()
@@ -368,6 +445,16 @@ class TestCapabilityModel:
                 "bucket labels",
             ),
             (("schema_version",), 1, "re-run estimate"),
+            (("comment",), "x", r"unknown keys in model: \['comment'\]"),
+            (("metadata", "days_used"), 10, r"unknown keys in metadata: \['days_used'\]"),
+            (("buildings", "b1", "days_used"), 61.9, r"building 'b1': \['days_used'\]"),
+            (
+                ("buildings", "b1", "buckets", "03-10-weekday", "samples"),
+                [1.0],
+                r"bucket 03-10-weekday of 'b1': \['samples'\]",
+            ),
+            (("buildings", "b1"), [], "building 'b1' must be an object"),
+            (("metadata", "source_digest"), 5, "source_digest must be a string or null"),
         ],
     )
     def test_field_types_checked_not_coerced(self, path, value, named):
