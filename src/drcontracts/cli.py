@@ -9,7 +9,8 @@ Four subcommands mirror the workflow stages:
 
 Every command is a pure function of (input files, config, seed): re-runs
 write byte-identical output.  Exit codes: 0 success, 2 input error, 3
-model-consistency error.
+model-consistency error.  An output file that cannot be written is an
+input error.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from .contracts import (
 from .errors import (
     AlignmentError,
     DrContractsError,
-    IllPosedProgramError,
     InputFormatError,
     ModelConsistencyError,
     UnconstrainedContractError,
@@ -276,9 +276,9 @@ def _parse_alpha_sweep(spec_text: str) -> np.ndarray:
         raise InputFormatError(
             f"--alpha-sweep expects numeric a0:a1:n, got {spec_text!r}"
         ) from None
-    if n < 2 or a1 <= a0 or a0 < 0.0:
+    if n < 2 or not 0.0 <= a0 < a1 < math.inf:
         raise InputFormatError(
-            f"--alpha-sweep needs 0 <= a0 < a1 and n >= 2, got {spec_text!r}"
+            f"--alpha-sweep needs finite 0 <= a0 < a1 and n >= 2, got {spec_text!r}"
         )
     return np.linspace(a0, a1, n)
 
@@ -517,6 +517,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             for row in rows
         ],
     }
+    # The report goes last, so a failed profits write leaves no report behind.
+    if args.profits_csv:
+        write_profits_csv(args.profits_csv, result)
     Path(args.out).write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
     print(f"{'quantity':<28} {'simulated':>14} {'analytic':>14} {'z':>8}")
@@ -531,7 +534,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             worst = max(worst, abs(z))
     print(f"max |z| = {worst:.2f} over {result.n_trials} trials x {result.windows} windows")
     if args.profits_csv:
-        write_profits_csv(args.profits_csv, result)
         print(f"per-trial profits written to {args.profits_csv}")
     print(f"report written to {args.out}")
     return 0
@@ -636,7 +638,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ModelConsistencyError, AlignmentError, UnconstrainedContractError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (InputFormatError, IllPosedProgramError, DrContractsError, ValueError) as exc:
+    except (DrContractsError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -2,18 +2,23 @@
 
 Everything here is deliberately written against different machinery than the
 package itself (adaptive quadrature, projected gradient, direct summation),
-so an implementation bug and its test cannot share a root cause.
+so an implementation bug and its test cannot share a root cause.  The one
+exception is ``passive_set_search_nnls``: it shares the package's passive-set
+solve, so that its agreement with the package's Lawson-Hanson loop can be
+checked bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import combinations
 
 import numpy as np
 from scipy import integrate, stats
 
 from drcontracts import simulation
 from drcontracts.distributions import NormalDistribution
+from drcontracts.nnls import GRADIENT_TOLERANCE, _solve_passive
 from drcontracts.program import ProgramTerms
 
 
@@ -89,6 +94,36 @@ def projected_gradient_nnls(
         grad = a.T @ (a @ x - b)
         x = np.maximum(x - step * grad, 0.0)
     return x
+
+
+def passive_set_search_nnls(a, b) -> tuple[np.ndarray, float]:
+    """Minimize ``||a @ x - b||`` subject to ``x >= 0`` by trying every passive set.
+
+    With full column rank the minimizer is the one point that passes the KKT
+    test: on its passive set S the weights are the least squares over S and
+    all > 0, and off S the gradient ``a.T @ (b - a @ x)`` is <= 0.  The search
+    tries every S, from size min(m, n) down to 0 and lexicographically within
+    a size, and returns the first that passes.  The gradient tolerance scales
+    with ``m * max|a| * max|b|``, so rounding on exact fits at any load scale
+    does not reject the optimum.  Up to 2**n solves: keep n small.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    m, n = a.shape
+    scale = m * np.abs(a).max(initial=0.0) * np.abs(b).max(initial=0.0)
+    tol = GRADIENT_TOLERANCE * max(1.0, scale)
+    for size in range(min(m, n), -1, -1):
+        for support in combinations(range(n), size):
+            passive = np.zeros(n, dtype=bool)
+            passive[list(support)] = True
+            x = np.zeros(n)
+            x[passive] = _solve_passive(a, b, passive)
+            if not np.all(x[passive] > 0.0):
+                continue
+            residual = b - a @ x
+            if np.all((a.T @ residual)[~passive] <= tol):
+                return x, float(np.linalg.norm(residual))
+    raise AssertionError(f"no passive set passes the KKT test for a of shape {a.shape}")
 
 
 def empirical_distribution_cvar(

@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import warnings
+from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
@@ -21,8 +22,11 @@ from drcontracts.cli import (
     main,
     spearman_rho,
 )
+from drcontracts.estimation import read_shapes_csv
+from oracles import passive_set_search_nnls
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+SRC = FIXTURES.parent / "src"
 INPUTS = ("config.json", "sample_load.csv", "shapes.csv")
 
 
@@ -328,7 +332,9 @@ class TestContract:
         totals = [float(line.split(",")[1]) for line in lines[1:]]
         assert totals == sorted(totals, reverse=True)
 
-    @pytest.mark.parametrize("spec_text", ["1:2", "2:1:5", "0:1:1", "a:b:3", "-1:1:3"])
+    @pytest.mark.parametrize(
+        "spec_text", ["1:2", "2:1:5", "0:1:1", "a:b:3", "-1:1:3", "nan:1:3", "0:inf:3"]
+    )
     def test_alpha_sweep_parse_errors(self, workspace, spec_text, capsys):
         code = run(
             "contract",
@@ -343,6 +349,7 @@ class TestContract:
         assert code == 2
         assert "--alpha-sweep" in capsys.readouterr().err
         assert not (workspace / "y.csv").exists()
+        assert not (workspace / "y_alpha_sweep.csv").exists()
 
     def test_building_without_buckets_writes_nothing(self, tmp_path, capsys):
         for name in INPUTS:
@@ -630,6 +637,29 @@ class TestSimulate:
         assert "duplicate" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("estimate", "--out", "missing/model.json"),
+        ("contract", "--building", "acme_plant", "--out", "missing/contracts.csv"),
+        ("aggregate", "--base", "acme_plant", "--candidates", "birch_mall",
+         "--out", "missing/ranking.csv"),
+        ("simulate", "--building", "acme_plant", "--out", "missing/report.json"),
+        ("simulate", "--building", "acme_plant", "--out", "unwritten.json",
+         "--profits-csv", "missing/profits.csv"),
+    ],
+    ids=["estimate", "contract", "aggregate", "simulate", "simulate-profits"],
+)
+def test_unwritable_output_is_input_error(workspace, monkeypatch, capsys, argv):
+    monkeypatch.chdir(workspace)
+    assert run(argv[0], "--config", "config.json", *argv[1:]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "missing" in err
+    assert not (workspace / "missing").exists()
+    assert not (workspace / "unwritten.json").exists()
+
+
 class TestSpearman:
     @staticmethod
     def printed(x, y) -> tuple[str, str]:
@@ -669,6 +699,8 @@ class TestSpearman:
 
 def test_cli_import_leaves_scipy_stats_unloaded():
     """scipy.stats costs most of a second at start-up, which every CLI call pays."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     out = subprocess.run(
         [
             sys.executable,
@@ -677,7 +709,7 @@ def test_cli_import_leaves_scipy_stats_unloaded():
         ],
         capture_output=True,
         text=True,
-        env=os.environ,
+        env=env,
         check=True,
     )
     assert out.stdout.strip() == "False"
@@ -788,3 +820,56 @@ def test_partial_overlap_aggregation_is_golden(tmp_path, monkeypatch, capsys):
         "disjoint stderr": digest(disjoint.err),
     }
     assert digests == PARTIAL_OVERLAP_DIGESTS
+
+
+# SHA-256 of estimate's model.json and stdout on the active-bound load,
+# recorded with the Lawson-Hanson solver.
+ACTIVE_BOUND_DIGESTS = {
+    "model.json": "f7765adadff080abd0cfca0371401dba967511e400504cf51511aa52f910b931",
+    "stdout": "a4dab9d655b02736ae0cc3d1fc1e55fcf20021b40e58b796851318ce37d4d78e",
+}
+
+
+def _active_bound_days(shapes) -> dict[date, np.ndarray]:
+    """Six weeks of noisy fixture-shape days; every third day has no HVAC and the
+    day after it no lighting, so noise pushes many unconstrained fits negative."""
+    rng = np.random.default_rng(13)
+    days = {}
+    for i in range(42):
+        day = date(2021, 3, 1) + timedelta(days=i)
+        weights = np.array([200.0, 300.0, 100.0])
+        if i % 3 < 2:
+            weights[1 + i % 3] = 0.0
+        load = shapes.day_matrix(day.weekday() >= 5) @ weights
+        load = np.maximum(load + rng.normal(0.0, 1.0, 24), 0.0)
+        # The values as the CSV will carry them.
+        days[day] = np.array([float(f"{v:.6f}") for v in load])
+    return days
+
+
+def test_active_bound_estimate_is_golden(tmp_path, monkeypatch, capsys):
+    for name in INPUTS:
+        shutil.copy(FIXTURES / name, tmp_path / name)
+    shapes = read_shapes_csv(tmp_path / "shapes.csv", "hvac")
+    days = _active_bound_days(shapes)
+    rows = ["timestamp,building_id,load_kwh"]
+    clamped = 0
+    for day, profile in days.items():
+        rows += [
+            f"{day.isoformat()}T{h:02d}:00:00,zed_lab,{v:.6f}"
+            for h, v in enumerate(profile)
+        ]
+        weights, _ = passive_set_search_nnls(shapes.day_matrix(day.weekday() >= 5), profile)
+        clamped += bool(np.any(weights == 0.0))
+    (tmp_path / "sample_load.csv").write_text("\n".join(rows) + "\n")
+    assert clamped >= 1
+
+    monkeypatch.chdir(tmp_path)
+    assert run("estimate", "--config", "config.json", "--out", "model.json") == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    digests = {
+        "model.json": hashlib.sha256((tmp_path / "model.json").read_bytes()).hexdigest(),
+        "stdout": hashlib.sha256(out.out.encode()).hexdigest(),
+    }
+    assert digests == ACTIVE_BOUND_DIGESTS
