@@ -5,6 +5,18 @@ empirical distribution over stored historical samples, and a normal
 approximation used where closed forms exist.  Both expose the same surface
 (cdf, quantile, partial/shortfall expectation, moments, sampling) so the
 contract optimizer does not care which one it is given.
+
+The standard normal cdf and quantile are the package's own, with NumPy and
+the math module only:
+
+* the quantile is Wichura's AS 241, PPND16 (Applied Statistics 37, 1988),
+  the algorithm and coefficients of CPython's ``statistics.NormalDist``;
+  it stays within 8 ulp of ``scipy.special.ndtri`` down to u = 1e-300;
+* the cdf is 0.5*erfc(-z/sqrt(2)), or 0.5 + 0.5*erf(z/sqrt(2)) for
+  |z| < sqrt(2) as in SciPy, through the C library's ``erf``/``erfc``, which descend from
+  Cody's rational Chebyshev approximations (Math. Comp. 23, 1969).  It
+  stays within 16 ulp of ``scipy.special.ndtr`` for |z| <= 5 and within
+  1e-13 relative down to z = -37.5.
 """
 
 from __future__ import annotations
@@ -16,7 +28,6 @@ from functools import cached_property
 from typing import Sequence, Union
 
 import numpy as np
-from scipy import special
 
 from .errors import AlignmentError
 
@@ -24,6 +35,7 @@ from .errors import AlignmentError
 CLIPPED_MASS_WARN = 1e-3
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_SQRT1_2 = math.sqrt(0.5)
 
 
 class ClippedMassWarning(UserWarning):
@@ -36,14 +48,143 @@ def standard_normal_pdf(z):
     return out if out.ndim else float(out)
 
 
+def _ndtr(z: float) -> float:
+    x = z * _SQRT1_2
+    if abs(x) < 1.0:
+        return 0.5 + 0.5 * math.erf(x)
+    y = 0.5 * math.erfc(abs(x))
+    return 1.0 - y if x > 0.0 else y
+
+
 def standard_normal_cdf(z):
-    out = special.ndtr(np.asarray(z, dtype=float))
-    return out if out.ndim else float(out)
+    """Phi(z), elementwise; NaN maps to NaN."""
+    z = np.asarray(z, dtype=float)
+    if not z.ndim:
+        return _ndtr(float(z))
+    return np.array([_ndtr(v) for v in z.ravel().tolist()]).reshape(z.shape)
+
+
+# AS 241 (PPND16) numerator and denominator coefficients, highest power
+# first, for the central region |u - 0.5| <= 0.425, the tail
+# r = sqrt(-ln min(u, 1 - u)) <= 5, and the far tail.
+_CENTRAL = (
+    (2.5090809287301226727e3, 3.3430575583588128105e4, 6.7265770927008700853e4,
+     4.5921953931549871457e4, 1.3731693765509461125e4, 1.9715909503065514427e3,
+     1.3314166789178437745e2, 3.3871328727963666080e0),
+    (5.2264952788528545610e3, 2.8729085735721942674e4, 3.9307895800092710610e4,
+     2.1213794301586595867e4, 5.3941960214247511077e3, 6.8718700749205790830e2,
+     4.2313330701600911252e1, 1.0),
+)
+_TAIL = (
+    (7.74545014278341407640e-4, 2.27238449892691845833e-2, 2.41780725177450611770e-1,
+     1.27045825245236838258e0, 3.64784832476320460504e0, 5.76949722146069140550e0,
+     4.63033784615654529590e0, 1.42343711074968357734e0),
+    (1.05075007164441684324e-9, 5.47593808499534494600e-4, 1.51986665636164571966e-2,
+     1.48103976427480074590e-1, 6.89767334985100004550e-1, 1.67638483018380384940e0,
+     2.05319162663775882187e0, 1.0),
+)
+_FAR_TAIL = (
+    (2.01033439929228813265e-7, 2.71155556874348757815e-5, 1.24266094738807843860e-3,
+     2.65321895265761230930e-2, 2.96560571828504891230e-1, 1.78482653991729133580e0,
+     5.46378491116411436990e0, 6.65790464350110377720e0),
+    (2.04426310338993978564e-15, 1.42151175831644588870e-7, 1.84631831751005468180e-5,
+     7.86869131145613259100e-4, 1.48753612908506148525e-2, 1.36929880922735805310e-1,
+     5.99832206555887937690e-1, 1.0),
+)
+
+# The helpers below take a float or an array and do the same IEEE operations
+# in the same order on either (on an array, in place), so a scalar gives the
+# bits it gives inside an array.
+
+
+def _horner(coeffs, r):
+    acc = coeffs[0] * r
+    for c in coeffs[1:-1]:
+        acc += c
+        acc *= r
+    acc += coeffs[-1]
+    return acc
+
+
+def _central(q):
+    """Phi^-1(0.5 + q) for |q| <= 0.425."""
+    r = 0.180625 - q * q
+    x = _horner(_CENTRAL[0], r)
+    x *= q
+    x /= _horner(_CENTRAL[1], r)
+    return x
+
+
+def _rational(coeffs, r):
+    x = _horner(coeffs[0], r)
+    x /= _horner(coeffs[1], r)
+    return x
+
+
+def _ndtri(u: float) -> float:
+    q = u - 0.5
+    if abs(q) <= 0.425:
+        return _central(q)
+    tail = u if q < 0.0 else 1.0 - u
+    if not tail > 0.0:  # u = 0 or 1, outside [0, 1], or NaN
+        x = math.inf if tail == 0.0 else math.nan
+    else:
+        # np.log, not math.log: the two can differ in the last bit.
+        r = math.sqrt(-float(np.log(tail)))
+        x = _rational(_TAIL, r - 1.6) if r <= 5.0 else _rational(_FAR_TAIL, r - 5.0)
+    return -x if q < 0.0 else x
+
+
+def _tail_point(tail: np.ndarray) -> np.ndarray:
+    """-Phi^-1(tail) for tails below 0.075, as _ndtri takes it; overwrites tail."""
+    inside = tail > 0.0
+    if not inside.all():
+        x = np.where(tail == 0.0, np.inf, np.nan)
+        x[inside] = _tail_point(tail[inside])
+        return x
+    r = np.log(tail, out=tail)
+    np.negative(r, out=r)
+    np.sqrt(r, out=r)
+    near = r <= 5.0
+    if near.all():
+        r -= 1.6
+        return _rational(_TAIL, r)
+    x = np.empty_like(r)
+    x[near] = _rational(_TAIL, r[near] - 1.6)
+    x[~near] = _rational(_FAR_TAIL, r[~near] - 5.0)
+    return x
+
+
+def _ndtri_array(u: np.ndarray) -> np.ndarray:
+    """_ndtri elementwise, each branch on the elements that take it."""
+    q = u - 0.5
+    out = np.full_like(u, np.nan)
+    central = np.abs(q) <= 0.425
+    out[central] = _central(q[central])
+    low = q < -0.425
+    x = _tail_point(u[low])
+    out[low] = np.negative(x, out=x)
+    high = q > 0.425
+    out[high] = _tail_point(1.0 - u[high])
+    return out
 
 
 def standard_normal_quantile(u):
-    out = special.ndtri(np.asarray(u, dtype=float))
-    return out if out.ndim else float(out)
+    """Phi^-1(u), elementwise: -inf at 0, +inf at 1, NaN outside [0, 1]."""
+    u = np.asarray(u, dtype=float)
+    if not u.ndim:
+        return _ndtri(float(u))
+    return _ndtri_array(u)
+
+
+def clipped_normal_transform(mu, sigma, u):
+    """max(mu + sigma * Phi^-1(u), 0), elementwise: the draws of N(mu, sigma).
+
+    mu and sigma are scalars or arrays that broadcast against u.  IEEE
+    arithmetic is elementwise, so one call over many groups' cells returns
+    the bits of one call per group.
+    """
+    return np.maximum(mu + sigma * standard_normal_quantile(u), 0.0)
 
 
 def _check_unit_interval(u: np.ndarray) -> None:
@@ -175,7 +316,7 @@ class NormalDistribution:
         if self.sigma == 0.0:
             out = np.where(x >= self.mu, 1.0, 0.0)
         else:
-            out = special.ndtr((x - self.mu) / self.sigma)
+            out = standard_normal_cdf((x - self.mu) / self.sigma)
         return out if np.ndim(x) else float(out)
 
     def quantile(self, u):
@@ -185,7 +326,7 @@ class NormalDistribution:
         if self.sigma == 0.0:
             out = np.full_like(u_arr, self.mu)
         else:
-            out = self.mu + self.sigma * special.ndtri(u_arr)
+            out = self.mu + self.sigma * standard_normal_quantile(u_arr)
         return out if np.ndim(u) else float(out)
 
     def partial_expectation(self, c):
@@ -199,7 +340,8 @@ class NormalDistribution:
         else:
             z0 = (0.0 - self.mu) / self.sigma
             zc = (c_arr - self.mu) / self.sigma
-            out = self.mu * (special.ndtr(zc) - special.ndtr(z0)) - self.sigma * (
+            mass = standard_normal_cdf(zc) - standard_normal_cdf(z0)
+            out = self.mu * mass - self.sigma * (
                 standard_normal_pdf(zc) - standard_normal_pdf(z0)
             )
         return out if np.ndim(c) else float(out)
@@ -219,7 +361,7 @@ class NormalDistribution:
         """Probability mass below zero (removed by clipping on draw)."""
         if self.sigma == 0.0:
             return 1.0 if self.mu < 0.0 else 0.0
-        return float(special.ndtr(-self.mu / self.sigma))
+        return standard_normal_cdf(-self.mu / self.sigma)
 
     def warn_clipped_mass(self, stacklevel: int) -> None:
         """Raise a ClippedMassWarning if the clipped mass is material.
@@ -242,7 +384,7 @@ class NormalDistribution:
         if self.sigma == 0.0:
             out = np.full_like(u_arr, max(self.mu, 0.0))
         else:
-            out = np.maximum(self.mu + self.sigma * special.ndtri(u_arr), 0.0)
+            out = clipped_normal_transform(self.mu, self.sigma, u_arr)
         return out if np.ndim(u) else float(out)
 
     def sample(self, rng: np.random.Generator, size=None):

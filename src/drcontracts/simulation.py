@@ -26,6 +26,7 @@ from .distributions import (
     CurtailmentDistribution,
     EmpiricalDistribution,
     NormalDistribution,
+    clipped_normal_transform,
 )
 from .errors import ModelConsistencyError
 from .formatting import is_integer, sig9
@@ -302,7 +303,9 @@ def simulate_horizon(
     of the first, and transforms only the cells that need a capability
     value: the events, which settle, and the tail candidates, cells whose
     capability uniform lies below the group's _tail_level.  Single-point
-    groups have no candidates; every draw is in their tail.
+    groups have no candidates; every draw is in their tail.  The cells of
+    all normal groups with sigma > 0 go through one inverse-cdf call per
+    chunk; the other groups transform their own cells.
     """
     plan = _normalize_plan(terms, capability, contracts, config, schedule)
     n_trials = config.n_trials
@@ -315,6 +318,10 @@ def simulate_horizon(
     cutoffs = np.empty(n_groups)
     group_contracts = np.empty(n_groups)
     group_clip = np.zeros(n_groups)
+    # Normal groups with sigma > 0: one transform call per chunk covers them all.
+    batched = np.zeros(n_groups, dtype=bool)
+    normal_mu = np.zeros(n_groups)
+    normal_sigma = np.zeros(n_groups)
     # (group index, window count, tail term) of each point group
     point_tails = []
     for g, group in enumerate(groups):
@@ -331,6 +338,8 @@ def simulate_horizon(
             dist.warn_clipped_mass(stacklevel=2)
             if dist.sigma > 0.0:
                 group_clip[g] = dist.clipped_mass()
+                batched[g] = True
+                normal_mu[g], normal_sigma[g] = dist.mu, dist.sigma
 
     def run_chunk(row_start: int):
         n_rows = min(CHUNK_TRIALS, n_trials - row_start)
@@ -352,10 +361,15 @@ def simulate_horizon(
         is_event = order < event_cells.size
         u_cells = u_cap.reshape(-1)[cells]
         q_cells = np.empty_like(u_cells)
+        normal = batched[cell_group]
+        g = cell_group[normal]
+        q_cells[normal] = clipped_normal_transform(
+            normal_mu[g], normal_sigma[g], u_cells[normal]
+        )
         start = 0
         ends = np.cumsum(np.bincount(cell_group, minlength=n_groups)).tolist()
-        for group, end in zip(groups, ends):
-            if end > start:
+        for group, end, in_batch in zip(groups, ends, batched.tolist()):
+            if end > start and not in_batch:
                 q_cells[start:end] = group.dist.transform_uniform(u_cells[start:end])
             start = end
 

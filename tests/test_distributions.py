@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import stats
+from scipy import special, stats
 
 from drcontracts import (
     AlignmentError,
@@ -19,6 +19,11 @@ from drcontracts import (
     kolmogorov_distance,
     sum_empirical,
     sum_normal,
+)
+from drcontracts.distributions import (
+    clipped_normal_transform,
+    standard_normal_cdf,
+    standard_normal_quantile,
 )
 from oracles import quad_partial_expectation, quad_shortfall_expectation
 
@@ -250,6 +255,125 @@ class TestNormal:
         dist = NormalDistribution(0.0, 1.0)
         assert dist.transform_uniform(np.array([0.2, 0.8]))[0] == 0.0
         assert not [w for w in recwarn if w.category is ClippedMassWarning]
+
+
+def _ulps(ours: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    """|ours - reference| in units in the last place of reference; non-finite
+    references must be matched exactly."""
+    finite = np.isfinite(reference)
+    assert np.array_equal(ours[~finite], reference[~finite])
+    ref = reference[finite]
+    return np.abs(ours[finite] - ref) / np.spacing(np.abs(ref))
+
+
+def _around(points, steps=200) -> np.ndarray:
+    """Every double within `steps` representable values of each point."""
+    out = []
+    for x in points:
+        up = down = x
+        out.append(x)
+        for _ in range(steps):
+            up, down = math.nextafter(up, math.inf), math.nextafter(down, -math.inf)
+            out += [up, down]
+    return np.array(out)
+
+
+# The quantile's branch points: |u - 0.5| = 0.425 and r = sqrt(-ln u) = 5.
+QUANTILE_BRANCHES = (0.075, 0.925, math.exp(-25.0), 1.0 - math.exp(-25.0))
+
+
+def _quantile_grid() -> np.ndarray:
+    tails = np.logspace(-300.0, math.log10(0.5), 20_001)
+    return np.concatenate(
+        (np.linspace(0.0, 1.0, 200_001), tails, 1.0 - tails, _around(QUANTILE_BRANCHES))
+    )
+
+
+class TestStandardNormal:
+    """The package's cdf and quantile against SciPy's, the test oracle."""
+
+    def test_quantile_within_8_ulp_dense(self):
+        u = np.linspace(0.0, 1.0, 1_000_001)
+        assert _ulps(standard_normal_quantile(u), special.ndtri(u)).max() <= 8.0
+
+    def test_quantile_within_8_ulp_in_the_tails(self):
+        tails = np.logspace(-300.0, math.log10(0.5), 20_001)
+        for u in (tails, 1.0 - tails):
+            assert _ulps(standard_normal_quantile(u), special.ndtri(u)).max() <= 8.0
+
+    def test_quantile_within_8_ulp_across_branch_points(self):
+        u = _around(QUANTILE_BRANCHES)
+        assert _ulps(standard_normal_quantile(u), special.ndtri(u)).max() <= 8.0
+
+    def test_cdf_within_16_ulp_near_the_centre(self):
+        z = np.linspace(-5.0, 5.0, 200_001)
+        assert _ulps(standard_normal_cdf(z), special.ndtr(z)).max() <= 16.0
+
+    def test_cdf_relative_error_down_to_the_normal_range(self):
+        # Phi(-37.5) is about 4.6e-308, the smallest normal double's order.
+        z = np.linspace(-37.5, -5.0, 100_001)
+        reference = special.ndtr(z)
+        rel = np.abs(standard_normal_cdf(z) - reference) / reference
+        assert rel.max() <= 1e-13
+
+    def test_cdf_limits(self):
+        assert standard_normal_cdf(np.array([-np.inf, 0.0, np.inf])).tolist() == [
+            0.0, 0.5, 1.0
+        ]
+
+    def test_quantile_endpoints_and_out_of_range(self):
+        # filterwarnings = error: no RuntimeWarning may escape either call.
+        u = np.array([0.0, 1.0, -0.1, 1.1, -np.inf, np.inf])
+        out = standard_normal_quantile(u)
+        assert out[:2].tolist() == [-np.inf, np.inf]
+        assert np.isnan(out[2:]).all()
+        assert [standard_normal_quantile(float(v)) for v in u[:2]] == [-np.inf, np.inf]
+        assert all(math.isnan(standard_normal_quantile(float(v))) for v in u[2:])
+
+    @pytest.mark.parametrize("fn", [standard_normal_cdf, standard_normal_quantile])
+    def test_nan_propagates(self, fn):
+        assert math.isnan(fn(math.nan))
+        out = fn(np.array([0.25, math.nan, 0.75]))
+        assert np.isnan(out).tolist() == [False, True, False]
+
+    @pytest.mark.parametrize("fn", [standard_normal_cdf, standard_normal_quantile])
+    def test_shapes_and_scalar_types(self, fn):
+        assert isinstance(fn(0.3), float)
+        assert isinstance(fn(np.float64(0.3)), float)
+        assert isinstance(fn(np.array(0.3)), float)
+        assert fn(np.empty((0, 3))).shape == (0, 3)
+        grid = np.array([[0.1, 0.2, 0.3], [0.6, 0.7, 0.99]])
+        assert fn(grid).shape == (2, 3)
+        assert fn(grid).ravel().tolist() == fn(grid.ravel()).tolist()
+
+    def test_quantile_scalar_is_bitwise_the_array_element(self):
+        u = _quantile_grid()
+        scalars = np.array([standard_normal_quantile(v) for v in u.tolist()])
+        assert scalars.tobytes() == standard_normal_quantile(u).tobytes()
+
+    def test_cdf_scalar_is_bitwise_the_array_element(self):
+        z = np.concatenate((np.linspace(-40.0, 10.0, 50_001), _around([-1.0, 1.0], 50)))
+        scalars = np.array([standard_normal_cdf(v) for v in z.tolist()])
+        assert scalars.tobytes() == standard_normal_cdf(z).tobytes()
+
+    def test_batched_transform_is_bitwise_per_group(self):
+        dists = [
+            NormalDistribution(100.0, 10.0),
+            NormalDistribution(1.0, 2.0),
+            NormalDistribution(1e9, 1e-9),
+            NormalDistribution(0.3, 7.0),
+        ]
+        rng = np.random.default_rng(5)
+        group = rng.integers(0, len(dists), 5_000)
+        u = np.concatenate((rng.random(4_990), [0.0, 1e-300, 0.075, 0.925, 0.5]))
+        u = np.concatenate((u, [1.0 - 1e-16, 1e-12, 0.3, 0.9, 0.01]))
+        mu = np.array([d.mu for d in dists])
+        sigma = np.array([d.sigma for d in dists])
+        batched = clipped_normal_transform(mu[group], sigma[group], u)
+        per_group = np.empty_like(u)
+        for g, dist in enumerate(dists):
+            per_group[group == g] = dist.transform_uniform(u[group == g])
+        assert batched.tobytes() == per_group.tobytes()
 
 
 class TestFitNormal:

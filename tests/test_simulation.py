@@ -357,6 +357,39 @@ class TestSparseChunkMatchesDense:
                 )
             assert_bitwise_equal(result, oracle)
 
+    def test_normal_groups_share_one_transform_per_chunk(self, monkeypatch):
+        """Every sigma > 0 normal cell of a chunk goes through one batched call,
+        and the result is the dense oracle's, whose transforms go group by group."""
+        monkeypatch.setattr("drcontracts.simulation.CHUNK_TRIALS", 64)
+        batched_calls = []
+        batched = simulation.clipped_normal_transform
+
+        def spy(mu, sigma, u):
+            batched_calls.append(np.unique(sigma).size)
+            return batched(mu, sigma, u)
+
+        monkeypatch.setattr(simulation, "clipped_normal_transform", spy)
+        per_group = []
+        transform = NormalDistribution.transform_uniform
+
+        def spy_normal(self, u):
+            per_group.append(self.sigma)
+            return transform(self, u)
+
+        terms = ProgramTerms(pi_e=4.0, pi_r=0.01, pi_p=5.0, p=0.05)
+        capability, contracts, schedule, _ = sparse_cases()["mixed"]
+        config = small_config(n_trials=300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ClippedMassWarning)
+            with monkeypatch.context() as m:
+                m.setattr(NormalDistribution, "transform_uniform", spy_normal)
+                result = simulate_horizon(terms, capability, contracts, config, schedule)
+            oracle = dense_simulate_horizon(terms, capability, contracts, config, schedule)
+        assert_bitwise_equal(result, oracle)
+        assert len(batched_calls) == 5  # 300 trials in 64-trial chunks
+        assert max(batched_calls) > 1  # several groups in one call
+        assert set(per_group) == {0.0}  # only point masses go group by group
+
 
 class TestClippedMassWarning:
     """A clipped normal group warns once per call, however many chunks it spans."""
