@@ -1,9 +1,9 @@
 """Settlement kernel of the Monte Carlo engine.
 
-`simulation.simulate_horizon` finds each chunk's event cells and transforms
-their capability uniforms; the kernel settles those cells.  The engine calls
-it as ``_kernels.settle_trials``, once per chunk, so that tracing code can
-wrap the module attribute.
+`simulation.simulate_horizon` draws each chunk's event cells and their
+capability; the kernel settles those cells.  The engine calls it as
+``_kernels.settle_trials``, once per chunk, so that tracing code can wrap the
+module attribute.
 """
 
 from __future__ import annotations
@@ -27,23 +27,19 @@ def settle_trials(
     contracts: (windows,) contracted sizes, kWh.
 
     Returns (profit per trial, event count per trial, shortfall count per trial).
-    The event terms are scattered into a dense zero block before the row sums,
-    so each profit adds the same values in the same positions as a sum over
-    every window with 0 at the non-events, whatever the order of the cells.
+    Each profit is the reservation revenue plus the row's event terms, which
+    np.bincount adds one by one in the order of the cells.
     """
     if cells.ndim != 1 or capability.shape != cells.shape:
         raise ValueError("cells and capability must be 1-d arrays of one length")
     if contracts.ndim != 1:
         raise ValueError("contracts must have one entry per window")
 
-    n_windows = contracts.size
-    rows, cols = np.divmod(cells, n_windows)
+    rows, cols = np.divmod(cells, contracts.size)
     c = contracts[cols]
     delivered = np.minimum(capability, c)
-    event_terms = np.zeros((n_rows, n_windows))
-    event_terms.reshape(-1)[cells] = pi_e * delivered - pi_p * (c - delivered)
-    base = float(np.sum(pi_r * contracts))
-    profit = base + event_terms.sum(axis=1)
+    event_terms = pi_e * delivered - pi_p * (c - delivered)
+    profit = float(np.sum(pi_r * contracts)) + np.bincount(rows, event_terms, n_rows)
     event_count = np.bincount(rows, minlength=n_rows).astype(np.int64, copy=False)
     shortfall_count = np.bincount(rows[capability < c], minlength=n_rows).astype(
         np.int64, copy=False

@@ -208,16 +208,17 @@ def profit_delta_oracle(portfolio: AssetPortfolio) -> float:
     return float(joint.expected_profit - separate)
 
 
-def bracket_factor(terms: ProgramTerms) -> float:
+def bracket_factor(terms: ProgramTerms, gamma_value: float | None = None) -> float:
     """The delta_sigma multiplier: p*(pi_p+pi_e)*phi(gamma) + alpha*(pi_r-p*pi_p)*gamma.
 
     The alpha term is negative whenever gamma > 0, but at the program's own
     fractile the whole factor stays positive: psi = 1 + (1+alpha)*margin/D
     (D = p*(pi_p+pi_e)) gives alpha*|margin|*gamma/D < (1-psi)*gamma < phi(gamma)
     by the Gaussian tail bound.  A negative factor therefore signals
-    inconsistent inputs, not an expected regime.
+    inconsistent inputs, not an expected regime.  gamma_value, if given, is
+    gamma(terms), which is then not evaluated again.
     """
-    g = gamma(terms)
+    g = gamma(terms) if gamma_value is None else gamma_value
     return float(
         terms.p * (terms.pi_p + terms.pi_e) * standard_normal_pdf(g)
         + terms.alpha * (terms.pi_r - terms.p * terms.pi_p) * g
@@ -239,9 +240,9 @@ def profit_delta_from_sigmas(
         raise ValueError(f"mode must be one of {PROFIT_DELTA_MODES}, got {mode!r}")
     sigmas = np.asarray(sigmas, dtype=float)
     delta_sigma = float(sigmas.sum()) - float(sigma_ag)
-    value = delta_sigma * bracket_factor(terms)
+    g = gamma(terms)
+    value = delta_sigma * bracket_factor(terms, g)
     if mode == "as_printed":
-        g = gamma(terms)
         value += (
             -terms.p
             * (terms.pi_p + terms.pi_e)

@@ -401,7 +401,14 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
     unalignable: list[str] = []
     for cand_id in args.candidates:
         cand = model.building(cand_id)
-        base_shared, cand_shared = map(bucket, restrict_to_common([base.series, cand.series]))
+        shared = restrict_to_common([base.series, cand.series])
+        if all(s.days == b.series.days for s, b in zip(shared, (base, cand))):
+            # No day dropped: the shared buckets are the loaded ones.
+            base_shared, cand_shared = (
+                {key: fit.empirical for key, fit in b.buckets.items()} for b in (base, cand)
+            )
+        else:
+            base_shared, cand_shared = map(bucket, shared)
         metrics = []
         for key in sorted(set(base.buckets) & set(cand.buckets)):
             if key not in base_shared or base_shared[key].n < 2:

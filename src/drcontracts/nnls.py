@@ -14,6 +14,16 @@ import numpy as np
 GRADIENT_TOLERANCE = 1e-10
 
 
+def gradient_tolerance(a: np.ndarray, b: np.ndarray) -> float:
+    """The largest gradient entry read as rounding noise: it scales with the problem.
+
+    On exact fits at large loads the gradient at the optimum is rounding
+    noise of order m * max|a| * max|b| times the machine epsilon.
+    """
+    scale = a.shape[0] * np.abs(a).max(initial=0.0) * np.abs(b).max(initial=0.0)
+    return GRADIENT_TOLERANCE * max(1.0, float(scale))
+
+
 def _solve_passive(a: np.ndarray, b: np.ndarray, passive: np.ndarray) -> np.ndarray:
     """Unconstrained least squares restricted to the passive columns."""
     cols = a[:, passive]
@@ -45,7 +55,7 @@ def nnls(a, b) -> tuple[np.ndarray, float]:
     Notes
     -----
     Deterministic: the entering variable is the one with the largest
-    gradient ``a.T @ (b - a @ x)`` above ``GRADIENT_TOLERANCE``, lowest index
+    gradient ``a.T @ (b - a @ x)`` above ``gradient_tolerance(a, b)``, lowest index
     on ties, so repeated runs produce identical output.  The loop stops after
     ``max(3 * n, 30)`` entries.
     """
@@ -62,9 +72,10 @@ def nnls(a, b) -> tuple[np.ndarray, float]:
     x = np.zeros(n)
     passive = np.zeros(n, dtype=bool)
     w = a.T @ (b - a @ x)
+    tol = gradient_tolerance(a, b)
 
     for _ in range(max(3 * n, 30)):
-        candidates = ~passive & (w > GRADIENT_TOLERANCE)
+        candidates = ~passive & (w > tol)
         if not candidates.any():
             break
         # argmax returns the first (lowest-index) maximizer

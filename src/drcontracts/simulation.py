@@ -1,12 +1,26 @@
 """Seeded Monte Carlo settlement engine.
 
-Replays many delivery windows per trial: each window independently becomes an
-event with probability p, capability is drawn from the window's bucket
-distribution, and the window settles at the contracted size.  All randomness
-comes from a counter-based generator addressed by (seed, purpose, flat draw
-index), so every draw is fixed by the seed alone.  Profits, counts, CVaR
-values and their standard errors are bit-identical for a given seed whatever
-the chunking or the number of parallel streams.
+Each trial replays a horizon of delivery windows.  A window is an event with
+probability p; at an event, capability is drawn from the window's bucket
+distribution and the window settles at its contracted size.  Each bucket's
+CVaR is estimated apart from the events, from draws of its lower tail.
+
+The engine draws only the cells these estimators read.  Trials come in blocks
+of BLOCK_TRIALS, and each (seed, purpose, block) has its own counter-based
+Philox stream (Salmon et al., SC'11) with the block in a high counter word, so
+every draw is fixed by the seed.  A block draws its event cells by unit-rate
+exponential arrivals over its row-major cells, each of hazard -ln(1 - p): a
+cell is an event when an arrival falls in it, with probability p,
+independently, so the gaps are geometric skips over a Bernoulli sequence
+(Devroye, Non-Uniform Random Variate Generation, 1986).  Each event cell takes
+one capability uniform.  The same arrivals, over the cells of every group that
+is not a point mass in group order, draw the tail cells at the
+piecewise-constant rate tau_g = F_g(q_hat_g), and each tail cell takes one
+uniform U and the draw F_g^-1(U*tau_g), which follows the law of q given
+q <= q_hat_g.  Every draw of a point mass is its one value, which is its own
+clipped cutoff, so its CVaR is exact and takes no draws.  Profits, counts,
+CVaR values and their standard errors are bit-identical for a given seed
+whatever the chunking or the number of parallel streams.
 """
 
 from __future__ import annotations
@@ -32,18 +46,19 @@ from .errors import ModelConsistencyError
 from .formatting import is_integer, sig9
 from .program import ProgramTerms
 
-EVENT_PURPOSE = 0
-CAPABILITY_PURPOSE = 1
+EVENT_PURPOSE = 0  # arrivals that mark the event cells
+CAPABILITY_PURPOSE = 1  # one uniform per event cell
+TAIL_PURPOSE = 2  # arrivals that mark the tail cells
+TAIL_VALUE_PURPOSE = 3  # one uniform per tail cell
 
-# Trials per work unit, a multiple of 4 so the generator's 4-word counter blocks
-# align with chunks; each per-chunk table holds CHUNK_TRIALS x windows doubles.
+# Trials per draw block, the unit of the random streams and of the CVaR sums:
+# each group's tail terms are summed per block and the block sums reduced once
+# at the end, so no output depends on how blocks are grouped into chunks.
+BLOCK_TRIALS = 64
+
+# Trials per work unit: one settlement call, and one task per parallel stream.
+# A multiple of BLOCK_TRIALS, so no block straddles two chunks.
 CHUNK_TRIALS = 1024
-
-# Rows per tail block.  Each group's tail terms are summed per block, in
-# row-major order, and the block sums are reduced once at the end, so the
-# CVaR adds the same values in the same order at any chunk size.  It divides
-# CHUNK_TRIALS, so no block straddles two chunks.
-TAIL_BLOCK_ROWS = 4
 
 DEFAULT_WINDOWS_PER_HORIZON = 720
 
@@ -64,18 +79,61 @@ class SimulationConfig:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
 
 
-def _uniform_block(
-    seed: int, purpose: int, n_cols: int, row_start: int, n_rows: int
-) -> np.ndarray:
-    """Uniforms for rows [row_start, row_start + n_rows) of an (n, n_cols) table."""
-    flat_start = row_start * n_cols
-    if flat_start % 4:
-        raise ValueError("row_start * n_cols must be a multiple of 4")
-    bits = np.random.Philox(
-        key=np.array([seed, purpose], dtype=np.uint64),
-        counter=np.array([flat_start // 4, 0, 0, 0], dtype=np.uint64),
-    )
-    return np.random.Generator(bits).random((n_rows, n_cols))
+def _stream(seed: int, purpose: int, block: int) -> np.random.Generator:
+    """The random stream of one (seed, purpose, block)."""
+    key = np.array([seed, purpose], dtype=np.uint64)
+    counter = np.array([0, 0, 0, block], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key, counter=counter))
+
+
+def _arrivals(gen: np.random.Generator, total: float) -> np.ndarray:
+    """The points of a unit-rate Poisson process on [0, total), ascending."""
+    if not total > 0.0:
+        return np.empty(0)
+    batch = int(total + 4.0 * math.sqrt(total)) + 16
+    points = np.cumsum(gen.standard_exponential(batch))
+    while points[-1] < total:
+        gaps = gen.standard_exponential(batch)
+        gaps[0] += points[-1]
+        points = np.concatenate((points, np.cumsum(gaps)))
+    return points[: np.searchsorted(points, total)]
+
+
+class _Cells:
+    """Segments of cells laid end to end, each cell hit with its segment's rate.
+
+    Segment s holds lengths[s] cells, numbered across segments, of hazard
+    h_s = -ln(1 - rates[s]) each.  An arrival at x in the segment that spans
+    [start_s, start_s + lengths[s]*h_s) of the hazard axis falls in its cell
+    floor((x - start_s) / h_s), so each cell is hit with its rate,
+    independently of every other.  A segment of rate 1 takes no span, and
+    every one of its cells is hit.
+    """
+
+    def __init__(self, rates: np.ndarray, lengths: np.ndarray) -> None:
+        with np.errstate(divide="ignore"):
+            self.hazards = -np.log1p(-rates)
+        finite = np.isfinite(self.hazards)
+        spans = np.where(finite, self.hazards * lengths, 0.0)
+        self.ends = np.cumsum(spans)
+        self.starts = np.concatenate(([0.0], self.ends[:-1]))
+        self.offsets = np.cumsum(lengths) - lengths
+        self.lengths = lengths
+        self.every = np.flatnonzero(np.repeat(~finite, lengths))
+
+    def hits(self, gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        """The cells that the arrivals of gen fall in: (segment, cell), ascending."""
+        x = _arrivals(gen, float(self.ends[-1]) if self.ends.size else 0.0)
+        seg = np.searchsorted(self.ends, x, side="right")
+        index = ((x - self.starts[seg]) / self.hazards[seg]).astype(np.int64)
+        cells = self.offsets[seg] + np.minimum(index, self.lengths[seg] - 1)
+        first = np.ones(cells.size, dtype=bool)
+        first[1:] = cells[1:] != cells[:-1]
+        seg, cells = seg[first], cells[first]
+        if self.every.size:
+            cells = np.union1d(cells, self.every)
+            seg = np.searchsorted(self.offsets + self.lengths, cells, side="right")
+        return seg, cells
 
 
 @dataclass(frozen=True)
@@ -240,42 +298,71 @@ def _tail_term(terms: ProgramTerms, contract_c, q):
     return terms.pi_e * q - terms.pi_p * (contract_c - q)
 
 
-def _repeated_sums(term: float, n: int) -> tuple[float, float]:
-    """term and term**2, each added n times one by one, as np.bincount adds."""
-    copies = np.full(n, term)
-    keys = np.zeros(n, dtype=np.intp)
-    return (
-        float(np.bincount(keys, copies, 1)[0]),
-        float(np.bincount(keys, copies * copies, 1)[0]),
-    )
+class _Laws:
+    """The groups' laws, for vectorized draws over the cells of any groups.
 
-
-# Uniform-level margin of the CVaR tail prefilter; see _tail_level.
-_TAIL_LEVEL_SLACK = 1e-6
-
-
-def _point_value(dist: CurtailmentDistribution) -> float | None:
-    """The one value dist.transform_uniform returns for every u, if there is one."""
-    if isinstance(dist, NormalDistribution):
-        return max(dist.mu, 0.0) if dist.sigma == 0.0 else None
-    first, last = dist.samples[0], dist.samples[-1]
-    return float(first) if first == last else None
-
-
-def _tail_level(dist: CurtailmentDistribution, cutoff: float) -> float:
-    """A uniform level from which on dist.transform_uniform(u) > cutoff.
-
-    Each transform is nondecreasing in u, so the level is cdf(cutoff) plus a
-    slack that absorbs rounding in the transform.  A normal whose sigma is
-    tiny next to mu can round its whole inverse cdf flat onto the cutoff; the
-    level is checked against the unclipped quantile, which is the transform's
-    own formula, and widened to 1 (every cell a candidate) if the check fails.
+    A normal with sigma > 0 transforms its uniforms; every other group draws
+    from its sorted samples, a point normal from its one value clipped at
+    zero.  A group that is not a point mass draws its tail at the rate
+    tau = F(q_hat), q_hat its clipped cutoff.
     """
-    level = min(float(dist.cdf(cutoff)) + _TAIL_LEVEL_SLACK, 1.0)
-    if isinstance(dist, NormalDistribution):
-        if level < 1.0 and not dist.quantile(level) > cutoff:
-            return 1.0
-    return level
+
+    def __init__(self, terms: ProgramTerms, dists: Sequence[CurtailmentDistribution]):
+        normal = [isinstance(d, NormalDistribution) and d.sigma > 0.0 for d in dists]
+        tables = [
+            np.empty(0) if is_normal
+            else d.samples if isinstance(d, EmpiricalDistribution)
+            else np.array([max(d.mu, 0.0)])
+            for d, is_normal in zip(dists, normal)
+        ]
+        self.normal = np.array(normal, dtype=bool)
+        self.mu = np.array([d.mu if n else 0.0 for d, n in zip(dists, normal)])
+        self.sigma = np.array([d.sigma if n else 0.0 for d, n in zip(dists, normal)])
+        self.sizes = np.array([table.size for table in tables], dtype=np.int64)
+        self.offsets = np.cumsum(self.sizes) - self.sizes
+        self.samples = np.concatenate(tables)
+        self.cutoffs = np.array([tail_cutoff(terms, d) for d in dists])
+        # The one value of each point mass, None for every other group.
+        self.points = [
+            None if n or t[0] != t[-1] else float(t[0]) for n, t in zip(normal, tables)
+        ]
+        self.tau = np.array(
+            [1.0 if pt is not None else d.cdf(q)
+             for d, q, pt in zip(dists, self.cutoffs, self.points)]
+        )
+        # A normal's tail uniform is U*tau; a sample group draws from its
+        # tail_sizes = n*tau samples at or below the cutoff.
+        self.tail_scale = np.where(self.normal, self.tau, 1.0)
+        self.tail_sizes = np.array(
+            [np.searchsorted(table, q, side="right") for table, q in zip(tables, self.cutoffs)]
+        )
+        self.clip = np.array([d.clipped_mass() if n else 0.0 for d, n in zip(dists, normal)])
+
+    def draw(self, group: np.ndarray, u: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+        """Draws at uniforms u; a sample group's is sample min(floor(u*size), size - 1).
+
+        With sizes=self.sizes these are bit for bit each group's transform_uniform.
+        """
+        q = np.empty_like(u)
+        normal = self.normal[group]
+        g = group[normal]
+        q[normal] = clipped_normal_transform(self.mu[g], self.sigma[g], u[normal])
+        g = group[~normal]
+        size = sizes[g]
+        index = np.minimum((u[~normal] * size).astype(np.int64), size - 1)
+        q[~normal] = self.samples[self.offsets[g] + index]
+        return q
+
+    def tail(self, group: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Tail draws at uniforms u, each at most its cutoff, and which are clipped.
+
+        A normal draws F^-1(u*tau), clipped at zero and at the cutoff; a
+        sample group draws sample min(floor(u*k), k - 1) of its k samples at
+        or below the cutoff.  A normal's draw is clipped when u*tau < F(0).
+        """
+        scaled = u * self.tail_scale[group]
+        q = np.minimum(self.draw(group, scaled, self.tail_sizes), self.cutoffs[group])
+        return q, scaled < self.clip[group]
 
 
 def simulate_horizon(
@@ -292,185 +379,111 @@ def simulate_horizon(
     schedule optionally assigns a bucket key to every window (its length then
     overrides config.windows_per_horizon).
 
-    Each group's cvar estimates the analytic cvar: its tail is every draw at
-    or below the group's cutoff q_hat (clipped at zero, as draws are), so an
-    atom on the cutoff counts in full, and the estimate is pi_r*c plus p times
-    the mean of the tail terms pi_e*q - pi_p*(c - q), with standard error
-    p*sqrt(var/tail_count).  var is exactly 0 when the group's smallest and
-    largest tail terms are equal.  A group without tail draws reports None.
-
-    A chunk draws both uniform tables in full but keeps only the event cells
-    of the first, and transforms only the cells that need a capability
-    value: the events, which settle, and the tail candidates, cells whose
-    capability uniform lies below the group's _tail_level.  Single-point
-    groups have no candidates; every draw is in their tail.  The cells of
-    all normal groups with sigma > 0 go through one inverse-cdf call per
-    chunk; the other groups transform their own cells.
+    Each group's cvar estimates the analytic cvar.  Its tail draws follow the
+    law of q given q <= q_hat, the group's cutoff clipped at zero as draws
+    are, so an atom on the cutoff counts in full.  The estimate is pi_r*c
+    plus p times the mean of the tail terms pi_e*q - pi_p*(c - q), with
+    standard error p*sqrt(var/tail_count).  var is exactly 0 when the
+    group's smallest and largest tail terms are equal.  A group without tail
+    draws reports None.  A normal's clipped mass F_g(0) lies in its tail, so
+    its clipped draws are the tail draws whose U*tau_g lies below F_g(0); the
+    clip fraction divides their count by all cells.
     """
     plan = _normalize_plan(terms, capability, contracts, config, schedule)
-    n_trials = config.n_trials
-    windows = plan.windows
-    groups = plan.groups
+    if CHUNK_TRIALS % BLOCK_TRIALS:
+        raise ValueError("CHUNK_TRIALS must be a multiple of BLOCK_TRIALS")
+    n_trials, windows, groups, seed = config.n_trials, plan.windows, plan.groups, config.seed
     n_groups = len(groups)
 
-    col_group = np.empty(windows, dtype=np.min_scalar_type(n_groups))
-    tail_u = np.zeros(windows)
-    cutoffs = np.empty(n_groups)
-    group_contracts = np.empty(n_groups)
-    group_clip = np.zeros(n_groups)
-    # Normal groups with sigma > 0: one transform call per chunk covers them all.
-    batched = np.zeros(n_groups, dtype=bool)
-    normal_mu = np.zeros(n_groups)
-    normal_sigma = np.zeros(n_groups)
-    # (group index, window count, tail term) of each point group
-    point_tails = []
+    laws = _Laws(terms, [group.dist for group in groups])
+    col_group = np.empty(windows, dtype=np.intp)
     for g, group in enumerate(groups):
-        dist, cols = group.dist, group.columns
-        col_group[cols] = g
-        cutoffs[g] = tail_cutoff(terms, dist)
-        group_contracts[g] = group.contract
-        point = _point_value(dist)
-        if point is None:
-            tail_u[cols] = _tail_level(dist, cutoffs[g])
-        else:  # the point is its own clipped cutoff
-            point_tails.append((g, cols.size, _tail_term(terms, group.contract, point)))
-        if isinstance(dist, NormalDistribution):
-            dist.warn_clipped_mass(stacklevel=2)
-            if dist.sigma > 0.0:
-                group_clip[g] = dist.clipped_mass()
-                batched[g] = True
-                normal_mu[g], normal_sigma[g] = dist.mu, dist.sigma
-
-    def run_chunk(row_start: int):
-        n_rows = min(CHUNK_TRIALS, n_trials - row_start)
-        event_cells = np.flatnonzero(
-            _uniform_block(config.seed, EVENT_PURPOSE, windows, row_start, n_rows)
-            < terms.p
+        col_group[group.columns] = g
+        if isinstance(group.dist, NormalDistribution):
+            group.dist.warn_clipped_mass(stacklevel=2)
+    widths = np.array([group.columns.size for group in groups], dtype=np.int64)
+    group_contracts = np.array([group.contract for group in groups])
+    tail_groups = np.array([g for g, pt in enumerate(laws.points) if pt is None], dtype=np.intp)
+    # The (event, tail) cells of a block of each size: full, and the last.
+    layout = {
+        rows: (
+            _Cells(np.array([terms.p]), np.array([rows * windows])),
+            _Cells(laws.tau[tail_groups], rows * widths[tail_groups]),
         )
-        u_cap = _uniform_block(
-            config.seed, CAPABILITY_PURPOSE, windows, row_start, n_rows
-        )
-        tail_cells = np.flatnonzero(u_cap < tail_u)
+        for rows in {min(BLOCK_TRIALS, n_trials), n_trials % BLOCK_TRIALS or BLOCK_TRIALS}
+    }
 
-        # Sort the cells by group, stably: each group's events come first,
-        # then its tail candidates, each in row-major order.
-        cells = np.concatenate((event_cells, tail_cells))
-        cell_group = col_group[cells % windows]
-        order = np.argsort(cell_group, kind="stable")
-        cells, cell_group = cells[order], cell_group[order]
-        is_event = order < event_cells.size
-        u_cells = u_cap.reshape(-1)[cells]
-        q_cells = np.empty_like(u_cells)
-        normal = batched[cell_group]
-        g = cell_group[normal]
-        q_cells[normal] = clipped_normal_transform(
-            normal_mu[g], normal_sigma[g], u_cells[normal]
-        )
-        start = 0
-        ends = np.cumsum(np.bincount(cell_group, minlength=n_groups)).tolist()
-        for group, end, in_batch in zip(groups, ends, batched.tolist()):
-            if end > start and not in_batch:
-                q_cells[start:end] = group.dist.transform_uniform(u_cells[start:end])
-            start = end
+    def draw_block(block: int):
+        """Event cells and their uniforms, tail groups and their uniforms."""
+        event_cells, tail_cells = layout[min(BLOCK_TRIALS, n_trials - block * BLOCK_TRIALS)]
+        _, events = event_cells.hits(_stream(seed, EVENT_PURPOSE, block))
+        event_u = _stream(seed, CAPABILITY_PURPOSE, block).random(events.size)
+        seg, _ = tail_cells.hits(_stream(seed, TAIL_PURPOSE, block))
+        tail_u = _stream(seed, TAIL_VALUE_PURPOSE, block).random(seg.size)
+        return events, event_u, tail_groups[seg], tail_u
 
-        profit, events, shortfalls = _kernels.settle_trials(
-            cells[is_event],
-            q_cells[is_event],
-            plan.contracts,
-            n_rows,
-            terms.pi_r,
-            terms.pi_p,
-            terms.pi_e,
-        )
-
-        candidate = ~is_event
-        cand_group = cell_group[candidate]
-        # Cutoffs are clipped at 0, so each clipped draw, u < F(0), lies below
-        # its group's tail level: counting among the candidates counts them all.
-        clip_count = int(np.count_nonzero(u_cells[candidate] < group_clip[cand_group]))
-        cand_q = q_cells[candidate]
-        in_tail = cand_q <= cutoffs[cand_group]
-        tail_group = cand_group[in_tail]
-        tail_terms = _tail_term(terms, group_contracts[tail_group], cand_q[in_tail])
-        # Key block * n_groups + group: bincount adds each key's terms one by
-        # one, in the row-major order the cells of a group are kept in.
-        block = cells[candidate][in_tail] // (windows * TAIL_BLOCK_ROWS)
-        keys = block * n_groups + tail_group
-        full, rest = divmod(n_rows, TAIL_BLOCK_ROWS)
-        size = (full + (rest > 0)) * n_groups
-        sums = np.bincount(keys, tail_terms, size).reshape(-1, n_groups)
-        sq_sums = np.bincount(keys, tail_terms * tail_terms, size).reshape(-1, n_groups)
-        counts = np.bincount(tail_group, minlength=n_groups)
-        # Each group's smallest and largest tail term; tail_group is sorted.
-        lows = np.full(n_groups, np.inf)
-        highs = np.full(n_groups, -np.inf)
-        present = counts > 0
-        starts = (np.cumsum(counts) - counts)[present]
-        lows[present] = np.minimum.reduceat(tail_terms, starts)
-        highs[present] = np.maximum.reduceat(tail_terms, starts)
-        for g, width, term in point_tails:
-            sums[:full, g], sq_sums[:full, g] = _repeated_sums(
-                term, TAIL_BLOCK_ROWS * width
-            )
-            if rest:
-                sums[full, g], sq_sums[full, g] = _repeated_sums(term, rest * width)
-            counts[g] = n_rows * width
-            lows[g] = highs[g] = term
-        return profit, events, shortfalls, sums, sq_sums, counts, lows, highs, clip_count
-
+    # Per trial, and per (block, group) with the key block * n_groups + group.
     profits = np.empty(n_trials)
     event_counts = np.empty(n_trials, dtype=np.int64)
     shortfall_counts = np.empty(n_trials, dtype=np.int64)
-    n_blocks = -(-n_trials // TAIL_BLOCK_ROWS)
-    block_sums = np.zeros((n_blocks, n_groups))
-    block_sq_sums = np.zeros((n_blocks, n_groups))
-    tail_count = np.zeros(n_groups, dtype=np.int64)
-    tail_low = np.full(n_groups, np.inf)
-    tail_high = np.full(n_groups, -np.inf)
-    clip_count = 0
+    n_keys = -(-n_trials // BLOCK_TRIALS) * n_groups
+    sums, sq_sums, lows, highs = (np.full(n_keys, v) for v in (0.0, 0.0, np.inf, -np.inf))
+    counts, clips = np.zeros(n_keys, dtype=np.int64), np.zeros(n_keys, dtype=np.int64)
 
-    def fold(row_start: int, chunk_out) -> None:
-        nonlocal clip_count
-        profit, events, shortfalls, sums, sq_sums, counts, lows, highs, clipped = chunk_out
-        n_rows = profit.size
-        profits[row_start : row_start + n_rows] = profit
-        event_counts[row_start : row_start + n_rows] = events
-        shortfall_counts[row_start : row_start + n_rows] = shortfalls
-        first = row_start // TAIL_BLOCK_ROWS
-        block_sums[first : first + sums.shape[0]] = sums
-        block_sq_sums[first : first + sums.shape[0]] = sq_sums
-        tail_count[:] += counts
-        np.minimum(tail_low, lows, out=tail_low)
-        np.maximum(tail_high, highs, out=tail_high)
-        clip_count += clipped
+    def run_chunk(row_start: int) -> None:
+        """Settle a chunk's trials and sum its tail terms, into its own slices."""
+        n_rows = min(CHUNK_TRIALS, n_trials - row_start)
+        first = row_start // BLOCK_TRIALS
+        drawn = [draw_block(first + b) for b in range(-(-n_rows // BLOCK_TRIALS))]
+        cells = np.concatenate([d[0] + b * BLOCK_TRIALS * windows for b, d in enumerate(drawn)])
+        u = np.concatenate([d[1] for d in drawn])
+        q = laws.draw(col_group[cells % windows], u, laws.sizes)
+        rows = slice(row_start, row_start + n_rows)
+        profits[rows], event_counts[rows], shortfall_counts[rows] = _kernels.settle_trials(
+            cells, q, plan.contracts, n_rows, terms.pi_r, terms.pi_p, terms.pi_e
+        )
 
-    starts = list(range(0, n_trials, CHUNK_TRIALS))
+        tail_group = np.concatenate([d[2] for d in drawn])
+        q, clipped = laws.tail(tail_group, np.concatenate([d[3] for d in drawn]))
+        tail_terms = _tail_term(terms, group_contracts[tail_group], q)
+        # bincount adds each key's terms one by one, in the order drawn.
+        block = np.repeat(np.arange(len(drawn)), [d[2].size for d in drawn])
+        keys = block * n_groups + tail_group
+        view = slice(first * n_groups, (first + len(drawn)) * n_groups)
+        size = view.stop - view.start
+        sums[view] = np.bincount(keys, tail_terms, size)
+        sq_sums[view] = np.bincount(keys, tail_terms * tail_terms, size)
+        counts[view] = np.bincount(keys, minlength=size)
+        clips[view] = np.bincount(keys[clipped], minlength=size)
+        np.minimum.at(lows[view], keys, tail_terms)
+        np.maximum.at(highs[view], keys, tail_terms)
+
+    starts = range(0, n_trials, CHUNK_TRIALS)
     if config.parallel_streams > 1:
         with ThreadPoolExecutor(max_workers=config.parallel_streams) as pool:
-            for row_start, chunk_out in zip(starts, pool.map(run_chunk, starts)):
-                fold(row_start, chunk_out)
+            list(pool.map(run_chunk, starts))
     else:
         for row_start in starts:
-            fold(row_start, run_chunk(row_start))
+            run_chunk(row_start)
 
+    tail_sums, tail_sq_sums, tail_count = (
+        a.reshape(-1, n_groups).sum(axis=0) for a in (sums, sq_sums, counts)
+    )
+    constant = lows.reshape(-1, n_groups).min(axis=0) == highs.reshape(-1, n_groups).max(axis=0)
     cvar_out = {}
-    for group, tail_sum, tail_sq_sum, n, constant in zip(
-        groups,
-        block_sums.sum(axis=0).tolist(),
-        block_sq_sums.sum(axis=0).tolist(),
-        tail_count.tolist(),
-        (tail_low == tail_high).tolist(),
-    ):
+    for g, group in enumerate(groups):
+        n, point = int(tail_count[g]), laws.points[g]
+        if point is not None:  # every draw is the point, its own clipped cutoff
+            n, mean, var = n_trials * int(widths[g]), _tail_term(terms, group.contract, point), 0.0
+        elif n:
+            mean = tail_sums[g] / n
+            var = 0.0 if constant[g] else max(tail_sq_sums[g] / n - mean * mean, 0.0)
         value = se = None
         if n:
-            mean = tail_sum / n
             value = float(terms.pi_r * group.contract + terms.p * mean)
             if n >= 2:
-                var = 0.0 if constant else max(tail_sq_sum / n - mean * mean, 0.0)
                 se = float(terms.p * math.sqrt(var / n))
-        cvar_out[group.label] = CvarEstimate(
-            value=value, standard_error=se, tail_count=n
-        )
+        cvar_out[group.label] = CvarEstimate(value=value, standard_error=se, tail_count=n)
 
     total_windows = n_trials * windows
     mean = float(profits.mean())
@@ -484,8 +497,8 @@ def simulate_horizon(
         event_mean_per_trial=float(event_counts.mean()),
         shortfall_total=int(shortfall_counts.sum()),
         shortfall_frequency=float(shortfall_counts.sum() / total_windows),
-        clip_count=clip_count,
-        clip_fraction=clip_count / total_windows,
+        clip_count=int(clips.sum()),
+        clip_fraction=int(clips.sum()) / total_windows,
         n_trials=n_trials,
         windows=windows,
         seed=config.seed,

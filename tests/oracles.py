@@ -2,10 +2,12 @@
 
 Everything here is deliberately written against different machinery than the
 package itself (adaptive quadrature, projected gradient, direct summation),
-so an implementation bug and its test cannot share a root cause.  The one
-exception is ``passive_set_search_nnls``: it shares the package's passive-set
-solve, so that its agreement with the package's Lawson-Hanson loop can be
-checked bit for bit.
+so an implementation bug and its test cannot share a root cause.  Two
+references share definitions with the package, so that their agreement can
+be checked bit for bit: ``passive_set_search_nnls`` shares the passive-set
+solve and the gradient tolerance of the Lawson-Hanson loop, and
+``dense_simulate_horizon`` shares the Monte Carlo's plan, stream keys, block
+size and draw rules, which it walks cell by cell in scalar Python.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from scipy import integrate, stats
 
 from drcontracts import simulation
 from drcontracts.distributions import NormalDistribution
-from drcontracts.nnls import GRADIENT_TOLERANCE, _solve_passive
+from drcontracts.nnls import _solve_passive, gradient_tolerance
 from drcontracts.program import ProgramTerms
 
 
@@ -110,8 +112,7 @@ def passive_set_search_nnls(a, b) -> tuple[np.ndarray, float]:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     m, n = a.shape
-    scale = m * np.abs(a).max(initial=0.0) * np.abs(b).max(initial=0.0)
-    tol = GRADIENT_TOLERANCE * max(1.0, scale)
+    tol = gradient_tolerance(a, b)
     for size in range(min(m, n), -1, -1):
         for support in combinations(range(n), size):
             passive = np.zeros(n, dtype=bool)
@@ -142,99 +143,184 @@ def empirical_distribution_cvar(
     return float(terms.pi_r * c + terms.p * branch.sum() / tail.size)
 
 
-def dense_settle(u_event, capability, contracts, pi_r, pi_p, pi_e, p):
-    """Settlement over every cell of the block, with np.where masking the non-events."""
-    events = u_event < p
-    delivered = np.minimum(capability, contracts)
-    event_term = pi_e * delivered - pi_p * (contracts - delivered)
+def dense_settle(cells, capability, contracts, n_rows, pi_r, pi_p, pi_e):
+    """Settlement walked cell by cell, in the order the cells are given.
+
+    Each row starts from 0, adds its event terms one at a time and then the
+    reservation revenue; a shortfall is an event with capability below the
+    contract.
+    """
+    windows = contracts.size
     base = float(np.sum(pi_r * contracts))
-    profit = base + np.where(events, event_term, 0.0).sum(axis=1)
-    event_count = events.sum(axis=1).astype(np.int64)
-    shortfall_count = (events & (capability < contracts)).sum(axis=1).astype(np.int64)
-    return profit, event_count, shortfall_count
+    event_sums = [0.0] * n_rows
+    events = [0] * n_rows
+    shortfalls = [0] * n_rows
+    for cell, q in zip(cells.tolist(), capability.tolist()):
+        row, col = divmod(cell, windows)
+        c = float(contracts[col])
+        delivered = min(q, c)
+        event_sums[row] += pi_e * delivered - pi_p * (c - delivered)
+        events[row] += 1
+        shortfalls[row] += q < c
+    return (
+        np.array([base + s for s in event_sums]),
+        np.array(events, dtype=np.int64),
+        np.array(shortfalls, dtype=np.int64),
+    )
+
+
+def philox_stream(seed: int, purpose: int, block: int) -> np.random.Generator:
+    """The stream keyed by (seed, purpose), with the block in the top counter word."""
+    bits = np.random.Philox(
+        key=np.array([seed, purpose], dtype=np.uint64),
+        counter=np.array([0, 0, 0, block], dtype=np.uint64),
+    )
+    return np.random.Generator(bits)
+
+
+def hazard(rate: float) -> float:
+    """-ln(1 - rate), infinite at rate 1."""
+    return math.inf if rate == 1.0 else float(-np.log1p(-rate))
+
+
+def walk_cells(gen, hazards, lengths):
+    """Yield, cell by cell, whether an arrival of gen falls in the cell.
+
+    Segment s holds lengths[s] cells of hazard hazards[s] each, and the
+    segments' hazard spans lie end to end from 0; a segment of infinite
+    hazard takes no span, and every one of its cells is hit.  The arrivals
+    are the running sums of gen's exponential gaps, drawn one at a time.
+    An arrival x in a segment that starts at `start` falls in its cell
+    int((x - start) / hazard), or the last cell if that rounds past it.
+    """
+    ends, total = [], 0.0
+    for h, n in zip(hazards, lengths):
+        total += h * n if math.isfinite(h) else 0.0
+        ends.append(total)
+    x = gen.standard_exponential() if total > 0.0 else math.inf
+    start = 0.0
+    for h, n, end in zip(hazards, lengths, ends):
+        for j in range(n):
+            if not math.isfinite(h):
+                yield True
+                continue
+            hit = False
+            while x < end and min(int((x - start) / h), n - 1) == j:
+                hit = True
+                x += gen.standard_exponential()
+            yield hit
+        start = end
+
+
+def dense_event_cells(seed: int, p: float, windows: int, block: int, rows: int) -> list[int]:
+    """The event cells of one block, in row-major order over its rows x windows."""
+    gen = philox_stream(seed, simulation.EVENT_PURPOSE, block)
+    hits = walk_cells(gen, [hazard(p)], [rows * windows])
+    return [cell for cell, hit in enumerate(hits) if hit]
 
 
 def dense_simulate_horizon(terms, capability, contracts, config, schedule=None):
-    """simulate_horizon with a dense chunk: transform, settle and scan every cell.
+    """simulate_horizon walked cell by cell through the same random streams.
 
-    Each chunk gathers every group's columns, transforms all of their
-    uniforms, settles the whole block with dense_settle, and takes each
-    group's tail from its gathered columns.  The tail terms are summed per
-    group and per block of TAIL_BLOCK_ROWS rows, one by one in row-major
-    order, and the (blocks, groups) sums are reduced once at the end.  A
-    group whose whole tail is one value has variance exactly 0.  It
-    shares only the plan, the counter-addressed uniforms, CHUNK_TRIALS and
-    that summation order with the engine, which must agree with it bit for
-    bit.  Clipped normals warn once per call, as the engine's do.
+    Block by block, every cell of the block is visited in row-major order:
+    an event cell takes the next capability uniform, transformed by its
+    group's own transform_uniform, and all event cells settle at the end
+    through dense_settle.  Then every cell of every group that is not a point
+    mass, group by group, is visited through the tail arrivals; a tail cell
+    takes the next tail uniform U and draws min(F^-1(U*tau), q_hat) for a
+    normal or sample min(int(U*k), k - 1) of the k samples at or below q_hat.
+    Each tail term is added one at a time into its (block, group) sum, and
+    the (blocks, groups) sums are reduced once at the end.  A point mass
+    has every cell in its tail, each with its one term.  A group whose whole
+    tail is one value has variance exactly 0.  Clipped normals warn once per
+    call, as the engine's do.
     """
     plan = simulation._normalize_plan(terms, capability, contracts, config, schedule)
-    n_trials, windows = config.n_trials, plan.windows
-    chunk = simulation.CHUNK_TRIALS
-    block_rows = simulation.TAIL_BLOCK_ROWS
-    n_groups = len(plan.groups)
-    n_blocks = -(-n_trials // block_rows)
-    block_sums = np.zeros((n_blocks, n_groups))
-    block_sq_sums = np.zeros((n_blocks, n_groups))
-    tail_count = np.zeros(n_groups, dtype=np.int64)
-    tails = [[] for _ in plan.groups]
-    for group in plan.groups:
+    n_trials, windows, groups = config.n_trials, plan.windows, plan.groups
+    block_trials = simulation.BLOCK_TRIALS
+    n_blocks = -(-n_trials // block_trials)
+    col_group = {}
+    for g, group in enumerate(groups):
+        col_group.update((int(col), g) for col in group.columns)
         if isinstance(group.dist, NormalDistribution):
             group.dist.warn_clipped_mass(stacklevel=1)
-    profits, event_counts, shortfall_counts = [], [], []
-    clip_count = 0
-    for row_start in range(0, n_trials, chunk):
-        n_rows = min(chunk, n_trials - row_start)
-        u_event = simulation._uniform_block(
-            config.seed, simulation.EVENT_PURPOSE, windows, row_start, n_rows
-        )
-        u_cap = simulation._uniform_block(
-            config.seed, simulation.CAPABILITY_PURPOSE, windows, row_start, n_rows
-        )
-        q = np.empty_like(u_cap)
-        for group in plan.groups:
-            q[:, group.columns] = group.dist.transform_uniform(u_cap[:, group.columns])
-        profit, events, shortfalls = dense_settle(
-            u_event, q, plan.contracts, terms.pi_r, terms.pi_p, terms.pi_e, terms.p
-        )
-        profits.append(profit)
-        event_counts.append(events)
-        shortfall_counts.append(shortfalls)
-        for g, group in enumerate(plan.groups):
-            dist, cols, c = group.dist, group.columns, group.contract
-            if isinstance(dist, NormalDistribution) and dist.sigma > 0.0:
-                clipped = u_cap[:, cols] < dist.clipped_mass()
-                clip_count += int(np.count_nonzero(clipped))
-            draws = q[:, cols]
-            q_hat = max(float(dist.quantile(terms.tail_mass)), 0.0)
-            in_tail = draws <= q_hat
-            row = np.broadcast_to(np.arange(n_rows)[:, None], draws.shape)
-            block = (row_start + row[in_tail]) // block_rows
-            settled = terms.pi_e * draws[in_tail] - terms.pi_p * (c - draws[in_tail])
-            block_sums[:, g] += np.bincount(block, settled, n_blocks)
-            block_sq_sums[:, g] += np.bincount(block, np.square(settled), n_blocks)
-            tail_count[g] += int(np.count_nonzero(in_tail))
-            tails[g].append(settled)
+    cutoffs = [max(float(group.dist.quantile(terms.tail_mass)), 0.0) for group in groups]
+    points = []
+    for group in groups:
+        dist = group.dist
+        if isinstance(dist, NormalDistribution):
+            points.append(max(dist.mu, 0.0) if dist.sigma == 0.0 else None)
+        else:
+            points.append(dist.samples[0] if dist.samples[0] == dist.samples[-1] else None)
+    tail = [g for g in range(len(groups)) if points[g] is None]
+    tau = {g: float(groups[g].dist.cdf(cutoffs[g])) for g in tail}
 
+    block_sums = np.zeros((n_blocks, len(groups)))
+    block_sq_sums = np.zeros((n_blocks, len(groups)))
+    tails = [[] for _ in groups]
+    cells, capability_q = [], []
+    clip_count = 0
+    for block in range(n_blocks):
+        rows = min(block_trials, n_trials - block * block_trials)
+        uniforms = philox_stream(config.seed, simulation.CAPABILITY_PURPOSE, block)
+        for cell in dense_event_cells(config.seed, terms.p, windows, block, rows):
+            dist = groups[col_group[cell % windows]].dist
+            cells.append(block * block_trials * windows + cell)
+            capability_q.append(dist.transform_uniform(uniforms.random()))
+
+        gen = philox_stream(config.seed, simulation.TAIL_PURPOSE, block)
+        uniforms = philox_stream(config.seed, simulation.TAIL_VALUE_PURPOSE, block)
+        hits = walk_cells(
+            gen, [hazard(tau[g]) for g in tail], [rows * groups[g].columns.size for g in tail]
+        )
+        for g in tail:
+            dist, c = groups[g].dist, groups[g].contract
+            for _ in range(rows * groups[g].columns.size):
+                if not next(hits):
+                    continue
+                if isinstance(dist, NormalDistribution):
+                    v = uniforms.random() * tau[g]
+                    clip_count += v < dist.clipped_mass()
+                    q = min(dist.transform_uniform(v), cutoffs[g])
+                else:
+                    k = int(np.searchsorted(dist.samples, cutoffs[g], side="right"))
+                    q = float(dist.samples[min(int(uniforms.random() * k), k - 1)])
+                settled = terms.pi_e * q - terms.pi_p * (c - q)
+                block_sums[block, g] += settled
+                block_sq_sums[block, g] += settled * settled
+                tails[g].append(settled)
+
+    profits, event_counts, shortfall_counts = dense_settle(
+        np.array(cells, dtype=np.int64),
+        np.array(capability_q),
+        plan.contracts,
+        n_trials,
+        terms.pi_r,
+        terms.pi_p,
+        terms.pi_e,
+    )
     cvar = {}
     tail_sums = block_sums.sum(axis=0)
     tail_sq_sums = block_sq_sums.sum(axis=0)
-    for g, group in enumerate(plan.groups):
-        n = int(tail_count[g])
+    for g, group in enumerate(groups):
+        n = len(tails[g])
+        if points[g] is not None:
+            # Every draw is the point: n tail terms, each exactly this one.
+            n = n_trials * group.columns.size
+            q = points[g]
+            mean = terms.pi_e * q - terms.pi_p * (group.contract - q)
+        elif n:
+            mean = tail_sums[g] / n
         value = se = None
         if n:
-            mean = tail_sums[g] / n
             value = float(terms.pi_r * group.contract + terms.p * mean)
             if n >= 2:
-                tail = np.concatenate(tails[g])
-                if tail.min() == tail.max():
+                if points[g] is not None or min(tails[g]) == max(tails[g]):
                     var = 0.0
                 else:
                     var = max(tail_sq_sums[g] / n - mean * mean, 0.0)
                 se = float(terms.p * math.sqrt(var / n))
         cvar[group.label] = simulation.CvarEstimate(value, se, n)
-    profits = np.concatenate(profits)
-    event_counts = np.concatenate(event_counts)
-    shortfall_counts = np.concatenate(shortfall_counts)
     total_windows = n_trials * windows
     return simulation.SimulationResult(
         profits=profits,

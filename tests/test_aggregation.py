@@ -282,6 +282,22 @@ class TestProfitDeltas:
         with pytest.raises(ValueError, match="mode"):
             profit_delta_from_sigmas(terms, [3.0, 4.0], 5.0, "bogus")
 
+    @pytest.mark.parametrize("mode", ["as_printed", "mean_cancelled"])
+    def test_gamma_is_evaluated_once_per_call(self, mode, monkeypatch):
+        import drcontracts.aggregation as aggregation
+
+        calls = []
+
+        def counting_gamma(terms):
+            calls.append(terms)
+            return gamma(terms)
+
+        terms = terms_for_psi(0.6, alpha=0.5)
+        expected = profit_delta_from_sigmas(terms, [3.0, 4.0], 5.0, mode)
+        monkeypatch.setattr(aggregation, "gamma", counting_gamma)
+        assert profit_delta_from_sigmas(terms, [3.0, 4.0], 5.0, mode) == expected
+        assert len(calls) == 1
+
     def test_formula_rejects_empirical_members(self, basic_terms):
         portfolio = AssetPortfolio(
             members=(("a", EmpiricalDistribution(np.array([1.0, 2.0, 3.0]))),),

@@ -1,4 +1,4 @@
-"""Settlement kernel: dense-formula equivalence, hand-computed cases, shape checks."""
+"""Settlement kernel: the per-cell reference, hand-computed cases, shape checks."""
 
 from __future__ import annotations
 
@@ -43,20 +43,27 @@ def assert_same_bits(left, right) -> None:
 
 
 class TestSettlementContract:
-    """The kernel settles the event cells it is given, in any order."""
+    """The kernel settles the event cells it is given, in any order, and adds
+    each row's terms in that order."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_python_kernel_matches_dense_formula(self, seed):
         u_event, capability, contracts = edge_block(97, 1 + 13 * seed, seed)
-        expected = dense_settle(u_event, capability, contracts, p=P, **RATES)
-        cells, q = shuffled_events(u_event, capability, seed)
-        # The same cells, values and contracts as contiguous and strided arrays.
-        wide_cells, wide_q = np.repeat(cells, 2), np.repeat(q, 2)
-        strided_contracts = np.repeat(contracts, 2)[::2]
-        for cc, qq in ((cells, q), (wide_cells[::2], wide_q[1::2])):
-            for con in (contracts, strided_contracts):
-                out = settle_trials(cc, qq, con, u_event.shape[0], **RATES)
-                assert_same_bits(out, expected)
+        n_rows = u_event.shape[0]
+        for cells, q in (
+            shuffled_events(u_event, capability, seed),
+            (np.flatnonzero(u_event < P), capability[u_event < P]),  # row-major
+        ):
+            expected = dense_settle(cells, q, contracts, n_rows, **RATES)
+            # The same cells, values and contracts as contiguous and strided arrays.
+            wide_cells, wide_q = np.repeat(cells, 2), np.repeat(q, 2)
+            strided_contracts = np.repeat(contracts, 2)[::2]
+            for cc, qq in ((cells, q), (wide_cells[::2], wide_q[1::2])):
+                for con in (contracts, strided_contracts):
+                    assert_same_bits(settle_trials(cc, qq, con, n_rows, **RATES), expected)
+        # Row 0 settles the reservation only; row 1 has an event in every window.
+        assert expected[0][0] == float(np.sum(0.01 * contracts))
+        assert expected[1][1] == contracts.size
 
 
 class TestPythonKernel:

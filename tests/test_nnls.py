@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import shutil
 from pathlib import Path
 
@@ -179,6 +180,33 @@ def test_exact_fits_of_fixture_shapes_at_large_loads_reach_a_kkt_point(scale):
         assert abs(residual - residual_ref) <= 1e-9 * float(np.linalg.norm(b))
         off_support_above_tolerance += int(np.any(gradient[x == 0.0] > GRADIENT_TOLERANCE))
     assert off_support_above_tolerance > 0
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e6])
+def test_exact_fits_at_large_loads_stop_without_the_cap(scale, monkeypatch):
+    """The entering test's tolerance scales with m * max|a| * max|b|, so the
+    loop does not re-enter columns whose gradient is rounding noise: on these
+    days it took up to 59 passive solves at 1e6 times the loads under the
+    absolute GRADIENT_TOLERANCE, against at most 4 at 1x."""
+    # The package exports the function under the module's name.
+    nnls_module = importlib.import_module("drcontracts.nnls")
+    solves = []
+    solve = nnls_module._solve_passive
+
+    def counting(a, b, passive):
+        solves[-1] += 1
+        return solve(a, b, passive)
+
+    monkeypatch.setattr(nnls_module, "_solve_passive", counting)
+    shapes = read_shapes_csv(FIXTURES / "shapes.csv", "hvac")
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        a = shapes.day_matrix(seed % 2 == 0)
+        w = 300.0 * scale * rng.random(3)
+        w[rng.random(3) < 0.4] = 0.0
+        solves.append(0)
+        nnls(a, a @ w)
+    assert max(solves) <= 6
 
 
 def test_shapes_csv_with_13_end_uses_estimates(tmp_path, capsys):

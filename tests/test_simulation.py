@@ -25,8 +25,9 @@ from drcontracts import (
     simulate_horizon,
     write_profits_csv,
 )
+from drcontracts.contracts import tail_cutoff
 from conftest import sampled_normal, terms_for_psi
-from oracles import dense_simulate_horizon
+from oracles import dense_event_cells, dense_simulate_horizon
 
 
 def small_config(**overrides) -> SimulationConfig:
@@ -100,12 +101,12 @@ class TestDeterminism:
 class TestChunkingInvariance:
     """Neither chunking nor the stream count moves any output bit.
 
-    Profits and counts are per-trial, so no partition of the trials can move
-    them.  A group's tail terms are summed per block of TAIL_BLOCK_ROWS rows,
-    which never straddles a chunk, and the block sums are reduced once at the
-    end, so CVaR values and their standard errors add the same values in the
-    same order at any chunk size; the stream count only changes which thread
-    computes a chunk.
+    Every draw comes from the streams of its block of BLOCK_TRIALS trials,
+    which never straddles a chunk.  Profits and counts are per trial, so no
+    partition of the trials can move them.  A group's tail terms are summed
+    per block, and the block sums are reduced once at the end, so CVaR values
+    and their standard errors add the same values in the same order at any
+    chunk size; the stream count only changes which thread computes a chunk.
     """
 
     SEEDS = range(6)
@@ -144,7 +145,7 @@ class TestChunkingInvariance:
         outputs = []
         for chunk in (4096, 64):
             monkeypatch.setattr("drcontracts.simulation.CHUNK_TRIALS", chunk)
-            for streams in (1, 3):
+            for streams in (1, 2, 3):
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", ClippedMassWarning)
                     runs = [
@@ -215,27 +216,30 @@ def test_each_chunk_settles_through_the_kernel_module(basic_terms, monkeypatch):
     settle = _kernels.settle_trials
 
     def recording_settle(cells, capability, contracts, n_rows, *rates):
-        calls.append((n_rows, np.sort(cells).tobytes()))
+        calls.append((n_rows, cells.tobytes()))
         return settle(cells, capability, contracts, n_rows, *rates)
 
     monkeypatch.setattr(_kernels, "settle_trials", recording_settle)
-    monkeypatch.setattr("drcontracts.simulation.CHUNK_TRIALS", 64)
+    monkeypatch.setattr("drcontracts.simulation.CHUNK_TRIALS", 128)
     config = small_config(parallel_streams=3)
     dist = NormalDistribution(100.0, 10.0)
     simulate_horizon(basic_terms, dist, 90.0, config)
-    assert sorted(n_rows for n_rows, _ in calls) == [24] + [64] * 9
-    # Each call gets exactly its chunk's event cells.
+    assert sorted(n_rows for n_rows, _ in calls) == [88] + [128] * 4
+    # Each call gets its chunk's event cells, block after block, in
+    # row-major order: two 64-trial blocks per chunk, the last one short.
+    block_cells = config.windows_per_horizon * simulation.BLOCK_TRIALS
     expected = []
-    for row_start in range(0, config.n_trials, 64):
-        n_rows = min(64, config.n_trials - row_start)
-        u_event = simulation._uniform_block(
-            config.seed,
-            simulation.EVENT_PURPOSE,
-            config.windows_per_horizon,
-            row_start,
-            n_rows,
-        )
-        expected.append((n_rows, np.flatnonzero(u_event < basic_terms.p).tobytes()))
+    for row_start in range(0, config.n_trials, 128):
+        n_rows = min(128, config.n_trials - row_start)
+        cells = []
+        for b in range(-(-n_rows // 64)):
+            block = row_start // 64 + b
+            rows = min(64, config.n_trials - 64 * block)
+            events = dense_event_cells(
+                config.seed, basic_terms.p, config.windows_per_horizon, block, rows
+            )
+            cells += [b * block_cells + cell for cell in events]
+        expected.append((n_rows, np.array(cells, dtype=np.int64).tobytes()))
     assert sorted(calls) == sorted(expected)
 
 
@@ -330,11 +334,13 @@ class TestSparseChunkMatchesDense:
         counts = {label: est.tail_count for label, est in result.cvar.items()}
         assert counts["clip"] > 0  # its cutoff clips to zero, with the draws
         assert counts["clip_tail"] > 0
-        for label in (
-            "point", "point_frac", "point_neg", "point_zero", "const", "single", "flat"
-        ):
+        for label in ("point", "point_frac", "point_neg", "point_zero", "const", "single"):
             # a single-point draw sits on its own cutoff: every draw is tail
             assert counts[label] == 300 * schedule.count(label)
+        # "flat" rounds every draw onto its cutoff, but it is no point mass:
+        # its tail is drawn at the rate F(q_hat) = 1/2, and is one value.
+        assert 0 < counts["flat"] < 300 * schedule.count("flat")
+        assert result.cvar["flat"].standard_error == 0.0
 
     def test_many_seeds_on_fitted_normals(self, basic_terms, monkeypatch):
         monkeypatch.setattr("drcontracts.simulation.CHUNK_TRIALS", 128)
@@ -358,8 +364,10 @@ class TestSparseChunkMatchesDense:
             assert_bitwise_equal(result, oracle)
 
     def test_normal_groups_share_one_transform_per_chunk(self, monkeypatch):
-        """Every sigma > 0 normal cell of a chunk goes through one batched call,
-        and the result is the dense oracle's, whose transforms go group by group."""
+        """Every sigma > 0 normal cell of a chunk goes through one batched call
+        for its events and one for its tail draws, and no group transforms
+        its own cells; the result is the dense oracle's, whose transforms go
+        cell by cell."""
         monkeypatch.setattr("drcontracts.simulation.CHUNK_TRIALS", 64)
         batched_calls = []
         batched = simulation.clipped_normal_transform
@@ -370,11 +378,15 @@ class TestSparseChunkMatchesDense:
 
         monkeypatch.setattr(simulation, "clipped_normal_transform", spy)
         per_group = []
-        transform = NormalDistribution.transform_uniform
 
-        def spy_normal(self, u):
-            per_group.append(self.sigma)
-            return transform(self, u)
+        def spy(cls):
+            transform = cls.transform_uniform
+
+            def spied(self, u):
+                per_group.append(self)
+                return transform(self, u)
+
+            return spied
 
         terms = ProgramTerms(pi_e=4.0, pi_r=0.01, pi_p=5.0, p=0.05)
         capability, contracts, schedule, _ = sparse_cases()["mixed"]
@@ -382,13 +394,126 @@ class TestSparseChunkMatchesDense:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ClippedMassWarning)
             with monkeypatch.context() as m:
-                m.setattr(NormalDistribution, "transform_uniform", spy_normal)
+                for cls in (NormalDistribution, EmpiricalDistribution):
+                    m.setattr(cls, "transform_uniform", spy(cls))
                 result = simulate_horizon(terms, capability, contracts, config, schedule)
             oracle = dense_simulate_horizon(terms, capability, contracts, config, schedule)
         assert_bitwise_equal(result, oracle)
-        assert len(batched_calls) == 5  # 300 trials in 64-trial chunks
+        assert len(batched_calls) == 2 * 5  # 300 trials in 64-trial chunks
         assert max(batched_calls) > 1  # several groups in one call
-        assert set(per_group) == {0.0}  # only point masses go group by group
+        assert per_group == []
+
+
+class TestSparseDraws:
+    """The draw scheme: tail draws bounded by the cutoff, exact rates 0 and 1,
+    binomial counts, and shapes that fill no block or chunk."""
+
+    def test_tail_draws_stay_at_or_below_the_cutoff(self):
+        terms = ProgramTerms(pi_e=4.0, pi_r=0.01, pi_p=5.0, p=0.05, c_hat=0.5)
+        # q_hat = 2 is an atom of four samples: k = 5 samples lie at or below
+        # it, and tau = 5/6.
+        atom = EmpiricalDistribution(np.array([1.0, 2.0, 2.0, 2.0, 2.0, 9.0]))
+        clipped = NormalDistribution(-1.0, 10.0)  # median below 0: q_hat = 0
+        normal = NormalDistribution(100.0, 10.0)
+        laws = simulation._Laws(terms, [atom, clipped, normal])
+        assert laws.cutoffs.tolist()[:2] == [2.0, 0.0]
+        top = np.nextafter(1.0, 0.0)
+        # As F^-1(U*tau) = sample int(U*tau*n), the largest U would round up
+        # to index k, the sample above the atom.
+        assert atom.transform_uniform(top * atom.cdf(2.0)) == 9.0
+        u = np.concatenate(
+            ([0.0, top], np.linspace(0.0, 1.0, 1001)[:-1], 1.0 - 2.0 ** -np.arange(1.0, 54.0))
+        )
+        for g in range(3):
+            q, is_clipped = laws.tail(np.full(u.size, g), u)
+            assert np.all(q <= laws.cutoffs[g]), g
+            if g == 0:
+                assert q[1] == 2.0 and set(q.tolist()) == {1.0, 2.0}
+            if g == 1:  # the tail is the atom clipped onto zero
+                assert np.all(q == 0.0) and np.all(is_clipped)
+            if g == 2:  # only u = 0 reaches its clipped mass, Phi(-10)
+                assert np.array_equal(is_clipped, u == 0.0)
+
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    def test_event_rate_zero_and_one_are_exact(self, p):
+        terms = ProgramTerms(pi_e=4.0, pi_r=0.01, pi_p=5.0, p=p, allow_ill_posed=True)
+        capability = {
+            "a": EmpiricalDistribution(np.array([3.0, 3.0])),
+            "b": NormalDistribution(50.0, 5.0),
+        }
+        contracts = {"a": 4.0, "b": 45.0}
+        config = small_config(n_trials=150, windows_per_horizon=7)  # a b a b a b a
+        result = simulate_horizon(terms, capability, contracts, config)
+        assert_bitwise_equal(result, dense_simulate_horizon(terms, capability, contracts, config))
+        assert result.event_total == p * 150 * 7
+        if p == 0.0:
+            base = float(np.sum(0.01 * np.array([4.0, 45.0] * 3 + [4.0])))
+            assert result.profits.tolist() == [base] * 150
+            assert result.shortfall_total == 0
+        else:
+            assert result.event_mean_per_trial == 7.0
+            # "a" delivers 3 of its 4 kWh at every one of its 4 windows
+            assert 150 * 4 <= result.shortfall_total < 150 * 7
+
+    def test_tail_rate_one_takes_every_cell(self):
+        terms = ProgramTerms(pi_e=4.0, pi_r=0.01, pi_p=5.0, p=0.05, c_hat=0.4)
+        dist = EmpiricalDistribution(np.array([1.0, 2.0, 2.0]))  # q_hat = 2, the top
+        config = small_config(n_trials=130, windows_per_horizon=5)
+        result = simulate_horizon(terms, dist, 1.5, config)
+        assert_bitwise_equal(result, dense_simulate_horizon(terms, dist, 1.5, config))
+        assert result.cvar["all"].tail_count == 130 * 5
+        assert result.cvar["all"].standard_error > 0.0
+
+    def test_counts_match_binomial_means(self):
+        terms = ProgramTerms(pi_e=4.0, pi_r=0.01, pi_p=5.0, p=0.05)
+        capability = {
+            "clip": NormalDistribution(1.0, 10.0),
+            "emp": sampled_normal(60.0, 15.0, 23, seed=4),
+            "normal": NormalDistribution(60.0, 15.0),
+        }
+        contracts = {"clip": 0.5, "emp": 55.0, "normal": 50.0}
+        seeds, n_trials, windows = range(60), 200, 30  # 10 windows per group
+        counts = {"events": []} | {label: [] for label in capability}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ClippedMassWarning)
+            for seed in seeds:
+                config = small_config(n_trials=n_trials, windows_per_horizon=windows, seed=seed)
+                result = simulate_horizon(terms, capability, contracts, config)
+                counts["events"].append(result.event_total)
+                for label, est in result.cvar.items():
+                    counts[label].append(est.tail_count)
+        rates = {"events": (terms.p, n_trials * windows)} | {
+            label: (float(dist.cdf(tail_cutoff(terms, dist))), n_trials * 10)
+            for label, dist in capability.items()
+        }
+        for label, (rate, cells) in rates.items():
+            observed = np.array(counts[label], dtype=float)
+            mean, var = rate * cells, rate * (1.0 - rate) * cells
+            z = (observed.sum() - len(seeds) * mean) / np.sqrt(len(seeds) * var)
+            assert abs(z) < 4.5, (label, z)
+            assert 0.5 < observed.var(ddof=1) / var < 1.7, label
+
+    def test_odd_shapes_are_bit_identical(self, monkeypatch):
+        # 13 windows, not a multiple of 4; 203 trials, not a multiple of the block.
+        terms = ProgramTerms(pi_e=4.0, pi_r=0.01, pi_p=5.0, p=0.05)
+        capability, contracts, _, _ = sparse_cases()["mixed"]
+        config = dict(n_trials=203, windows_per_horizon=13)
+        results = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ClippedMassWarning)
+            for chunk in (64, 128, 1024):
+                monkeypatch.setattr("drcontracts.simulation.CHUNK_TRIALS", chunk)
+                for streams in (1, 2, 3):
+                    run = small_config(parallel_streams=streams, **config)
+                    results.append(simulate_horizon(terms, capability, contracts, run))
+            oracle = dense_simulate_horizon(terms, capability, contracts, small_config(**config))
+        for result in results:
+            assert_bitwise_equal(result, oracle)
+
+    def test_chunk_must_hold_whole_blocks(self, basic_terms, monkeypatch):
+        monkeypatch.setattr("drcontracts.simulation.CHUNK_TRIALS", 96)
+        with pytest.raises(ValueError, match="multiple of BLOCK_TRIALS"):
+            simulate_horizon(basic_terms, NormalDistribution(100.0, 10.0), 90.0, small_config())
 
 
 class TestClippedMassWarning:
