@@ -133,7 +133,6 @@ def write_config(path: Path) -> None:
         "simulation": {
             "n_trials": 5000,
             "seed": 7,
-            "parallel_streams": 2,
         },
         "paths": {
             "load_csv": "sample_load.csv",

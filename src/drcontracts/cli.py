@@ -60,7 +60,7 @@ from .estimation import (
     read_shapes_csv,
     restrict_to_common,
 )
-from .formatting import flag, parse_flag, read_csv_rows, read_json_block, sig9
+from .formatting import flag, is_integer, parse_flag, read_csv_rows, read_json_block, sig9
 from .program import ProgramTerms
 from .simulation import (
     SimulationConfig,
@@ -156,14 +156,21 @@ def load_run_config(path_text: str) -> RunConfig:
                 required=("curtailable_fraction", "curtailable_end_use"),
             )
         if "simulation" in obj:
+            block = obj["simulation"]
+            if isinstance(block, dict) and "parallel_streams" in block:
+                # Ignored; an unknown key once the benchmark stops writing it (ROADMAP item 1).
+                block = dict(block)
+                streams = block.pop("parallel_streams")
+                if not (is_integer(streams) and streams >= 1):
+                    raise InputFormatError(
+                        "simulation block: parallel_streams must be a positive integer, "
+                        f"got {streams!r}"
+                    )
             # The horizon is the contract schedule; its length fixes the windows.
             read_json_block(
-                SimulationConfig,
-                "simulation",
-                obj["simulation"],
-                exclude=("windows_per_horizon",),
+                SimulationConfig, "simulation", block, exclude=("windows_per_horizon",)
             )
-            simulation_raw = dict(obj["simulation"])
+            simulation_raw = dict(block)
     except InputFormatError as exc:
         raise InputFormatError(f"{path}: {exc}") from exc
 

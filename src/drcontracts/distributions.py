@@ -196,29 +196,26 @@ def _check_unit_interval(u: np.ndarray) -> None:
 class EmpiricalDistribution:
     """Distribution putting mass 1/n on each stored sample.
 
-    Samples are stored sorted ascending; ``original_samples`` gives them back
-    in construction order, which is how distributions pair sample by sample.
+    Samples are stored sorted ascending; ``original_samples`` keeps a
+    read-only copy in construction order, which is how distributions pair
+    sample by sample.
     """
 
     samples: np.ndarray
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.samples, dtype=float)
+        values = np.array(self.samples, dtype=float)
         if values.ndim != 1 or values.size == 0:
             raise ValueError("empirical distribution needs a 1-d, non-empty sample array")
         if not np.all(np.isfinite(values)):
             raise ValueError("samples must be finite")
         if np.min(values) < 0.0:
             raise ValueError("samples must be >= 0 (curtailment capability in kWh)")
-        order = np.argsort(values, kind="stable")
-        values = values[order]
-        # Inverse permutation: samples[_insertion] restores construction order,
-        # which pairs samples across distributions.
-        insertion = np.argsort(order)
+        ordered = np.sort(values, kind="stable")
         values.flags.writeable = False
-        insertion.flags.writeable = False
-        object.__setattr__(self, "samples", values)
-        object.__setattr__(self, "_insertion", insertion)
+        ordered.flags.writeable = False
+        object.__setattr__(self, "samples", ordered)
+        object.__setattr__(self, "_original", values)
 
     @property
     def n(self) -> int:
@@ -226,8 +223,8 @@ class EmpiricalDistribution:
 
     @property
     def original_samples(self) -> np.ndarray:
-        """Samples in construction order (one per historical window)."""
-        return self.samples[self._insertion]
+        """Samples in construction order (one per historical window), read-only."""
+        return self._original
 
     @cached_property
     def _prefix(self) -> np.ndarray:

@@ -20,13 +20,12 @@ uniform U and the draw F_g^-1(U*tau_g), which follows the law of q given
 q <= q_hat_g.  Every draw of a point mass is its one value, which is its own
 clipped cutoff, so its CVaR is exact and takes no draws.  Profits, counts,
 CVaR values and their standard errors are bit-identical for a given seed
-whatever the chunking or the number of parallel streams.
+whatever the chunking.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -56,8 +55,8 @@ TAIL_VALUE_PURPOSE = 3  # one uniform per tail cell
 # at the end, so no output depends on how blocks are grouped into chunks.
 BLOCK_TRIALS = 64
 
-# Trials per work unit: one settlement call, and one task per parallel stream.
-# A multiple of BLOCK_TRIALS, so no block straddles two chunks.
+# Trials per work unit, one settlement call.  A multiple of BLOCK_TRIALS, so
+# no block straddles two chunks.
 CHUNK_TRIALS = 1024
 
 DEFAULT_WINDOWS_PER_HORIZON = 720
@@ -68,10 +67,9 @@ class SimulationConfig:
     n_trials: int
     windows_per_horizon: int = DEFAULT_WINDOWS_PER_HORIZON
     seed: int = 0
-    parallel_streams: int = 1
 
     def __post_init__(self) -> None:
-        for name in ("n_trials", "windows_per_horizon", "parallel_streams"):
+        for name in ("n_trials", "windows_per_horizon"):
             value = getattr(self, name)
             if not (is_integer(value) and value >= 1):
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
@@ -430,8 +428,8 @@ def simulate_horizon(
     sums, sq_sums, lows, highs = (np.full(n_keys, v) for v in (0.0, 0.0, np.inf, -np.inf))
     counts, clips = np.zeros(n_keys, dtype=np.int64), np.zeros(n_keys, dtype=np.int64)
 
-    def run_chunk(row_start: int) -> None:
-        """Settle a chunk's trials and sum its tail terms, into its own slices."""
+    # Settle each chunk's trials and sum its tail terms.
+    for row_start in range(0, n_trials, CHUNK_TRIALS):
         n_rows = min(CHUNK_TRIALS, n_trials - row_start)
         first = row_start // BLOCK_TRIALS
         drawn = [draw_block(first + b) for b in range(-(-n_rows // BLOCK_TRIALS))]
@@ -457,14 +455,6 @@ def simulate_horizon(
         clips[view] = np.bincount(keys[clipped], minlength=size)
         np.minimum.at(lows[view], keys, tail_terms)
         np.maximum.at(highs[view], keys, tail_terms)
-
-    starts = range(0, n_trials, CHUNK_TRIALS)
-    if config.parallel_streams > 1:
-        with ThreadPoolExecutor(max_workers=config.parallel_streams) as pool:
-            list(pool.map(run_chunk, starts))
-    else:
-        for row_start in starts:
-            run_chunk(row_start)
 
     tail_sums, tail_sq_sums, tail_count = (
         a.reshape(-1, n_groups).sum(axis=0) for a in (sums, sq_sums, counts)
@@ -506,7 +496,12 @@ def simulate_horizon(
 
 
 def _strict_lower_probability(dist: CurtailmentDistribution, c: float) -> float:
-    """P(q < c), the per-event shortfall probability at contract c."""
+    """P(q < c), the per-event shortfall probability at contract c.
+
+    Draws are clipped at zero, so none falls short of a contract c <= 0.
+    """
+    if c <= 0.0:
+        return 0.0
     if isinstance(dist, EmpiricalDistribution):
         return float(np.searchsorted(dist.samples, c, side="left") / dist.n)
     if dist.sigma == 0.0:

@@ -20,6 +20,7 @@ from scipy import stats
 from drcontracts.cli import (
     ALPHA_SWEEP_HEADER,
     SCHEDULE_CSV_HEADER_FULL,
+    load_run_config,
     main,
     spearman_rho,
 )
@@ -197,6 +198,7 @@ class TestConfigValidation:
             ("simulation", "seed", 7.0),
             ("simulation", "seed", True),
             ("simulation", "parallel_streams", True),
+            ("simulation", "parallel_streams", 0),
             ("estimation", "curtailable_fraction", True),
             ("estimation", "min_bucket_size", 4.0),
         ],
@@ -535,6 +537,24 @@ class TestSimulate:
             == 0
         )
         assert again.read_bytes() == first
+
+    @pytest.mark.parametrize("streams", [1, 2])
+    def test_parallel_streams_key_is_ignored(self, workspace, streams):
+        # The key is still accepted, as a positive integer, and changes nothing.
+        obj = json.loads((workspace / "config.json").read_text())
+        assert "parallel_streams" not in obj["simulation"]
+        obj["simulation"]["parallel_streams"] = streams
+        config = workspace / f"config_streams_{streams}.json"
+        config.write_text(json.dumps(obj))
+        assert "parallel_streams" not in load_run_config(str(config)).simulation_raw
+        outputs = {}
+        for name, path in (("plain", workspace / "config.json"), ("streams", config)):
+            report = workspace / f"report_{name}_{streams}.json"
+            profits = workspace / f"profits_{name}_{streams}.csv"
+            argv = ["--config", str(path), "--building", "acme_plant", "--out", str(report)]
+            assert run("simulate", *argv, "--profits-csv", str(profits)) == 0
+            outputs[name] = (report.read_bytes(), profits.read_bytes())
+        assert outputs["streams"] == outputs["plain"]
 
     def test_seed_override_changes_draws(self, workspace):
         out = workspace / "report_seed.json"

@@ -43,14 +43,14 @@ class TestSimulationConfig:
             {"n_trials": 0},
             {"n_trials": 2.5},
             {"n_trials": 10, "windows_per_horizon": 0},
-            {"n_trials": 10, "parallel_streams": 0},
             {"n_trials": 10, "seed": -1},
             {"n_trials": 10, "seed": 2**64},
             {"n_trials": 100.0},
             {"n_trials": True},
             {"n_trials": 10, "seed": 7.0},
             {"n_trials": 10, "seed": True},
-            {"n_trials": 10, "parallel_streams": True},
+            {"n_trials": 10, "windows_per_horizon": 2.5},
+            {"n_trials": 10, "windows_per_horizon": True},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -59,9 +59,9 @@ class TestSimulationConfig:
 
     def test_numpy_integers_accepted(self):
         config = SimulationConfig(
-            n_trials=np.int64(10), seed=np.uint64(7), parallel_streams=np.int32(2)
+            n_trials=np.int64(10), seed=np.uint64(7), windows_per_horizon=np.int32(2)
         )
-        assert config.n_trials == 10 and config.seed == 7
+        assert config.n_trials == 10 and config.seed == 7 and config.windows_per_horizon == 2
 
 
 class TestDeterminism:
@@ -72,16 +72,6 @@ class TestDeterminism:
         assert np.array_equal(first.profits, second.profits)
         assert first.event_total == second.event_total
         assert first.shortfall_total == second.shortfall_total
-
-    def test_parallel_streams_do_not_change_draws(self, basic_terms):
-        dist = NormalDistribution(100.0, 10.0)
-        config = small_config(n_trials=9000)
-        serial = simulate_horizon(basic_terms, dist, 90.0, config)
-        threaded = simulate_horizon(
-            basic_terms, dist, 90.0, small_config(n_trials=9000, parallel_streams=4)
-        )
-        assert np.array_equal(serial.profits, threaded.profits)
-        assert serial.cvar["all"].value == threaded.cvar["all"].value
 
     def test_chunk_size_does_not_change_draws(self, basic_terms, monkeypatch):
         dist = NormalDistribution(100.0, 10.0)
@@ -99,14 +89,14 @@ class TestDeterminism:
 
 
 class TestChunkingInvariance:
-    """Neither chunking nor the stream count moves any output bit.
+    """Chunking moves no output bit.
 
     Every draw comes from the streams of its block of BLOCK_TRIALS trials,
     which never straddles a chunk.  Profits and counts are per trial, so no
     partition of the trials can move them.  A group's tail terms are summed
     per block, and the block sums are reduced once at the end, so CVaR values
     and their standard errors add the same values in the same order at any
-    chunk size; the stream count only changes which thread computes a chunk.
+    chunk size.
     """
 
     SEEDS = range(6)
@@ -131,9 +121,7 @@ class TestChunkingInvariance:
             assert rechunked.clip_count == base.clip_count
             assert rechunked.cvar["all"].tail_count == base.cvar["all"].tail_count
 
-    def test_cvar_does_not_depend_on_chunking_or_streams(
-        self, basic_terms, monkeypatch
-    ):
+    def test_cvar_does_not_depend_on_chunking(self, basic_terms, monkeypatch):
         capability = {
             "a": NormalDistribution(100.0, 10.0),
             "b": NormalDistribution(1.0, 10.0),  # cutoff clipped to zero
@@ -145,21 +133,15 @@ class TestChunkingInvariance:
         outputs = []
         for chunk in (4096, 64):
             monkeypatch.setattr("drcontracts.simulation.CHUNK_TRIALS", chunk)
-            for streams in (1, 2, 3):
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", ClippedMassWarning)
-                    runs = [
-                        simulate_horizon(
-                            basic_terms,
-                            capability,
-                            contracts,
-                            small_config(seed=s, parallel_streams=streams, **config),
-                        )
-                        for s in self.SEEDS
-                    ]
-                outputs.append(
-                    [json.dumps(r.to_json_dict(), sort_keys=True) for r in runs]
-                )
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ClippedMassWarning)
+                runs = [
+                    simulate_horizon(
+                        basic_terms, capability, contracts, small_config(seed=s, **config)
+                    )
+                    for s in self.SEEDS
+                ]
+            outputs.append([json.dumps(r.to_json_dict(), sort_keys=True) for r in runs])
         assert all(out == outputs[0] for out in outputs[1:])
         tail_counts = [json.loads(out)["cvar"] for out in outputs[0]]
         assert all(est["tail_count"] > 0 for cv in tail_counts for est in cv.values())
@@ -179,35 +161,17 @@ class TestChunkingInvariance:
         config = dict(n_trials=1001, windows_per_horizon=30)
         for chunk in (4096, 64):
             monkeypatch.setattr("drcontracts.simulation.CHUNK_TRIALS", chunk)
-            for streams in (1, 3):
-                run = small_config(parallel_streams=streams, **config)
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", ClippedMassWarning)
-                    result = simulate_horizon(terms, capability, contracts, run)
-                assert result.cvar["clip"].standard_error == 0.0
-                assert result.cvar["ties"].standard_error == 0.0
-                assert result.cvar["spread"].standard_error > 0.0
-                assert min(est.tail_count for est in result.cvar.values()) > 1
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ClippedMassWarning)
+                result = simulate_horizon(terms, capability, contracts, small_config(**config))
+            assert result.cvar["clip"].standard_error == 0.0
+            assert result.cvar["ties"].standard_error == 0.0
+            assert result.cvar["spread"].standard_error > 0.0
+            assert min(est.tail_count for est in result.cvar.values()) > 1
         summary = analytic_summary(terms, capability, contracts, small_config(**config))
         z = {row.quantity: row.z_score for row in convergence_rows(result, summary)}
         assert z["cvar[clip]"] is None and z["cvar[ties]"] is None
         assert z["cvar[spread]"] is not None
-
-    def test_cvar_does_not_depend_on_stream_count(self, basic_terms, monkeypatch):
-        monkeypatch.setattr("drcontracts.simulation.CHUNK_TRIALS", 64)
-        dist = NormalDistribution(100.0, 10.0)
-        for seed in self.SEEDS:
-            serial = simulate_horizon(
-                basic_terms, dist, 90.0, small_config(seed=seed, n_trials=700)
-            )
-            threaded = simulate_horizon(
-                basic_terms,
-                dist,
-                90.0,
-                small_config(seed=seed, n_trials=700, parallel_streams=3),
-            )
-            assert threaded.to_json_dict() == serial.to_json_dict()
-            assert threaded.profits.tobytes() == serial.profits.tobytes()
 
 
 def test_each_chunk_settles_through_the_kernel_module(basic_terms, monkeypatch):
@@ -221,12 +185,13 @@ def test_each_chunk_settles_through_the_kernel_module(basic_terms, monkeypatch):
 
     monkeypatch.setattr(_kernels, "settle_trials", recording_settle)
     monkeypatch.setattr("drcontracts.simulation.CHUNK_TRIALS", 128)
-    config = small_config(parallel_streams=3)
+    config = small_config()
     dist = NormalDistribution(100.0, 10.0)
     simulate_horizon(basic_terms, dist, 90.0, config)
-    assert sorted(n_rows for n_rows, _ in calls) == [88] + [128] * 4
-    # Each call gets its chunk's event cells, block after block, in
-    # row-major order: two 64-trial blocks per chunk, the last one short.
+    assert [n_rows for n_rows, _ in calls] == [128] * 4 + [88]
+    # The chunks settle in order, and each call gets its chunk's event cells,
+    # block after block, in row-major order: two 64-trial blocks per chunk,
+    # the last one short.
     block_cells = config.windows_per_horizon * simulation.BLOCK_TRIALS
     expected = []
     for row_start in range(0, config.n_trials, 128):
@@ -240,7 +205,7 @@ def test_each_chunk_settles_through_the_kernel_module(basic_terms, monkeypatch):
             )
             cells += [b * block_cells + cell for cell in events]
         expected.append((n_rows, np.array(cells, dtype=np.int64).tobytes()))
-    assert sorted(calls) == sorted(expected)
+    assert calls == expected
 
 
 def assert_bitwise_equal(result, oracle) -> None:
@@ -302,15 +267,13 @@ class TestSparseChunkMatchesDense:
     """The sparse chunk against the dense oracle, bit for bit."""
 
     @pytest.mark.parametrize("case", ["interleaved", "grouped", "shuffled", "mixed"])
-    @pytest.mark.parametrize("streams", [1, 3])
-    def test_bitwise_equal_to_dense_chunk(self, case, streams, monkeypatch):
+    @pytest.mark.parametrize("seed", [1, 3])
+    def test_bitwise_equal_to_dense_chunk(self, case, seed, monkeypatch):
         # 64-trial chunks: 300 trials make four full chunks and a partial one.
         monkeypatch.setattr("drcontracts.simulation.CHUNK_TRIALS", 64)
         terms = ProgramTerms(pi_e=4.0, pi_r=0.01, pi_p=5.0, p=0.05)
         capability, contracts, schedule, windows = sparse_cases()[case]
-        config = small_config(
-            n_trials=300, windows_per_horizon=windows or 1, parallel_streams=streams
-        )
+        config = small_config(n_trials=300, windows_per_horizon=windows or 1, seed=seed)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ClippedMassWarning)
             result = simulate_horizon(terms, capability, contracts, config, schedule)
@@ -503,9 +466,9 @@ class TestSparseDraws:
             warnings.simplefilter("ignore", ClippedMassWarning)
             for chunk in (64, 128, 1024):
                 monkeypatch.setattr("drcontracts.simulation.CHUNK_TRIALS", chunk)
-                for streams in (1, 2, 3):
-                    run = small_config(parallel_streams=streams, **config)
-                    results.append(simulate_horizon(terms, capability, contracts, run))
+                results.append(
+                    simulate_horizon(terms, capability, contracts, small_config(**config))
+                )
             oracle = dense_simulate_horizon(terms, capability, contracts, small_config(**config))
         for result in results:
             assert_bitwise_equal(result, oracle)
@@ -656,6 +619,26 @@ class TestShortfallAccounting:
         )
         assert result.event_total > 0
         assert result.shortfall_total == result.event_total
+
+    def test_zero_contract_never_shorts(self):
+        # A draw clipped onto zero delivers a contract of zero in full, so a
+        # normal's clipped mass F(0) is no shortfall there.
+        terms = ProgramTerms(pi_e=4.0, pi_r=0.01, pi_p=5.0, p=0.1)
+        capability = {
+            "clip": NormalDistribution(1.0, 10.0),
+            "point_neg": NormalDistribution(-1.0, 0.0),
+            "normal": NormalDistribution(100.0, 10.0),
+            "zeros": EmpiricalDistribution(np.array([0.0, 0.0, 3.0])),
+        }
+        config = small_config(n_trials=2000)
+        summary = analytic_summary(terms, capability, 0.0, config)
+        assert summary.shortfall_probability == 0.0
+        assert all(g.shortfall_probability == 0.0 for g in summary.groups.values())
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ClippedMassWarning)
+            result = simulate_horizon(terms, capability, 0.0, config)
+        assert result.event_total > 0 and result.clip_count > 0
+        assert result.shortfall_total == 0
 
 
 class TestEmpiricalCvar:
