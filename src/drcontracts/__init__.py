@@ -77,9 +77,10 @@ from .estimation import (
     BucketModel,
     CapabilityModel,
     CurtailableSeries,
+    DayTable,
     EndUseShapes,
     EstimationConfig,
-    LoadRecord,
+    LoadTable,
     bucket,
     build_capability_model,
     curtailable_series,
@@ -123,13 +124,14 @@ __all__ = [
     "CvarEstimate",
     "DEFAULT_CVAR_LEVEL",
     "DEFAULT_EVENT_PROBABILITY",
+    "DayTable",
     "DrContractsError",
     "EmpiricalDistribution",
     "EndUseShapes",
     "EstimationConfig",
     "IllPosedProgramError",
     "InputFormatError",
-    "LoadRecord",
+    "LoadTable",
     "ModelConsistencyError",
     "NormalDistribution",
     "PartnerRank",

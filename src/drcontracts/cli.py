@@ -209,10 +209,10 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     est = config.require_estimation()
     load_path = config.path("load_csv")
     shapes_path = config.path("shapes_csv")
-    records = read_load_csv(load_path)
+    table = read_load_csv(load_path)
     shapes = read_shapes_csv(shapes_path, est.curtailable_end_use)
     model = build_capability_model(
-        records, shapes, est, source_digest=_digest(load_path, shapes_path)
+        table, shapes, est, source_digest=_digest(load_path, shapes_path)
     )
     Path(args.out).write_text(model_json_text(model))
 

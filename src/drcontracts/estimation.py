@@ -1,25 +1,27 @@
 """Capability estimation from metered load data.
 
-Pipeline: decompose each complete day's 24-hour load profile into reference
-end-use shapes by non-negative least squares and take the curtailable fraction
-of the HVAC component as that day's hourly curtailment-capability estimate,
-one row of a (days x 24) array.  The buckets slice that array: the days of one
-(month, weekday/weekend) give each hour-of-day's bucket its column, in day
-order, as an empirical distribution with a fitted normal alongside.  model.json
-stores the array and the fits; its reader re-buckets it.  Two buildings' samples
-pair by day: ``restrict_to_common`` keeps the days both have, so the same
-bucket of each restricted series holds the same days in the same order.
+Pipeline: decompose each complete day's 24-hour load profile, a row of its
+building's day table, into reference end-use shapes by non-negative least
+squares and take the curtailable fraction of the HVAC component as that day's
+hourly curtailment-capability estimate, one row of a (days x 24) array.  The
+buckets slice that array: the days of one (month, weekday/weekend) give each
+hour-of-day's bucket its column, in day order, as an empirical distribution
+with a fitted normal alongside.  model.json stores the array and the fits; its
+reader re-buckets it.  Two buildings' samples pair by day:
+``restrict_to_common`` keeps the days both have, so the same bucket of each
+restricted series holds the same days in the same order.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from datetime import date, datetime
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -44,23 +46,26 @@ _DAY_TYPES = ("weekday", "weekend", "all")
 
 
 @dataclass(frozen=True)
-class LoadRecord:
-    """One metered hour for one building."""
+class DayTable:
+    """One building's days, ascending, and read-only (days x 24) kWh; NaN for a missing hour."""
 
-    timestamp: datetime
-    building_id: str
-    load_kwh: float
+    days: tuple[date, ...]
+    values: np.ndarray
 
-    def __post_init__(self) -> None:
-        ts = self.timestamp
-        if ts.tzinfo is not None:
-            raise ValueError(f"timestamps must be naive local time, got {ts.isoformat()}")
-        if ts.minute or ts.second or ts.microsecond:
-            raise ValueError(f"timestamps must be on the hour, got {ts.isoformat()}")
-        if not self.building_id:
-            raise ValueError("building_id must be non-empty")
-        if not (math.isfinite(self.load_kwh) and self.load_kwh >= 0.0):
-            raise ValueError(f"load_kwh must be finite and >= 0, got {self.load_kwh!r}")
+    @property
+    def metered_hours(self) -> int:
+        """The cells that are not NaN, one per data row of the load CSV."""
+        return int(np.count_nonzero(~np.isnan(self.values)))
+
+
+@dataclass(frozen=True)
+class LoadTable:
+    """Every building's day table, by building id; len() is the number of metered hours."""
+
+    buildings: Mapping[str, DayTable]
+
+    def __len__(self) -> int:
+        return sum(table.metered_hours for table in self.buildings.values())
 
 
 @dataclass(frozen=True, order=True)
@@ -154,45 +159,27 @@ class CurtailableSeries:
 
 
 def curtailable_series(
-    records: Iterable[LoadRecord], shapes: EndUseShapes, fraction: float
+    table: DayTable, shapes: EndUseShapes, fraction: float
 ) -> CurtailableSeries:
     """Estimate one building's curtailable kWh, one row of 24 hours per complete day.
 
-    Only complete days (all 24 hours present) are decomposed; incomplete days
-    are skipped and counted.
+    Only complete days (no NaN hour) are decomposed; incomplete days are
+    skipped and counted.
     """
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"curtailable fraction must lie in [0, 1], got {fraction!r}")
-    records = list(records)
-    if not records:
-        raise ValueError("no load records given")
-    buildings = {r.building_id for r in records}
-    if len(buildings) != 1:
-        raise ValueError(f"records span multiple buildings: {sorted(buildings)}")
-
-    by_day: dict[date, dict[int, float]] = {}
-    for rec in records:
-        day = by_day.setdefault(rec.timestamp.date(), {})
-        if rec.timestamp.hour in day:
-            raise ValueError(f"duplicate timestamp {rec.timestamp.isoformat()}")
-        day[rec.timestamp.hour] = rec.load_kwh
-
+    complete = ~np.isnan(table.values).any(axis=1)
+    days = [day for day, ok in zip(table.days, complete) if ok]
     ci = shapes.curtailable_index
-    days: list[date] = []
     rows: list[np.ndarray] = []
-    for day in sorted(by_day):
-        hours = by_day[day]
-        if len(hours) != HOURS_PER_DAY:
-            continue
+    for day, profile in zip(days, table.values[complete]):
         is_weekend = day.weekday() >= 5
-        profile = [hours[h] for h in range(HOURS_PER_DAY)]
         weights, _ = decompose_load(profile, shapes, is_weekend)
-        days.append(day)
         rows.append(fraction * weights[ci] * shapes.day_matrix(is_weekend)[:, ci])
 
     values = np.array(rows).reshape(len(days), HOURS_PER_DAY)
     values.flags.writeable = False
-    return CurtailableSeries(tuple(days), values, skipped_days=len(by_day) - len(days))
+    return CurtailableSeries(tuple(days), values, skipped_days=len(table.days) - len(days))
 
 
 def bucket(series: CurtailableSeries) -> dict[BucketKey, EmpiricalDistribution]:
@@ -446,21 +433,15 @@ def model_json_text(model: CapabilityModel) -> str:
 
 
 def build_capability_model(
-    records: Iterable[LoadRecord],
+    table: LoadTable,
     shapes: EndUseShapes,
     config: EstimationConfig,
     source_digest: str | None = None,
 ) -> CapabilityModel:
-    """Run the full estimation pipeline over all buildings in the records."""
-    by_building: dict[str, list[LoadRecord]] = {}
-    for rec in records:
-        by_building.setdefault(rec.building_id, []).append(rec)
-    if not by_building:
-        raise ModelConsistencyError("no load records: no valid buckets")
-
+    """Run the full estimation pipeline over every building in the table."""
     buildings = {}
-    for bid in sorted(by_building):
-        series = curtailable_series(by_building[bid], shapes, config.curtailable_fraction)
+    for bid in sorted(table.buildings):
+        series = curtailable_series(table.buildings[bid], shapes, config.curtailable_fraction)
         kept, dropped = split_buckets(series, config.min_bucket_size)
         buckets = {key: BucketModel(emp, *fit_normal(emp)) for key, emp in kept.items()}
         buildings[bid] = BuildingModel(bid, series, buckets, dropped)
@@ -469,16 +450,20 @@ def build_capability_model(
     return CapabilityModel(
         buildings=buildings,
         config=config,
-        record_counts={bid: len(recs) for bid, recs in by_building.items()},
+        record_counts={bid: t.metered_hours for bid, t in table.buildings.items()},
         source_digest=source_digest,
     )
 
 
-def read_load_csv(path) -> list[LoadRecord]:
-    """Parse the metered-load CSV (header: timestamp,building_id,load_kwh)."""
-    seen: set[tuple[str, datetime]] = set()
+def read_load_csv(path) -> LoadTable:
+    """Parse the metered-load CSV (header: timestamp,building_id,load_kwh).
 
-    def parse(row: list[str]) -> LoadRecord:
+    Each load goes straight into the 24-hour row of its building and day;
+    an hour with no row stays NaN.
+    """
+    by_building = defaultdict(lambda: defaultdict(lambda: [math.nan] * HOURS_PER_DAY))
+
+    def parse(row: list[str]) -> None:
         try:
             ts = datetime.fromisoformat(row[0])
         except ValueError as exc:
@@ -487,16 +472,28 @@ def read_load_csv(path) -> list[LoadRecord]:
             load = float(row[2])
         except ValueError:
             raise ValueError(f"bad load_kwh {row[2]!r}") from None
-        record = LoadRecord(timestamp=ts, building_id=row[1].strip(), load_kwh=load)
-        key = (record.building_id, ts)
-        if key in seen:
-            raise ValueError(
-                f"duplicate timestamp {ts.isoformat()} for building {record.building_id!r}"
-            )
-        seen.add(key)
-        return record
+        if ts.tzinfo is not None:
+            raise ValueError(f"timestamps must be naive local time, got {ts.isoformat()}")
+        if ts.minute or ts.second or ts.microsecond:
+            raise ValueError(f"timestamps must be on the hour, got {ts.isoformat()}")
+        building = row[1].strip()
+        if not building:
+            raise ValueError("building_id must be non-empty")
+        if not (math.isfinite(load) and load >= 0.0):
+            raise ValueError(f"load_kwh must be finite and >= 0, got {load!r}")
+        hours = by_building[building][ts.date()]
+        if not math.isnan(hours[ts.hour]):
+            raise ValueError(f"duplicate timestamp {ts.isoformat()} for building {building!r}")
+        hours[ts.hour] = load
 
-    return read_csv_rows(path, "load CSV", (LOAD_CSV_HEADER,), parse)
+    read_csv_rows(path, "load CSV", (LOAD_CSV_HEADER,), parse)
+    tables = {}
+    for building, days in by_building.items():
+        ordered = sorted(days)
+        values = np.array([days[day] for day in ordered])
+        values.flags.writeable = False
+        tables[building] = DayTable(tuple(ordered), values)
+    return LoadTable(tables)
 
 
 def read_shapes_csv(path, curtailable: str) -> EndUseShapes:

@@ -12,7 +12,7 @@ import math
 import shutil
 import sys
 import time
-from datetime import datetime, timedelta
+from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
@@ -48,9 +48,9 @@ from drcontracts import (
 from drcontracts.cli import main as cli_main
 from drcontracts.contracts import GRID_POINTS, _search_upper_bound
 from drcontracts.estimation import (
+    DayTable,
     EndUseShapes,
     EstimationConfig,
-    LoadRecord,
     bucket,
     build_capability_model,
     curtailable_series,
@@ -477,15 +477,9 @@ def test_09_estimation_pipeline(tmp_path):
         weekend=np.vstack([base, hvac]),
         curtailable="hvac",
     )
-    records = []
-    for day in range(21):
-        date = datetime(2021, 3, 1) + timedelta(days=day)
-        profile = shapes.day_matrix(date.weekday() >= 5) @ np.array([120.0, 80.0])
-        records += [
-            LoadRecord(date + timedelta(hours=h), "b1", float(profile[h]))
-            for h in range(24)
-        ]
-    series = curtailable_series(records, shapes, fraction=0.6)
+    days = tuple(date(2021, 3, 1) + timedelta(days=i) for i in range(21))
+    loads = np.array([shapes.day_matrix(d.weekday() >= 5) @ [120.0, 80.0] for d in days])
+    series = curtailable_series(DayTable(days, loads), shapes, fraction=0.6)
     buckets = bucket(series)
     bucket_ok = (
         sum(d.n for d in buckets.values()) == series.values.size == 21 * 24

@@ -6,10 +6,12 @@ import dataclasses
 import hashlib
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
 import warnings
+from collections import Counter
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -268,6 +270,27 @@ class TestEstimate:
             == 0
         )
         assert again.read_bytes() == first
+
+    def test_row_order_does_not_change_the_model(self, tmp_path, monkeypatch, capsys):
+        for name in INPUTS:
+            shutil.copy(FIXTURES / name, tmp_path / name)
+        monkeypatch.chdir(tmp_path)
+        argv = ("estimate", "--config", "config.json", "--out", "model.json")
+        assert run(*argv) == 0
+        ordered = (tmp_path / "model.json").read_text(), capsys.readouterr().out
+        header, *rows = (FIXTURES / "sample_load.csv").read_text().splitlines()
+        random.Random(11).shuffle(rows)
+        buildings = [row.split(",")[1] for row in rows]
+        assert len(set(buildings[:10])) > 1  # the buildings' rows interleave
+        (tmp_path / "sample_load.csv").write_text("\n".join([header, *rows]) + "\n")
+        assert run(*argv) == 0
+        shuffled = (tmp_path / "model.json").read_text(), capsys.readouterr().out
+        # The input digest hashes the file's bytes; nothing else may change.
+        old, new = (json.loads(text)["metadata"] for text, _ in (ordered, shuffled))
+        assert old["source_digest"] != new["source_digest"]
+        assert shuffled[0].replace(new["source_digest"], old["source_digest"]) == ordered[0]
+        assert shuffled[1] == ordered[1]
+        assert new["record_counts"] == dict(Counter(buildings))
 
 
 class TestContract:

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import json
-from datetime import date, datetime, timedelta, timezone
+import re
+from datetime import date, datetime, timedelta
 
 import numpy as np
 import pytest
@@ -24,9 +25,10 @@ from drcontracts import (
 from drcontracts.estimation import (
     BucketKey,
     CapabilityModel,
+    DayTable,
     EndUseShapes,
     EstimationConfig,
-    LoadRecord,
+    LoadTable,
     model_json_text,
 )
 
@@ -44,22 +46,19 @@ def two_use_shapes(weekend_scale: float = 1.0) -> EndUseShapes:
     )
 
 
-def day_records(
-    building: str,
-    date: datetime,
-    shapes: EndUseShapes,
-    w_base: float,
-    w_hvac: float,
-    noise: np.ndarray | None = None,
-) -> list[LoadRecord]:
-    mat = shapes.day_matrix(date.weekday() >= 5)
-    loads = mat @ np.array([w_base, w_hvac])
-    if noise is not None:
-        loads = np.maximum(loads + noise, 0.0)
-    return [
-        LoadRecord(date + timedelta(hours=h), building, float(loads[h]))
-        for h in range(24)
-    ]
+def day_loads(day: date, shapes: EndUseShapes, w_base: float, w_hvac: float) -> list[float]:
+    """The 24 hourly loads of the base and HVAC shapes at these weights."""
+    return (shapes.day_matrix(day.weekday() >= 5) @ np.array([w_base, w_hvac])).tolist()
+
+
+def day_table(loads: dict[date, list[float]]) -> DayTable:
+    """One building's day table; a day with fewer than 24 loads misses its last hours."""
+    days = tuple(sorted(loads))
+    values = np.full((len(days), 24), np.nan)
+    for row, day in enumerate(days):
+        values[row, : len(loads[day])] = loads[day]
+    values.flags.writeable = False
+    return DayTable(days, values)
 
 
 def day_column(series, key: BucketKey) -> list[float]:
@@ -70,24 +69,6 @@ def day_column(series, key: BucketKey) -> list[float]:
         if (day.month, day.weekday() >= 5) == (key.month, key.is_weekend)
     ]
     return series.values[rows, key.hour].tolist()
-
-
-class TestLoadRecord:
-    def test_rejects_off_hour_timestamps(self):
-        with pytest.raises(ValueError):
-            LoadRecord(datetime(2021, 3, 1, 10, 30), "b1", 1.0)
-
-    def test_rejects_negative_load(self):
-        with pytest.raises(ValueError):
-            LoadRecord(datetime(2021, 3, 1, 10), "b1", -1.0)
-
-    def test_rejects_empty_building_id(self):
-        with pytest.raises(ValueError):
-            LoadRecord(datetime(2021, 3, 1, 10), "", 1.0)
-
-    def test_rejects_timezone_aware_timestamps(self):
-        with pytest.raises(ValueError, match="naive"):
-            LoadRecord(datetime(2021, 3, 1, 10, tzinfo=timezone.utc), "b1", 1.0)
 
 
 class TestEstimationConfig:
@@ -114,9 +95,9 @@ class TestBucketKey:
     def test_weekday_weekend_split(self):
         # 2021-03-06 was a Saturday
         shapes = two_use_shapes()
-        records = day_records("b1", datetime(2021, 3, 6), shapes, 120.0, 80.0)
-        records += day_records("b1", datetime(2021, 3, 1), shapes, 120.0, 80.0)
-        series = curtailable_series(records, shapes, fraction=0.6)
+        days = (date(2021, 3, 6), date(2021, 3, 1))
+        loads = {day: day_loads(day, shapes, 120.0, 80.0) for day in days}
+        series = curtailable_series(day_table(loads), shapes, fraction=0.6)
         assert series.days == (date(2021, 3, 1), date(2021, 3, 6))
         buckets = bucket(series)
         assert buckets[BucketKey(3, 14, True)].original_samples.tolist() == [
@@ -182,9 +163,10 @@ class TestDecomposition:
 class TestCurtailableSeries:
     def test_values_scale_with_fraction_and_shape(self):
         shapes = two_use_shapes()
-        records = day_records("b1", datetime(2021, 3, 1), shapes, 120.0, 80.0)
-        series = curtailable_series(records, shapes, fraction=0.5)
-        assert series.days == (date(2021, 3, 1),)
+        march1 = date(2021, 3, 1)
+        table = day_table({march1: day_loads(march1, shapes, 120.0, 80.0)})
+        series = curtailable_series(table, shapes, fraction=0.5)
+        assert series.days == (march1,)
         # hour 10 carries hvac weight 80/12; half of it is curtailable
         assert series.values[0, 10] == pytest.approx(0.5 * 80.0 / 12.0)
         assert series.values[0, 2] == pytest.approx(0.0)
@@ -192,35 +174,22 @@ class TestCurtailableSeries:
 
     def test_incomplete_days_skipped_and_counted(self):
         shapes = two_use_shapes()
-        records = day_records("b1", datetime(2021, 3, 1), shapes, 120.0, 80.0)
-        records += day_records("b1", datetime(2021, 3, 2), shapes, 120.0, 80.0)[:23]
-        series = curtailable_series(records, shapes, fraction=0.5)
-        assert series.days == (date(2021, 3, 1),)
+        march1, march2 = date(2021, 3, 1), date(2021, 3, 2)
+        loads = {
+            march1: day_loads(march1, shapes, 120.0, 80.0),
+            march2: day_loads(march2, shapes, 120.0, 80.0)[:23],
+        }
+        series = curtailable_series(day_table(loads), shapes, fraction=0.5)
+        assert series.days == (march1,)
         assert series.skipped_days == 1
-
-    def test_duplicate_timestamps_rejected(self):
-        shapes = two_use_shapes()
-        records = day_records("b1", datetime(2021, 3, 1), shapes, 120.0, 80.0)
-        with pytest.raises(ValueError, match="duplicate"):
-            curtailable_series(records + records[:1], shapes, fraction=0.5)
-
-    def test_mixed_buildings_rejected(self):
-        shapes = two_use_shapes()
-        records = day_records("b1", datetime(2021, 3, 1), shapes, 120.0, 80.0)
-        records += day_records("b2", datetime(2021, 3, 2), shapes, 120.0, 80.0)
-        with pytest.raises(ValueError):
-            curtailable_series(records, shapes, fraction=0.5)
 
 
 class TestBucketing:
     def test_exhaustive_and_exclusive(self):
         shapes = two_use_shapes()
-        records: list[LoadRecord] = []
-        for day in range(14):
-            records += day_records(
-                "b1", datetime(2021, 3, 1) + timedelta(days=day), shapes, 120.0, 80.0
-            )
-        series = curtailable_series(records, shapes, fraction=0.6)
+        days = [date(2021, 3, 1) + timedelta(days=i) for i in range(14)]
+        loads = {day: day_loads(day, shapes, 120.0, 80.0) for day in days}
+        series = curtailable_series(day_table(loads), shapes, fraction=0.6)
         buckets = bucket(series)
         total = sum(dist.n for dist in buckets.values())
         assert total == 14 * 24
@@ -230,9 +199,10 @@ class TestBucketing:
 
     def test_alignment_labels_are_timestamps(self):
         shapes = two_use_shapes()
-        records = day_records("b1", datetime(2021, 3, 1), shapes, 120.0, 80.0)
-        series = curtailable_series(records, shapes, fraction=0.6)
-        assert series.days == (date(2021, 3, 1),)
+        march1 = date(2021, 3, 1)
+        table = day_table({march1: day_loads(march1, shapes, 120.0, 80.0)})
+        series = curtailable_series(table, shapes, fraction=0.6)
+        assert series.days == (march1,)
         buckets = bucket(series)
         assert buckets[BucketKey(3, 10, False)].original_samples.tolist() == [
             series.values[0, 10]
@@ -240,13 +210,13 @@ class TestBucketing:
 
     def test_day_rows_across_month_end_and_weekend(self):
         shapes = two_use_shapes(weekend_scale=0.5)
-        records: list[LoadRecord] = []
+        loads = {}
         # Thu 2021-02-25 .. Wed 2021-03-03; Sat 2021-02-27 misses its last hour
         for i in range(7):
-            day = datetime(2021, 2, 25) + timedelta(days=i)
-            hours = day_records("b1", day, shapes, 100.0 + i, 60.0 + 5.0 * i)
-            records += hours[:23] if i == 2 else hours
-        series = curtailable_series(records, shapes, fraction=0.6)
+            day = date(2021, 2, 25) + timedelta(days=i)
+            hours = day_loads(day, shapes, 100.0 + i, 60.0 + 5.0 * i)
+            loads[day] = hours[:23] if i == 2 else hours
+        series = curtailable_series(day_table(loads), shapes, fraction=0.6)
         assert series.skipped_days == 1
         assert date(2021, 2, 27) not in series.days
         assert series.values.shape == (6, 24) and not series.values.flags.writeable
@@ -271,20 +241,18 @@ class TestRestrictToCommon:
     """Buildings pair their samples by day, through restrict_to_common."""
 
     @staticmethod
-    def series_of(building: str, days: list[int], gaps: tuple[int, ...] = ()):
-        """March 2021 days, in the order given; a day in gaps misses its last hour."""
+    def series_of(days: list[int], gaps: tuple[int, ...] = ()):
+        """March 2021 days; a day in gaps misses its last hour."""
         shapes = two_use_shapes(weekend_scale=0.5)
-        records: list[LoadRecord] = []
+        loads = {}
         for day in days:
-            hours = day_records(
-                building, datetime(2021, 3, day), shapes, 100.0 + day, 40.0 + 3.0 * day
-            )
-            records += hours[:23] if day in gaps else hours
-        return curtailable_series(records, shapes, fraction=0.6)
+            hours = day_loads(date(2021, 3, day), shapes, 100.0 + day, 40.0 + 3.0 * day)
+            loads[date(2021, 3, day)] = hours[:23] if day in gaps else hours
+        return curtailable_series(day_table(loads), shapes, fraction=0.6)
 
     def test_shared_days_in_ascending_order(self):
-        a = self.series_of("a", [1, 2, 3, 4, 5, 6])
-        b = self.series_of("b", [3, 4, 5, 6, 7, 8, 9], gaps=(4,))
+        a = self.series_of([1, 2, 3, 4, 5, 6])
+        b = self.series_of([3, 4, 5, 6, 7, 8, 9], gaps=(4,))
         ra, rb = restrict_to_common([a, b])
         shared = (date(2021, 3, 3), date(2021, 3, 5), date(2021, 3, 6))
         assert ra.days == rb.days == shared
@@ -295,8 +263,8 @@ class TestRestrictToCommon:
         assert restrict_to_common([a])[0].days == a.days
 
     def test_days_shuffled_across_two_series(self):
-        a = self.series_of("a", [8, 1, 5, 2, 4])
-        b = self.series_of("b", [9, 5, 1, 8, 2, 3])
+        a = self.series_of([8, 1, 5, 2, 4])
+        b = self.series_of([9, 5, 1, 8, 2, 3])
         ra, rb = restrict_to_common([a, b])
         shared = [date(2021, 3, d) for d in (1, 2, 5, 8)]
         assert list(ra.days) == list(rb.days) == shared
@@ -314,8 +282,8 @@ class TestRestrictToCommon:
             assert total.original_samples.tolist() == expected
 
     def test_no_shared_day_gives_empty_series(self):
-        a = self.series_of("a", [1, 2])
-        b = self.series_of("b", [3, 4])
+        a = self.series_of([1, 2])
+        b = self.series_of([3, 4])
         for restricted in restrict_to_common([a, b]):
             assert restricted.days == ()
             assert restricted.values.shape == (0, 24)
@@ -324,24 +292,22 @@ class TestRestrictToCommon:
 
 class TestCapabilityModel:
     def build_small_model(
-        self, days: int = 10, extra: tuple[LoadRecord, ...] = ()
+        self, days: int = 10, extra: dict[str, DayTable] | None = None
     ) -> CapabilityModel:
         shapes = two_use_shapes()
         rng = np.random.default_rng(4)
-        records: list[LoadRecord] = list(extra)
+        tables = dict(extra or {})
         for building, scale in (("b1", 1.0), ("b2", 1.4)):
-            for day in range(days):
-                records += day_records(
-                    building,
-                    datetime(2021, 3, 1) + timedelta(days=day),
-                    shapes,
-                    120.0 * scale,
-                    max(80.0 * scale + rng.normal(0.0, 8.0), 0.0),
-                )
+            loads = {}
+            for i in range(days):
+                day = date(2021, 3, 1) + timedelta(days=i)
+                w_hvac = max(80.0 * scale + rng.normal(0.0, 8.0), 0.0)
+                loads[day] = day_loads(day, shapes, 120.0 * scale, w_hvac)
+            tables[building] = day_table(loads)
         config = EstimationConfig(
             curtailable_fraction=0.6, min_bucket_size=4, curtailable_end_use="hvac"
         )
-        return build_capability_model(records, shapes, config, source_digest="d1")
+        return build_capability_model(LoadTable(tables), shapes, config, source_digest="d1")
 
     def test_small_buckets_dropped_and_recorded(self):
         model = self.build_small_model(days=10)
@@ -367,14 +333,17 @@ class TestCapabilityModel:
     def test_load_rebuilds_estimate_time_buckets(self):
         shapes = two_use_shapes()
         # b3: 10 complete days and a 23-hour one; b4: 2 days, every bucket dropped.
-        extra = []
-        for day in range(11):
-            start = datetime(2021, 3, 1) + timedelta(days=day)
-            records = day_records("b3", start, shapes, 100.0, 60.0 + day)
-            extra += records if day < 10 else records[:23]
-        extra += day_records("b4", datetime(2021, 4, 5), shapes, 90.0, 50.0)
-        extra += day_records("b4", datetime(2021, 4, 6), shapes, 90.0, 55.0)
-        model = self.build_small_model(extra=tuple(extra))
+        b3 = {}
+        for i in range(11):
+            day = date(2021, 3, 1) + timedelta(days=i)
+            hours = day_loads(day, shapes, 100.0, 60.0 + i)
+            b3[day] = hours if i < 10 else hours[:23]
+        april5, april6 = date(2021, 4, 5), date(2021, 4, 6)
+        b4 = {
+            april5: day_loads(april5, shapes, 90.0, 50.0),
+            april6: day_loads(april6, shapes, 90.0, 55.0),
+        }
+        model = self.build_small_model(extra={"b3": day_table(b3), "b4": day_table(b4)})
         assert model.building("b3").skipped_days == 1
         assert model.building("b4").buckets == {}
 
@@ -469,12 +438,13 @@ class TestCapabilityModel:
 
     def test_empty_model_rejected(self):
         shapes = two_use_shapes()
-        records = day_records("b1", datetime(2021, 3, 1), shapes, 120.0, 80.0)
+        march1 = date(2021, 3, 1)
+        table = LoadTable({"b1": day_table({march1: day_loads(march1, shapes, 120.0, 80.0)})})
         config = EstimationConfig(
             curtailable_fraction=0.6, min_bucket_size=4, curtailable_end_use="hvac"
         )
         with pytest.raises(ModelConsistencyError, match="no valid buckets"):
-            build_capability_model(records, shapes, config, source_digest="d")
+            build_capability_model(table, shapes, config, source_digest="d")
 
 
 class TestCsvReaders:
@@ -488,12 +458,85 @@ class TestCsvReaders:
             tmp_path,
             "load.csv",
             "timestamp,building_id,load_kwh\n"
+            "2021-03-02T05:00:00,b1,7.0\n"
             "2021-03-01T00:00:00,b1,5.0\n"
+            "2021-03-01T00:00:00,b2,4.0\n"
             "2021-03-01T01:00:00,b1,6.5\n",
         )
-        records = read_load_csv(path)
-        assert len(records) == 2
-        assert records[1].load_kwh == 6.5
+        table = read_load_csv(path)
+        assert len(table) == 4
+        b1, b2 = table.buildings["b1"], table.buildings["b2"]
+        # Days ascend whatever the row order; an hour with no row is NaN.
+        assert b1.days == (date(2021, 3, 1), date(2021, 3, 2))
+        assert b1.values.shape == (2, 24) and not b1.values.flags.writeable
+        assert b1.values[0, :2].tolist() == [5.0, 6.5] and b1.values[1, 5] == 7.0
+        assert (b1.metered_hours, b2.metered_hours) == (3, 1)
+        assert np.isnan(b1.values).sum() == 2 * 24 - 3
+        assert b2.days == (date(2021, 3, 1),) and b2.values[0, 0] == 4.0
+
+    @pytest.mark.parametrize(
+        "stamps, outcome",
+        [
+            (["20210101T00"], datetime(2021, 1, 1, 0)),
+            (["2021-03-01T05"], datetime(2021, 3, 1, 5)),
+            (["2021-03-01 05:00"], datetime(2021, 3, 1, 5)),
+            (["2021-W09-1T05"], datetime(2021, 3, 1, 5)),
+            (["2021-03-01"], datetime(2021, 3, 1, 0)),
+            (["2021-01"], "load.csv:2: bad timestamp '2021-01'"),
+            (
+                ["2021-03-01T00:00:00+01:00"],
+                "load.csv:2: timestamps must be naive local time, got 2021-03-01T00:00:00+01:00",
+            ),
+            (
+                ["2021-03-01T00:00:00Z"],
+                "load.csv:2: timestamps must be naive local time, got 2021-03-01T00:00:00+00:00",
+            ),
+            (
+                ["2021-03-01T05:30"],
+                "load.csv:2: timestamps must be on the hour, got 2021-03-01T05:30:00",
+            ),
+            (
+                ["2021-03-01T05:00:00", "2021-W09-1T05"],
+                "load.csv:3: duplicate timestamp 2021-03-01T05:00:00 for building 'b1'",
+            ),
+        ],
+        ids=[
+            "basic", "hour-only", "space", "iso-week", "date-only",
+            "year-month", "offset", "zulu", "half-hour", "two-spellings",
+        ],
+    )
+    def test_load_csv_timestamp_forms(self, tmp_path, stamps, outcome):
+        """The timestamp forms the load reader accepts, and how it rejects the rest."""
+        rows = "".join(f"{stamp},b1,5.0\n" for stamp in stamps)
+        path = self.write(tmp_path, "load.csv", "timestamp,building_id,load_kwh\n" + rows)
+        if isinstance(outcome, str):
+            with pytest.raises(InputFormatError, match=re.escape(outcome)):
+                read_load_csv(path)
+            return
+        table = read_load_csv(path).buildings["b1"]
+        assert table.days == (outcome.date(),)
+        assert np.flatnonzero(~np.isnan(table.values[0])).tolist() == [outcome.hour]
+
+    @pytest.mark.parametrize(
+        "building, load, message",
+        [
+            ("b1", "-1.0", "load_kwh must be finite and >= 0, got -1.0"),
+            ("b1", "nan", "load_kwh must be finite and >= 0, got nan"),
+            ("b1", "inf", "load_kwh must be finite and >= 0, got inf"),
+            (" ", "5.0", "building_id must be non-empty"),
+        ],
+        ids=["negative", "nan", "inf", "blank-building"],
+    )
+    def test_load_csv_bad_row_rejected(self, tmp_path, building, load, message):
+        path = self.write(
+            tmp_path,
+            "load.csv",
+            "timestamp,building_id,load_kwh\n"
+            "2021-03-01T00:00:00,b1,5.0\n"
+            f"2021-03-01T01:00:00,{building},{load}\n",
+        )
+        with pytest.raises(InputFormatError, match=re.escape(f"load.csv:3: {message}")):
+            read_load_csv(path)
 
     def test_load_csv_bad_header(self, tmp_path):
         path = self.write(tmp_path, "load.csv", "time,building,load\n")
