@@ -183,6 +183,24 @@ class TestCurtailableSeries:
         assert series.days == (march1,)
         assert series.skipped_days == 1
 
+    def test_duplicate_timestamps_rejected(self, tmp_path):
+        # A day table cannot hold two loads for one hour: a repeated hour is
+        # stopped at its CSV row, before any table reaches curtailable_series.
+        shapes = two_use_shapes()
+        march1 = date(2021, 3, 1)
+        rows = [
+            f"2021-03-01T{hour:02d}:00:00,b1,{load!r}\n"
+            for hour, load in enumerate(day_loads(march1, shapes, 120.0, 80.0))
+        ]
+        path = tmp_path / "load.csv"
+        path.write_text("timestamp,building_id,load_kwh\n" + "".join(rows))
+        series = curtailable_series(read_load_csv(path).buildings["b1"], shapes, fraction=0.5)
+        assert series.days == (march1,) and series.skipped_days == 0
+
+        path.write_text("timestamp,building_id,load_kwh\n" + "".join(rows + rows[:1]))
+        with pytest.raises(InputFormatError, match=r"load\.csv:26: duplicate timestamp"):
+            read_load_csv(path)
+
 
 class TestBucketing:
     def test_exhaustive_and_exclusive(self):
