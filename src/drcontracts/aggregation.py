@@ -272,6 +272,28 @@ class PartnerRank:
     individual_profit: float
 
 
+def _score_pair(
+    pair: AssetPortfolio, decisions: Sequence[ContractDecision]
+) -> tuple[float, float, float, float]:
+    """delta_sigma, delta_j_oracle, delta_j_printed and delta_j_cancelled of a pair.
+
+    decisions are the members' own contracts under pair.terms, decided by the
+    caller; only the pooled contract is decided here.  Each value is the one
+    complementarity, profit_delta_oracle and profit_delta_from_sigmas give.
+    """
+    terms = pair.terms
+    sigmas = member_sigmas(pair)
+    pooled = aggregate_distribution(pair)
+    sigma_ag = pooled.stddev()
+    joint = optimal_contract(terms, pooled).expected_profit
+    return (
+        float(sigmas.sum()) - sigma_ag,
+        float(joint - sum(d.expected_profit for d in decisions)),
+        profit_delta_from_sigmas(terms, sigmas, sigma_ag, "as_printed"),
+        profit_delta_from_sigmas(terms, sigmas, sigma_ag, "mean_cancelled"),
+    )
+
+
 def rank_partners(
     base: tuple[str, CurtailmentDistribution],
     candidates: Sequence[tuple[str, CurtailmentDistribution]],
@@ -281,7 +303,8 @@ def rank_partners(
     """Score each candidate as a partner for the base asset.
 
     Sorted by delta_sigma descending, ties broken by candidate id, so the
-    most complementary partner comes first.
+    most complementary partner comes first.  The base's contract is decided
+    once, and each candidate's once for its pair and its individual profit.
     """
     base_id, _ = base
     ids = [cand_id for cand_id, _ in candidates]
@@ -290,29 +313,18 @@ def rank_partners(
     repeated = sorted({cand_id for cand_id in ids if ids.count(cand_id) > 1})
     if repeated:
         raise ValueError(f"candidates listed more than once: {repeated}")
+    if not candidates:
+        return []
+    pairs = [
+        AssetPortfolio(members=(base, cand), terms=terms, covariance=covariance)
+        for cand in candidates
+    ]
+    base_decision = optimal_contract(terms, base[1])
     rows = []
-    for cand_id, cand_dist in candidates:
-        pair = AssetPortfolio(
-            members=(base, (cand_id, cand_dist)),
-            terms=terms,
-            covariance=covariance,
-        )
-        sigmas = member_sigmas(pair)
-        sigma_ag = aggregate_distribution(pair).stddev()
-        rows.append(
-            PartnerRank(
-                candidate_id=cand_id,
-                delta_sigma=complementarity(pair),
-                delta_j_oracle=profit_delta_oracle(pair),
-                delta_j_printed=profit_delta_from_sigmas(
-                    terms, sigmas, sigma_ag, "as_printed"
-                ),
-                delta_j_cancelled=profit_delta_from_sigmas(
-                    terms, sigmas, sigma_ag, "mean_cancelled"
-                ),
-                individual_profit=optimal_contract(terms, cand_dist).expected_profit,
-            )
-        )
+    for (cand_id, cand_dist), pair in zip(candidates, pairs):
+        decision = optimal_contract(terms, cand_dist)
+        scores = _score_pair(pair, (base_decision, decision))
+        rows.append(PartnerRank(cand_id, *scores, decision.expected_profit))
     return sorted(rows, key=lambda r: (-r.delta_sigma, r.candidate_id))
 
 

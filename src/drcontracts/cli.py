@@ -26,15 +26,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .aggregation import (
-    AssetPortfolio,
-    PartnerRank,
+from .aggregation import AssetPortfolio, PartnerRank, _score_pair, write_ranking_csv
+
+# Not called here; bound only because perfbench/spans.py wraps these names
+# (they go with ROADMAP item 1).
+from .aggregation import (  # noqa: F401
     aggregate_distribution,
     complementarity,
     member_sigmas,
     profit_delta_from_sigmas,
     profit_delta_oracle,
-    write_ranking_csv,
 )
 from .contracts import (
     ContractDecision,
@@ -339,35 +340,6 @@ def cmd_contract(args: argparse.Namespace) -> int:
     return 0
 
 
-def _pair_metrics(
-    terms: ProgramTerms, base_emp, cand_emp
-) -> tuple[float, float, float, float, int]:
-    """Per-window metrics for one bucket's columns over the days both buildings have."""
-    pair = AssetPortfolio(
-        members=(("base", base_emp), ("candidate", cand_emp)), terms=terms
-    )
-    sigmas = member_sigmas(pair)
-    sigma_ag = aggregate_distribution(pair).stddev()
-    return (
-        complementarity(pair),
-        profit_delta_oracle(pair),
-        profit_delta_from_sigmas(terms, sigmas, sigma_ag, "as_printed"),
-        profit_delta_from_sigmas(terms, sigmas, sigma_ag, "mean_cancelled"),
-        base_emp.n,
-    )
-
-
-def _standalone_profit(terms: ProgramTerms, building) -> float:
-    """Window-weighted mean optimal expected profit over a building's buckets."""
-    weights = []
-    values = []
-    for key in building.sorted_keys():
-        emp = building.buckets[key].empirical
-        weights.append(emp.n)
-        values.append(optimal_contract(terms, emp).expected_profit)
-    return float(np.average(values, weights=weights))
-
-
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks with ties sharing their mean rank."""
     order = np.argsort(values, kind="mergesort")
@@ -404,39 +376,53 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
     if repeated:
         raise ModelConsistencyError(f"candidates listed more than once: {repeated}")
 
+    def decide(building: BuildingModel) -> dict[BucketKey, ContractDecision]:
+        return {
+            key: optimal_contract(terms, building.buckets[key].empirical)
+            for key in building.sorted_keys()
+        }
+
+    base_decided: dict[BucketKey, ContractDecision] = {}
     ranks = []
     unalignable: list[str] = []
     for cand_id in args.candidates:
         cand = model.building(cand_id)
+        cand_decided = decide(cand)
         shared = restrict_to_common([base.series, cand.series])
-        if all(s.days == b.series.days for s, b in zip(shared, (base, cand))):
-            # No day dropped: the shared buckets are the loaded ones.
+        # With no day dropped the shared buckets are the loaded ones, each decided once.
+        loaded = all(s.days == b.series.days for s, b in zip(shared, (base, cand)))
+        if loaded:
             base_shared, cand_shared = (
                 {key: fit.empirical for key, fit in b.buckets.items()} for b in (base, cand)
             )
+            base_decided = base_decided or decide(base)
         else:
             base_shared, cand_shared = map(bucket, shared)
-        metrics = []
+        scores = []
+        weights = []
         for key in sorted(set(base.buckets) & set(cand.buckets)):
             if key not in base_shared or base_shared[key].n < 2:
                 unalignable.append(f"{cand_id}:{key.label}")
                 continue
-            metrics.append(_pair_metrics(terms, base_shared[key], cand_shared[key]))
-        if not metrics:
+            members = (("base", base_shared[key]), ("candidate", cand_shared[key]))
+            if loaded:
+                decisions = (base_decided[key], cand_decided[key])
+            else:
+                decisions = tuple(optimal_contract(terms, emp) for _, emp in members)
+            pair = AssetPortfolio(members=members, terms=terms)
+            scores.append(_score_pair(pair, decisions))
+            weights.append(base_shared[key].n)
+        if not scores:
             raise ModelConsistencyError(
                 f"candidate {cand_id!r} has no alignable buckets with base {args.base!r}"
             )
-        weights = np.array([m[4] for m in metrics], dtype=float)
+        profits = [d.expected_profit for d in cand_decided.values()]
+        sizes = [cand.buckets[key].empirical.n for key in cand_decided]
         ranks.append(
             PartnerRank(
-                candidate_id=cand_id,
-                delta_sigma=float(np.average([m[0] for m in metrics], weights=weights)),
-                delta_j_oracle=float(np.average([m[1] for m in metrics], weights=weights)),
-                delta_j_printed=float(np.average([m[2] for m in metrics], weights=weights)),
-                delta_j_cancelled=float(
-                    np.average([m[3] for m in metrics], weights=weights)
-                ),
-                individual_profit=_standalone_profit(terms, cand),
+                cand_id,
+                *(float(np.average(column, weights=weights)) for column in zip(*scores)),
+                individual_profit=float(np.average(profits, weights=sizes)),
             )
         )
     ranks.sort(key=lambda r: (-r.delta_sigma, r.candidate_id))

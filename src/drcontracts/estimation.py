@@ -455,6 +455,15 @@ def build_capability_model(
     )
 
 
+def _is_date(text: str) -> bool:
+    """Whether text is a bare date, which fromisoformat would read as midnight."""
+    try:
+        date.fromisoformat(text)
+    except ValueError:
+        return False
+    return True
+
+
 def read_load_csv(path) -> LoadTable:
     """Parse the metered-load CSV (header: timestamp,building_id,load_kwh).
 
@@ -468,6 +477,8 @@ def read_load_csv(path) -> LoadTable:
             ts = datetime.fromisoformat(row[0])
         except ValueError as exc:
             raise ValueError(f"bad timestamp {row[0]!r}: {exc}") from None
+        if not ts.hour and _is_date(row[0]):
+            raise ValueError(f"timestamps need an hour, got {row[0]!r}")
         try:
             load = float(row[2])
         except ValueError:

@@ -18,6 +18,7 @@ from drcontracts import (
     EmpiricalDistribution,
     ModelConsistencyError,
     NormalDistribution,
+    PartnerRank,
     aggregate_distribution,
     aggregation_contract,
     bracket_factor,
@@ -359,6 +360,15 @@ class TestRanking:
         ]
         return terms, cov, base, candidates
 
+    def empirical_inputs(self):
+        terms = terms_for_psi(0.6)
+        rng = np.random.default_rng(11)
+        base_samples = rng.normal(100.0, 3.0, 400)
+        hedge = EmpiricalDistribution(200.0 - base_samples)  # strongly anti-aligned
+        noise = EmpiricalDistribution(rng.normal(100.0, 3.0, 400))
+        base = ("base", EmpiricalDistribution(base_samples))
+        return terms, None, base, [("noise", noise), ("hedge", hedge)]
+
     def test_most_complementary_first_then_id(self):
         terms, cov, base, candidates = self.ranking_inputs()
         rows = rank_partners(base, candidates, terms, covariance=cov)
@@ -407,15 +417,54 @@ class TestRanking:
         assert path.read_bytes().decode() == expected
 
     def test_empirical_candidates_rank_without_covariance(self):
-        terms = terms_for_psi(0.6)
-        rng = np.random.default_rng(11)
-        base_samples = rng.normal(100.0, 3.0, 400)
-        hedge = EmpiricalDistribution(200.0 - base_samples)  # strongly anti-aligned
-        noise = EmpiricalDistribution(rng.normal(100.0, 3.0, 400))
-        base = ("base", EmpiricalDistribution(base_samples))
-        rows = rank_partners(base, [("noise", noise), ("hedge", hedge)], terms)
+        terms, _, base, candidates = self.empirical_inputs()
+        rows = rank_partners(base, candidates, terms)
         assert rows[0].candidate_id == "hedge"
         assert rows[0].delta_sigma > rows[1].delta_sigma
+
+    # Every PartnerRank field as float.hex, recorded when the ranking still
+    # called complementarity, profit_delta_oracle and profit_delta_from_sigmas
+    # per pair and decided every member contract afresh.
+    RECORDED = {
+        "normal": [
+            ("a", "0x1.b27d4bb9ea60dp+1", "0x1.a488eee494200p-1", "-0x1.4779c5af20f20p-6",
+             "0x1.a488eee494305p-1", "0x1.095bd97981e00p+6"),
+            ("b", "0x1.7234aad272ee8p-1", "0x1.6650d80729c00p-3", "-0x1.5530871042bb4p-1",
+             "0x1.6650d80729f2ap-3", "0x1.095bd97981e00p+6"),
+            ("c", "0x1.7234aad272ee8p-1", "0x1.6650d80729c00p-3", "-0x1.5530871042bb4p-1",
+             "0x1.6650d80729f2ap-3", "0x1.095bd97981e00p+6"),
+        ],
+        "empirical": [
+            ("hedge", "0x1.725d778461f60p+2", "0x1.179b191b68500p+1", "0x1.a2c04ccc3692cp+0",
+             "0x1.1e2cf332e8163p+1", "0x1.d67a954f4bad8p+5"),
+            ("noise", "0x1.a7fc780d84700p+0", "0x1.3220321fdd700p-1", "0x1.468664766b690p-5",
+             "0x1.479b997a99e9dp-1", "0x1.d5d86915cb461p+5"),
+        ],
+    }
+
+    @pytest.mark.parametrize("case", sorted(RECORDED))
+    def test_ranks_match_recorded_bits(self, case):
+        inputs = self.ranking_inputs() if case == "normal" else self.empirical_inputs()
+        terms, cov, base, candidates = inputs
+        expected = [
+            PartnerRank(cand_id, *map(float.fromhex, values))
+            for cand_id, *values in self.RECORDED[case]
+        ]
+        assert rank_partners(base, candidates, terms, covariance=cov) == expected
+
+    def test_each_contract_is_decided_once(self, monkeypatch):
+        terms, cov, base, candidates = self.ranking_inputs()
+        decided = []
+
+        def counting(terms, dist):
+            decided.append(dist)
+            return optimal_contract(terms, dist)
+
+        monkeypatch.setattr(drcontracts.aggregation, "optimal_contract", counting)
+        rank_partners(base, candidates, terms, covariance=cov)
+        # The base once, and per candidate its own contract and its pair's pooled one.
+        assert len(decided) == 1 + 2 * len(candidates) == 7
+        assert len({id(dist) for dist in decided}) == len(decided)
 
 
 def test_member_contracts_match_standalone(basic_terms):

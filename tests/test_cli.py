@@ -484,6 +484,37 @@ class TestAggregate:
         # hedged hvac makes the mall the more complementary partner
         assert lines[1].startswith("birch_mall,")
 
+    def test_each_bucket_is_decided_once(self, workspace, monkeypatch):
+        import drcontracts.aggregation
+        import drcontracts.cli
+        from drcontracts.contracts import optimal_contract
+
+        decided = []
+
+        def counting(terms, dist):
+            decided.append(dist)
+            return optimal_contract(terms, dist)
+
+        for module in (drcontracts.aggregation, drcontracts.cli):
+            monkeypatch.setattr(module, "optimal_contract", counting)
+        code = run(
+            "aggregate",
+            "--config",
+            str(workspace / "config.json"),
+            "--base",
+            "acme_plant",
+            "--candidates",
+            "birch_mall",
+            "cedar_office",
+            "--out",
+            str(workspace / "r_decided.csv"),
+        )
+        assert code == 0
+        # Every day is shared and each building keeps 96 buckets: each loaded
+        # bucket is decided once, plus one pooled contract per bucket pair.
+        assert len(decided) == 3 * 96 + 2 * 96 == 480
+        assert len({id(dist) for dist in decided}) == len(decided)
+
     def test_base_among_candidates_rejected(self, workspace, capsys):
         code = run(
             "aggregate",

@@ -499,7 +499,9 @@ class TestCsvReaders:
             (["2021-03-01T05"], datetime(2021, 3, 1, 5)),
             (["2021-03-01 05:00"], datetime(2021, 3, 1, 5)),
             (["2021-W09-1T05"], datetime(2021, 3, 1, 5)),
-            (["2021-03-01"], datetime(2021, 3, 1, 0)),
+            (["2021-03-01"], "load.csv:2: timestamps need an hour, got '2021-03-01'"),
+            (["20210301"], "load.csv:2: timestamps need an hour, got '20210301'"),
+            (["2021-W09-1"], "load.csv:2: timestamps need an hour, got '2021-W09-1'"),
             (["2021-01"], "load.csv:2: bad timestamp '2021-01'"),
             (
                 ["2021-03-01T00:00:00+01:00"],
@@ -520,7 +522,7 @@ class TestCsvReaders:
         ],
         ids=[
             "basic", "hour-only", "space", "iso-week", "date-only",
-            "year-month", "offset", "zulu", "half-hour", "two-spellings",
+            "date-only-basic", "date-only-iso-week", "year-month", "offset", "zulu", "half-hour", "two-spellings",
         ],
     )
     def test_load_csv_timestamp_forms(self, tmp_path, stamps, outcome):

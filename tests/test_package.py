@@ -3,13 +3,18 @@
 from __future__ import annotations
 
 import contextlib
+import importlib
+import importlib.util
 import io
 import re
+import sys
 from pathlib import Path
 
 import drcontracts
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+SPANS = ROOT / "perfbench" / "spans.py"
 
 # A python block, then the bare block right after it that shows its output.
 EXAMPLE = re.compile(r"```python\n(.*?)```\s*```\n(.*?)```", re.DOTALL)
@@ -31,3 +36,19 @@ def test_readme_examples_print_their_output():
         with contextlib.redirect_stdout(out):
             exec(compile(code, f"README.md example {index}", "exec"), {})
         assert out.getvalue() == expected
+
+
+def test_every_traced_binding_exists(monkeypatch):
+    """Each name the benchmark's tracer wraps resolves as its __enter__ looks it up."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)
+    spec.loader.exec_module(spans)
+    assert spans.WRAPS
+    for module_name, path, name in spans.WRAPS:
+        owner = importlib.import_module(module_name)
+        *outer, attr = path.split(".")
+        for part in outer:
+            owner = getattr(owner, part)
+        assert attr in vars(owner), f"{module_name}.{path} (span {name})"
