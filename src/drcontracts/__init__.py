@@ -81,7 +81,6 @@ from .estimation import (
     EndUseShapes,
     EstimationConfig,
     LoadTable,
-    bucket,
     build_capability_model,
     curtailable_series,
     decompose_load,
@@ -147,7 +146,6 @@ __all__ = [
     "alpha_threshold",
     "analytic_summary",
     "bracket_factor",
-    "bucket",
     "build_capability_model",
     "complementarity",
     "contract_comparison",

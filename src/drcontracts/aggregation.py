@@ -9,6 +9,7 @@ capabilities do not move together.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -16,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .contracts import ContractDecision, gamma, optimal_contract
+from .contracts import ContractDecision, gamma, optimal_contract, quantile_argument
 from .distributions import (
     CovarianceModel,
     CurtailmentDistribution,
@@ -279,18 +280,24 @@ def _score_pair(
 
     decisions are the members' own contracts under pair.terms, decided by the
     caller; only the pooled contract is decided here.  Each value is the one
-    complementarity, profit_delta_oracle and profit_delta_from_sigmas give.
+    complementarity, profit_delta_oracle and profit_delta_from_sigmas give,
+    except that the two analytic deltas are NaN when psi lies outside (0, 1)
+    (past the shut-off threshold, say), where gamma does not exist.
     """
     terms = pair.terms
     sigmas = member_sigmas(pair)
     pooled = aggregate_distribution(pair)
     sigma_ag = pooled.stddev()
     joint = optimal_contract(terms, pooled).expected_profit
+    analytic = [math.nan] * len(PROFIT_DELTA_MODES)
+    if 0.0 < quantile_argument(terms) < 1.0:
+        analytic = [
+            profit_delta_from_sigmas(terms, sigmas, sigma_ag, mode) for mode in PROFIT_DELTA_MODES
+        ]
     return (
         float(sigmas.sum()) - sigma_ag,
         float(joint - sum(d.expected_profit for d in decisions)),
-        profit_delta_from_sigmas(terms, sigmas, sigma_ag, "as_printed"),
-        profit_delta_from_sigmas(terms, sigmas, sigma_ag, "mean_cancelled"),
+        *analytic,
     )
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -38,7 +39,6 @@ from .aggregation import (  # noqa: F401
     profit_delta_oracle,
 )
 from .contracts import (
-    ContractDecision,
     grid_search_optimal,
     optimal_contract,
 )
@@ -54,7 +54,6 @@ from .estimation import (
     BuildingModel,
     CapabilityModel,
     EstimationConfig,
-    bucket,
     build_capability_model,
     model_json_text,
     read_load_csv,
@@ -376,28 +375,16 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
     if repeated:
         raise ModelConsistencyError(f"candidates listed more than once: {repeated}")
 
-    def decide(building: BuildingModel) -> dict[BucketKey, ContractDecision]:
-        return {
-            key: optimal_contract(terms, building.buckets[key].empirical)
-            for key in building.sorted_keys()
-        }
-
-    base_decided: dict[BucketKey, ContractDecision] = {}
+    # Distributions hash by identity, so each distinct bucket is decided once per call.
+    decide = functools.cache(lambda dist: optimal_contract(terms, dist))
     ranks = []
     unalignable: list[str] = []
     for cand_id in args.candidates:
         cand = model.building(cand_id)
-        cand_decided = decide(cand)
-        shared = restrict_to_common([base.series, cand.series])
-        # With no day dropped the shared buckets are the loaded ones, each decided once.
-        loaded = all(s.days == b.series.days for s, b in zip(shared, (base, cand)))
-        if loaded:
-            base_shared, cand_shared = (
-                {key: fit.empirical for key, fit in b.buckets.items()} for b in (base, cand)
-            )
-            base_decided = base_decided or decide(base)
-        else:
-            base_shared, cand_shared = map(bucket, shared)
+        # A series that keeps all its days comes back as itself, loaded buckets and all.
+        base_shared, cand_shared = (
+            s.buckets for s in restrict_to_common([base.series, cand.series])
+        )
         scores = []
         weights = []
         for key in sorted(set(base.buckets) & set(cand.buckets)):
@@ -405,24 +392,20 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
                 unalignable.append(f"{cand_id}:{key.label}")
                 continue
             members = (("base", base_shared[key]), ("candidate", cand_shared[key]))
-            if loaded:
-                decisions = (base_decided[key], cand_decided[key])
-            else:
-                decisions = tuple(optimal_contract(terms, emp) for _, emp in members)
             pair = AssetPortfolio(members=members, terms=terms)
-            scores.append(_score_pair(pair, decisions))
+            scores.append(_score_pair(pair, [decide(emp) for _, emp in members]))
             weights.append(base_shared[key].n)
         if not scores:
             raise ModelConsistencyError(
                 f"candidate {cand_id!r} has no alignable buckets with base {args.base!r}"
             )
-        profits = [d.expected_profit for d in cand_decided.values()]
-        sizes = [cand.buckets[key].empirical.n for key in cand_decided]
+        own = [cand.buckets[key].empirical for key in cand.sorted_keys()]
+        profits = [decide(emp).expected_profit for emp in own]
         ranks.append(
             PartnerRank(
                 cand_id,
                 *(float(np.average(column, weights=weights)) for column in zip(*scores)),
-                individual_profit=float(np.average(profits, weights=sizes)),
+                individual_profit=float(np.average(profits, weights=[emp.n for emp in own])),
             )
         )
     ranks.sort(key=lambda r: (-r.delta_sigma, r.candidate_id))

@@ -273,10 +273,14 @@ class EmpiricalDistribution:
     def mean(self) -> float:
         return float(self.samples.mean())
 
+    @cached_property
+    def _stddev(self) -> float:
+        return float(self.samples.std(ddof=1))
+
     def stddev(self) -> float:
         if self.n < 2:
             raise ValueError("standard deviation undefined for a single sample")
-        return float(self.samples.std(ddof=1))
+        return self._stddev
 
     def transform_uniform(self, u):
         """Map uniforms on [0, 1) to samples by index: resampling transform."""

@@ -19,6 +19,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from datetime import date, datetime
+from functools import cached_property
 from itertools import chain
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -157,6 +158,25 @@ class CurtailableSeries:
     values: np.ndarray
     skipped_days: int
 
+    @cached_property
+    def buckets(self) -> dict[BucketKey, EmpiricalDistribution]:
+        """The day rows pooled into calendar buckets, built on first access.
+
+        The days of one (month, day type) give each hour's bucket its column
+        of samples, in day order.  ``estimate`` and the model reader both
+        read these through ``split_buckets``, and ``aggregate`` reads those
+        of the series ``restrict_to_common`` returns.
+        """
+        groups: dict[tuple[int, bool], list[int]] = {}
+        for row, day in enumerate(self.days):
+            groups.setdefault((day.month, day.weekday() >= 5), []).append(row)
+        out = {}
+        for (month, is_weekend), rows in groups.items():
+            block = self.values[rows]
+            for hour in range(HOURS_PER_DAY):
+                out[BucketKey(month, hour, is_weekend)] = EmpiricalDistribution(block[:, hour])
+        return out
+
 
 def curtailable_series(
     table: DayTable, shapes: EndUseShapes, fraction: float
@@ -182,35 +202,22 @@ def curtailable_series(
     return CurtailableSeries(tuple(days), values, skipped_days=len(table.days) - len(days))
 
 
-def bucket(series: CurtailableSeries) -> dict[BucketKey, EmpiricalDistribution]:
-    """Pool a series' day rows into calendar buckets.
-
-    The days of one (month, day type) give each hour's bucket its column of
-    samples, in day order.  ``estimate`` and the model reader both bucket
-    through here, by way of ``split_buckets``; ``aggregate`` buckets the
-    series ``restrict_to_common`` returns.
-    """
-    groups: dict[tuple[int, bool], list[int]] = {}
-    for row, day in enumerate(series.days):
-        groups.setdefault((day.month, day.weekday() >= 5), []).append(row)
-    out = {}
-    for (month, is_weekend), rows in groups.items():
-        block = series.values[rows]
-        for hour in range(HOURS_PER_DAY):
-            out[BucketKey(month, hour, is_weekend)] = EmpiricalDistribution(block[:, hour])
-    return out
-
-
 def restrict_to_common(series: Sequence[CurtailableSeries]) -> list[CurtailableSeries]:
     """Each series restricted to the days all of them have, in ascending order.
 
     This is the one rule by which buildings' samples pair: the same bucket of
-    each restricted series holds the same days in the same order.  Series
-    that share no day come back with no days.
+    each restricted series holds the same days in the same order.  A series
+    that keeps every day comes back as itself, buckets and all; series that
+    share no day come back with no days.
     """
+    if not series:
+        raise ValueError("restrict_to_common needs at least one series, got none")
     shared = set(series[0].days).intersection(*(s.days for s in series[1:]))
     out = []
     for s in series:
+        if len(s.days) == len(shared):
+            out.append(s)
+            continue
         rows = [row for row, day in enumerate(s.days) if day in shared]
         values = s.values[rows]
         values.flags.writeable = False
@@ -222,7 +229,7 @@ def split_buckets(
     series: CurtailableSeries, min_bucket_size: int
 ) -> tuple[dict[BucketKey, EmpiricalDistribution], tuple[tuple[str, int], ...]]:
     """The buckets of at least min_bucket_size samples, and (label, size) of the rest."""
-    buckets = sorted(bucket(series).items())
+    buckets = sorted(series.buckets.items())
     kept = {key: emp for key, emp in buckets if emp.n >= min_bucket_size}
     return kept, tuple((key.label, emp.n) for key, emp in buckets if key not in kept)
 

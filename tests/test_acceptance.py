@@ -51,7 +51,6 @@ from drcontracts.estimation import (
     DayTable,
     EndUseShapes,
     EstimationConfig,
-    bucket,
     build_capability_model,
     curtailable_series,
 )
@@ -480,7 +479,7 @@ def test_09_estimation_pipeline(tmp_path):
     days = tuple(date(2021, 3, 1) + timedelta(days=i) for i in range(21))
     loads = np.array([shapes.day_matrix(d.weekday() >= 5) @ [120.0, 80.0] for d in days])
     series = curtailable_series(DayTable(days, loads), shapes, fraction=0.6)
-    buckets = bucket(series)
+    buckets = series.buckets
     bucket_ok = (
         sum(d.n for d in buckets.values()) == series.values.size == 21 * 24
     )

@@ -21,6 +21,7 @@ from drcontracts import (
     PartnerRank,
     aggregate_distribution,
     aggregation_contract,
+    alpha_threshold,
     bracket_factor,
     complementarity,
     contract_comparison,
@@ -30,6 +31,7 @@ from drcontracts import (
     profit_delta_from_sigmas,
     profit_delta_normal,
     profit_delta_oracle,
+    quantile_argument,
     rank_partners,
     sigma_coefficient,
     write_ranking_csv,
@@ -451,6 +453,22 @@ class TestRanking:
             for cand_id, *values in self.RECORDED[case]
         ]
         assert rank_partners(base, candidates, terms, covariance=cov) == expected
+
+    @pytest.mark.parametrize("case", ["normal", "empirical"])
+    def test_analytic_deltas_are_nan_past_the_shut_off(self, case):
+        inputs = self.ranking_inputs() if case == "normal" else self.empirical_inputs()
+        terms, cov, base, candidates = inputs
+        past = terms.with_alpha(alpha_threshold(terms) + 0.5)
+        assert quantile_argument(past) < 0.0
+        below = rank_partners(base, candidates, terms, covariance=cov)
+        rows = rank_partners(base, candidates, past, covariance=cov)
+        # Every contract shuts off; the spreads do not depend on the terms.
+        assert [r.delta_sigma for r in rows] == [r.delta_sigma for r in below]
+        for row in rows:
+            assert row.delta_j_oracle == 0.0 and row.individual_profit == 0.0
+            assert math.isnan(row.delta_j_printed) and math.isnan(row.delta_j_cancelled)
+        with pytest.raises(ValueError, match="gamma undefined"):
+            profit_delta_from_sigmas(past, [3.0, 4.0], 5.0, "mean_cancelled")
 
     def test_each_contract_is_decided_once(self, monkeypatch):
         terms, cov, base, candidates = self.ranking_inputs()

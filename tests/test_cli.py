@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import importlib.util
 import json
 import os
 import random
@@ -956,30 +957,174 @@ def test_aggregate_reuses_loaded_buckets_when_every_day_is_shared(
         shutil.copy(FIXTURES / name, tmp_path / name)
     monkeypatch.chdir(tmp_path)
     assert run("estimate", "--config", "config.json", "--out", "model.json") == 0
+    capsys.readouterr()
     argv = ("aggregate", "--config", "config.json", "--base", "acme_plant", "--candidates",
             "birch_mall", "cedar_office", "--out")
-    bucket, restrict = cli.bucket, cli.restrict_to_common
-    bucketed = []
+    restrict = cli.restrict_to_common
+    restricted = []
 
-    def counting_bucket(series):
-        bucketed.append(series)
-        return bucket(series)
+    def recording(series):
+        out = restrict(series)
+        restricted.append([s is loaded for s, loaded in zip(out, series)])
+        return out
 
-    monkeypatch.setattr(cli, "bucket", counting_bucket)
+    monkeypatch.setattr(cli, "restrict_to_common", recording)
     assert run(*argv, "loaded.csv") == 0
-    assert bucketed == []  # the fixtures' buildings share every day
-    # The same days as a list compare unequal to the building's tuple, which
-    # forces the restricted series through bucket(): the ranking is the same.
+    # The fixtures' buildings share every day: each pair keeps the loaded series.
+    assert restricted == [[True, True]] * 2
+    loaded_out = capsys.readouterr().out
+    # Copies carry no buckets, so every shared bucket is built anew: same ranking.
     monkeypatch.setattr(
-        cli,
-        "restrict_to_common",
-        lambda series: [dataclasses.replace(s, days=list(s.days)) for s in restrict(series)],
+        cli, "restrict_to_common",
+        lambda series: [dataclasses.replace(s) for s in restrict(series)],
     )
     assert run(*argv, "rebucketed.csv") == 0
-    assert len(bucketed) == 2 * 2
     assert (tmp_path / "rebucketed.csv").read_bytes() == (tmp_path / "loaded.csv").read_bytes()
-    out = capsys.readouterr().out
-    assert out.count("ranking written to") == 2
+    assert capsys.readouterr().out == loaded_out.replace("loaded.csv", "rebucketed.csv")
+
+
+def test_aggregate_past_the_shut_off_threshold(tmp_path, monkeypatch, capsys):
+    # alpha 3 lies past the fixture terms' threshold (2.4615): psi < 0, every
+    # contract is 0 and gamma, which the analytic deltas need, does not exist.
+    for name in INPUTS:
+        shutil.copy(FIXTURES / name, tmp_path / name)
+    monkeypatch.chdir(tmp_path)
+    assert run("estimate", "--config", "config.json", "--out", "model.json") == 0
+    obj = json.loads((tmp_path / "config.json").read_text())
+    obj["terms"]["alpha"] = 3.0
+    Path("past.json").write_text(json.dumps(obj))
+    argv = ("aggregate", "--base", "acme_plant", "--candidates", "birch_mall", "cedar_office")
+    assert run(*argv, "--config", "config.json", "--out", "below.csv") == 0
+    capsys.readouterr()
+    assert run(*argv, "--config", "past.json", "--out", "past.csv") == 0
+    assert capsys.readouterr().err == ""
+
+    def columns(name: str) -> dict[str, list[str]]:
+        header, *rows = Path(name).read_text().splitlines()
+        return dict(zip(header.split(","), zip(*(row.split(",") for row in rows))))
+
+    below, past = columns("below.csv"), columns("past.csv")
+    assert past["candidate_id"] == below["candidate_id"]
+    assert past["delta_sigma"] == below["delta_sigma"]
+    assert past["delta_j_oracle"] == past["individual_profit"] == ("0", "0")
+    assert past["delta_j_printed"] == past["delta_j_cancelled"] == ("nan", "nan")
+
+
+# birch_mall without its 2021-03-02T12:00 reading: it lacks one day that
+# acme_plant and cedar_office keep.  SHA-256 of ranking.csv and stdout with
+# each base, recorded while aggregate still rebuilt both buildings' buckets
+# over a partial overlap.
+BIRCH_GAP_DIGESTS = {
+    "acme_plant": {
+        "ranking.csv": "7544c1d5950b070b3f575ee869a1f644490497a990843a52761f8cdb024ddd2c",
+        "stdout": "6d3f2750ea9bccc3e2153fe9f74763cd6c0e9c45a466d9a597fb63a76f62cb76",
+    },
+    "birch_mall": {
+        "ranking.csv": "618afe82fe66e334e0d809ec7b32cf6c22a9fc9ad81f718b7f1b66e1b5811c1c",
+        "stdout": "97295d3347e17d4326959bfc44e6c65d5678bd9e924c2f7136fc29902990669f",
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "base, candidates, decisions",
+    [
+        ("acme_plant", ("birch_mall", "cedar_office"), 576),
+        ("birch_mall", ("acme_plant", "cedar_office"), 672),
+    ],
+)
+def test_aggregate_decides_each_distinct_bucket_once(
+    tmp_path, monkeypatch, capsys, base, candidates, decisions
+):
+    import drcontracts.aggregation
+    import drcontracts.cli
+    from drcontracts.contracts import optimal_contract
+
+    for name in INPUTS:
+        shutil.copy(FIXTURES / name, tmp_path / name)
+    rows = (FIXTURES / "sample_load.csv").read_text().splitlines(keepends=True)
+    kept = [row for row in rows if not row.startswith("2021-03-02T12:00:00,birch_mall,")]
+    assert len(kept) == len(rows) - 1
+    (tmp_path / "sample_load.csv").write_text("".join(kept))
+    monkeypatch.chdir(tmp_path)
+    assert run("estimate", "--config", "config.json", "--out", "model.json") == 0
+    capsys.readouterr()
+
+    decided = []
+
+    def counting(terms, dist):
+        decided.append(dist)
+        return optimal_contract(terms, dist)
+
+    for module in (drcontracts.aggregation, drcontracts.cli):
+        monkeypatch.setattr(module, "optimal_contract", counting)
+    argv = ("aggregate", "--config", "config.json", "--base", base, "--candidates")
+    assert run(*argv, *candidates, "--out", "ranking.csv") == 0
+    # 96 buckets per building and 96 pooled per candidate.  A building that
+    # keeps all its days keeps its loaded buckets, decided once; the building
+    # restricted away from 2021-03-02 is bucketed anew for that pair.
+    assert len(decided) == decisions
+    assert len({id(dist) for dist in decided}) == decisions
+    digests = {
+        "ranking.csv": hashlib.sha256((tmp_path / "ranking.csv").read_bytes()).hexdigest(),
+        "stdout": hashlib.sha256(capsys.readouterr().out.encode()).hexdigest(),
+    }
+    assert digests == BIRCH_GAP_DIGESTS[base]
+
+
+PERFBENCH_INPUTS = FIXTURES.parent / "perfbench" / "inputs.py"
+
+# The benchmark's `year` workload at seed 3 (4 buildings x 365 days), staged
+# as perfbench/run.py stages it: (stage, argv after --config).
+YEAR_STAGES = {
+    "estimate": ("estimate", "--out", "model.json"),
+    "contract": ("contract", "--building", "b00", "--alpha-sweep", "1.5:3:2",
+                 "--out", "contracts.csv"),
+    "aggregate b01": ("aggregate", "--base", "b00", "--candidates", "b01",
+                      "--out", "ranking_b01.csv"),
+    "aggregate b01 b02 b03": ("aggregate", "--base", "b00", "--candidates", "b01", "b02",
+                              "b03", "--out", "ranking_all.csv"),
+    "simulate": ("simulate", "--building", "b00", "--out", "report.json"),
+}
+YEAR_OUTPUTS = ("model.json", "contracts.csv", "contracts_alpha_sweep.csv",
+                "ranking_b01.csv", "ranking_all.csv", "report.json")
+# SHA-256 of each output file and each stage's stdout.
+YEAR_DIGESTS = {
+    "estimate stdout": "7b9cbfae420e6aab601804c39ce743d35f20ee5e6d4ff349302df71507214f99",
+    "contract stdout": "e144041eba1a1fd2ce45943968ff78e3c4d6165904e242c7add82de43086aa3c",
+    "aggregate b01 stdout": "7521ba94f833b7dfdc621e38ab6b9fe89edee0debcf6601f014af3d8a737ad81",
+    "aggregate b01 b02 b03 stdout": "b52d8c7b33708af6eb8a9b0ccd08e83d9e3468d6b130185aa8ed6b7ee9148950",
+    "simulate stdout": "0e00536464387405009779a0ef141742df2570e7c7fd67c0756943568499f674",
+    "model.json": "f03bbe28e220cbe7c86bc1368db5331b5ac658b5396258559e2bbaa0e59b1208",
+    "contracts.csv": "063aed19d8dd097484fd44fc8bf4289b5f411d6741540112e6060e2a15140e9c",
+    "contracts_alpha_sweep.csv": "f34675bf4e42802b74a3beddf3e9ef0cca3acb1f81f91b3c019cc7eb449ee973",
+    "ranking_b01.csv": "f8262baf82d5f6ac0715a31265d5618fa8e0db2899a58997a2e32af76471c7de",
+    "ranking_all.csv": "e30754207c02d62b72d28f4be0edbfeb523529fac49519e036a3bb33ddd22a7f",
+    "report.json": "0abad793afa6aeb88934388836710eb598740ea5f2eb880369376af9223b779a",
+}
+
+
+def test_year_pipeline_outputs_are_golden(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", PERFBENCH_INPUTS)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    shutil.copy(FIXTURES / "shapes.csv", tmp_path / "shapes.csv")
+    inputs.write_year_load(tmp_path / "load.csv", tmp_path / "shapes.csv", 3)
+    base = json.loads((FIXTURES / "config.json").read_text())
+    config = inputs.derive_config(base, "load.csv", seed=3, n_trials=500)
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    monkeypatch.chdir(tmp_path)
+
+    digests = {}
+    for stage, (command, *rest) in YEAR_STAGES.items():
+        assert run(command, "--config", "config.json", *rest) == 0
+        out = capsys.readouterr()
+        assert out.err == ""
+        digests[f"{stage} stdout"] = hashlib.sha256(out.out.encode()).hexdigest()
+    for name in YEAR_OUTPUTS:
+        digests[name] = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+    assert digests == YEAR_DIGESTS
 
 
 # SHA-256 of estimate's model.json and stdout on the active-bound load,

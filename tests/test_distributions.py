@@ -82,6 +82,17 @@ class TestEmpirical:
         with pytest.raises(ValueError):
             EmpiricalDistribution([5.0]).stddev()
 
+    def test_stddev_is_computed_once(self):
+        rng = np.random.default_rng(5)
+        emp = EmpiricalDistribution(rng.normal(10.0, 2.0, 97))
+        first = emp.stddev()
+        assert emp.stddev() is first
+        assert first.hex() == float(np.std(emp.samples, ddof=1)).hex()
+        single = EmpiricalDistribution([5.0])
+        for _ in range(2):
+            with pytest.raises(ValueError, match="single sample"):
+                single.stddev()
+
     def test_transform_uniform_hits_each_sample(self):
         emp = EmpiricalDistribution(QUAD)
         u = np.array([0.1, 0.3, 0.6, 0.9])

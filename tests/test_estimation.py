@@ -13,7 +13,6 @@ from drcontracts import (
     EmpiricalDistribution,
     InputFormatError,
     ModelConsistencyError,
-    bucket,
     build_capability_model,
     curtailable_series,
     decompose_load,
@@ -99,7 +98,7 @@ class TestBucketKey:
         loads = {day: day_loads(day, shapes, 120.0, 80.0) for day in days}
         series = curtailable_series(day_table(loads), shapes, fraction=0.6)
         assert series.days == (date(2021, 3, 1), date(2021, 3, 6))
-        buckets = bucket(series)
+        buckets = series.buckets
         assert buckets[BucketKey(3, 14, True)].original_samples.tolist() == [
             series.values[1, 14]
         ]
@@ -208,12 +207,27 @@ class TestBucketing:
         days = [date(2021, 3, 1) + timedelta(days=i) for i in range(14)]
         loads = {day: day_loads(day, shapes, 120.0, 80.0) for day in days}
         series = curtailable_series(day_table(loads), shapes, fraction=0.6)
-        buckets = bucket(series)
+        buckets = series.buckets
         total = sum(dist.n for dist in buckets.values())
         assert total == 14 * 24
         # 10 weekdays and 4 weekend days in the first two March weeks
         assert buckets[BucketKey(3, 10, False)].n == 10
         assert buckets[BucketKey(3, 10, True)].n == 4
+
+    def test_buckets_are_built_once_and_kept_by_the_model(self):
+        shapes = two_use_shapes()
+        days = [date(2021, 3, 1) + timedelta(days=i) for i in range(14)]
+        table = day_table({day: day_loads(day, shapes, 120.0, 80.0) for day in days})
+        model = build_capability_model(
+            LoadTable({"b1": table}), shapes, EstimationConfig(min_bucket_size=5)
+        )
+        building = model.building("b1")
+        buckets = building.series.buckets
+        assert building.series.buckets is buckets
+        # The weekend buckets (4 days) are dropped; the kept ones are the series' own.
+        assert len(buckets) == 48 and len(building.buckets) == 24
+        for key, fit in building.buckets.items():
+            assert fit.empirical is buckets[key]
 
     def test_alignment_labels_are_timestamps(self):
         shapes = two_use_shapes()
@@ -221,7 +235,7 @@ class TestBucketing:
         table = day_table({march1: day_loads(march1, shapes, 120.0, 80.0)})
         series = curtailable_series(table, shapes, fraction=0.6)
         assert series.days == (march1,)
-        buckets = bucket(series)
+        buckets = series.buckets
         assert buckets[BucketKey(3, 10, False)].original_samples.tolist() == [
             series.values[0, 10]
         ]
@@ -239,7 +253,7 @@ class TestBucketing:
         assert date(2021, 2, 27) not in series.days
         assert series.values.shape == (6, 24) and not series.values.flags.writeable
 
-        buckets = bucket(series)
+        buckets = series.buckets
         # Every (day, hour) lands in exactly one bucket: the bucket of its
         # hour and its day's (month, day type), which holds those days in order.
         cells = {(d.month, h, d.weekday() >= 5) for d in series.days for h in range(24)}
@@ -286,7 +300,7 @@ class TestRestrictToCommon:
         ra, rb = restrict_to_common([a, b])
         shared = [date(2021, 3, d) for d in (1, 2, 5, 8)]
         assert list(ra.days) == list(rb.days) == shared
-        ba, bb = bucket(ra), bucket(rb)
+        ba, bb = ra.buckets, rb.buckets
         assert set(ba) == set(bb)
         for key in ba:
             # The k-th samples of a bucket pair come from the same day.
@@ -299,13 +313,30 @@ class TestRestrictToCommon:
             total = sum_empirical([ba[key], bb[key]])
             assert total.original_samples.tolist() == expected
 
+    def test_series_keeping_every_day_comes_back_as_itself(self):
+        a = self.series_of([1, 2, 3, 4, 5, 6])
+        b = self.series_of([2, 3, 4, 5])
+        buckets = b.buckets
+        ra, rb = restrict_to_common([a, b])
+        assert rb is b and rb.buckets is buckets
+        # a drops days 1 and 6: a new series, bucketed anew.
+        assert ra is not a and ra.days == b.days
+        assert not set(map(id, ra.buckets.values())) & set(map(id, a.buckets.values()))
+        twin = self.series_of([1, 2, 3, 4, 5, 6])
+        assert [s is t for s, t in zip(restrict_to_common([a, twin]), (a, twin))] == [True] * 2
+        assert restrict_to_common([a])[0] is a
+
+    def test_empty_input_rejected(self):
+        with pytest.raises(ValueError, match="needs at least one series, got none"):
+            restrict_to_common([])
+
     def test_no_shared_day_gives_empty_series(self):
         a = self.series_of([1, 2])
         b = self.series_of([3, 4])
         for restricted in restrict_to_common([a, b]):
             assert restricted.days == ()
             assert restricted.values.shape == (0, 24)
-            assert bucket(restricted) == {}
+            assert restricted.buckets == {}
 
 
 class TestCapabilityModel:
