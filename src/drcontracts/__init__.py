@@ -8,7 +8,9 @@ contracts against uncertain customer capability:
 * :mod:`drcontracts.distributions` — empirical and normal capability
   models with the partial-expectation machinery the pricing formulas need.
 * :mod:`drcontracts.contracts` — critical-fractile contract sizing,
-  tail-risk valuation, and the supporting sensitivity analysis.
+  tail-risk valuation, and the quantile loss whose identity
+  J(c) = (pi_r + p*pi_e)*mu - L(c) gives the optimal profit, its slope in
+  a normal's spread and the gain from pooling in closed form.
 * :mod:`drcontracts.estimation` — capability estimation from metered
   load via end-use decomposition and calendar bucketing.
 * :mod:`drcontracts.aggregation` — multi-asset aggregation and partner
@@ -24,7 +26,6 @@ from .aggregation import (
     PartnerRank,
     aggregate_distribution,
     aggregation_contract,
-    bracket_factor,
     complementarity,
     contract_comparison,
     member_contracts,
@@ -37,10 +38,9 @@ from .aggregation import (
 )
 from .contracts import (
     ContractDecision,
-    ProfitAudit,
-    SigmaSensitivity,
     alpha_sweep,
     alpha_threshold,
+    bracket_factor,
     cvar,
     expected_profit,
     gamma,
@@ -50,8 +50,7 @@ from .contracts import (
     optimal_contract,
     optimal_profit_formula,
     quantile_argument,
-    sigma_coefficient,
-    sigma_sensitivity,
+    quantile_loss,
 )
 from .distributions import (
     ClippedMassWarning,
@@ -134,9 +133,7 @@ __all__ = [
     "ModelConsistencyError",
     "NormalDistribution",
     "PartnerRank",
-    "ProfitAudit",
     "ProgramTerms",
-    "SigmaSensitivity",
     "SimulationConfig",
     "SimulationResult",
     "UnconstrainedContractError",
@@ -169,14 +166,13 @@ __all__ = [
     "profit_delta_normal",
     "profit_delta_oracle",
     "quantile_argument",
+    "quantile_loss",
     "rank_partners",
     "read_load_csv",
     "read_shapes_csv",
     "realized_curtailment",
     "realized_profit",
     "restrict_to_common",
-    "sigma_coefficient",
-    "sigma_sensitivity",
     "simulate_horizon",
     "sum_empirical",
     "sum_normal",

@@ -17,14 +17,19 @@ from typing import Sequence
 
 import numpy as np
 
-from .contracts import ContractDecision, gamma, optimal_contract, quantile_argument
+from .contracts import (
+    ContractDecision,
+    bracket_factor,
+    gamma,
+    optimal_contract,
+    quantile_argument,
+)
 from .distributions import (
     CovarianceModel,
     CurtailmentDistribution,
     EmpiricalDistribution,
     NormalDistribution,
     standard_normal_cdf,
-    standard_normal_pdf,
     sum_empirical,
     sum_normal,
 )
@@ -166,11 +171,15 @@ def contract_comparison(portfolio: AssetPortfolio) -> ComparisonVerdict:
     """Order the aggregation's contract against the sum of member contracts.
 
     For normal members the ordering follows the sign of gamma whenever
-    delta_sigma > 0; that law is checked, not just reported.
+    delta_sigma > 0; that law is checked, not just reported.  Where psi lies
+    outside (0, 1), past the shut-off threshold say, gamma does not exist:
+    gamma_value is NaN and the verdict rests on the contracts alone.
     """
     c_ag = aggregation_contract(portfolio).c_star
     c_sum = float(sum(d.c_star for d in member_contracts(portfolio)))
-    gamma_value = gamma(portfolio.terms)
+    gamma_value = math.nan
+    if 0.0 < quantile_argument(portfolio.terms) < 1.0:
+        gamma_value = gamma(portfolio.terms)
     delta_sigma = complementarity(portfolio)
     tol = _EQUAL_RTOL * max(1.0, abs(c_sum), abs(c_ag))
     diff = c_sum - c_ag
@@ -183,7 +192,7 @@ def contract_comparison(portfolio: AssetPortfolio) -> ComparisonVerdict:
     all_normal = all(isinstance(d, NormalDistribution) for _, d in portfolio.members)
     if all_normal and delta_sigma > tol and verdict != "equal":
         expected = "ag_smaller" if gamma_value > 0.0 else "ag_larger"
-        if gamma_value != 0.0 and verdict != expected:
+        if gamma_value != 0.0 and not math.isnan(gamma_value) and verdict != expected:
             raise RuntimeError(
                 f"contract ordering {verdict} contradicts sign(gamma)={gamma_value:g} "
                 f"at delta_sigma={delta_sigma:g}"
@@ -209,23 +218,6 @@ def profit_delta_oracle(portfolio: AssetPortfolio) -> float:
     return float(joint.expected_profit - separate)
 
 
-def bracket_factor(terms: ProgramTerms, gamma_value: float | None = None) -> float:
-    """The delta_sigma multiplier: p*(pi_p+pi_e)*phi(gamma) + alpha*(pi_r-p*pi_p)*gamma.
-
-    The alpha term is negative whenever gamma > 0, but at the program's own
-    fractile the whole factor stays positive: psi = 1 + (1+alpha)*margin/D
-    (D = p*(pi_p+pi_e)) gives alpha*|margin|*gamma/D < (1-psi)*gamma < phi(gamma)
-    by the Gaussian tail bound.  A negative factor therefore signals
-    inconsistent inputs, not an expected regime.  gamma_value, if given, is
-    gamma(terms), which is then not evaluated again.
-    """
-    g = gamma(terms) if gamma_value is None else gamma_value
-    return float(
-        terms.p * (terms.pi_p + terms.pi_e) * standard_normal_pdf(g)
-        + terms.alpha * (terms.pi_r - terms.p * terms.pi_p) * g
-    )
-
-
 def profit_delta_from_sigmas(
     terms: ProgramTerms, sigmas: Sequence[float], sigma_ag: float, mode: str
 ) -> float:
@@ -235,11 +227,18 @@ def profit_delta_from_sigmas(
     cancel against the aggregate mean, removing the count-proportional term).
     as_printed: additionally keeps -p*(pi_p+pi_e)*(n_members-1)*Phi(gamma),
     a count-proportional term that survives only if the cancellation is not
-    applied; exposed for auditing, not for decisions.
+    applied; exposed for auditing, not for decisions.  Spreads must be
+    finite and >= 0, with at least one member.
     """
     if mode not in PROFIT_DELTA_MODES:
         raise ValueError(f"mode must be one of {PROFIT_DELTA_MODES}, got {mode!r}")
     sigmas = np.asarray(sigmas, dtype=float)
+    if sigmas.size == 0:
+        raise ValueError("profit delta needs at least one member spread")
+    if not all(0.0 <= s < math.inf for s in sigmas.ravel().tolist()):
+        raise ValueError(f"member spreads must be finite and >= 0, got {sigmas.tolist()}")
+    if not 0.0 <= sigma_ag < math.inf:
+        raise ValueError(f"aggregate spread must be finite and >= 0, got {sigma_ag!r}")
     delta_sigma = float(sigmas.sum()) - float(sigma_ag)
     g = gamma(terms)
     value = delta_sigma * bracket_factor(terms, g)

@@ -15,6 +15,11 @@ for every c and every alpha >= 0, with the critical fractile
 The optimizer returns the psi-quantile, the exact argmax on [0, c_max]
 (Rockafellar & Uryasev, J. Risk 2000): psi <= 0, which is alpha past
 alpha_threshold, shuts the contract off, and psi >= 1 signs the cap.
+
+With D = p*(pi_p + pi_e), m = pi_r - p*pi_p and mu the mean of the law clipped
+at zero, every law and every c >= 0 satisfy J(c) = (pi_r + p*pi_e)*mu - L(c),
+where L is the quantile_loss; the optimal profit, its slope in a normal's
+spread and the gain from pooling are all read off that one identity.
 """
 
 from __future__ import annotations
@@ -27,7 +32,6 @@ import numpy as np
 from .distributions import (
     CurtailmentDistribution,
     EmpiricalDistribution,
-    NormalDistribution,
     standard_normal_pdf,
     standard_normal_quantile,
 )
@@ -36,8 +40,6 @@ from .program import ProgramTerms
 
 # Resolution of the grid oracle: the search interval divided into this many steps.
 GRID_POINTS = 10_000
-# Bracket width for the sign-change search on the sigma coefficient.
-GAMMA_HAT_TOLERANCE = 1e-6
 
 
 def quantile_argument(terms: ProgramTerms) -> float:
@@ -59,19 +61,44 @@ def quantile_argument(terms: ProgramTerms) -> float:
     ) / denom
 
 
-def expected_profit(terms: ProgramTerms, dist: CurtailmentDistribution, c):
-    """Expected per-window profit J(c); accepts scalar or array c."""
+def _contract_sizes(terms: ProgramTerms, c) -> np.ndarray:
+    """c as a float array, checked to lie in [0, contract_cap]."""
     c_arr = np.asarray(c, dtype=float)
     if c_arr.size and np.min(c_arr) < 0.0:
         raise ValueError("contract size must be >= 0")
     if c_arr.size and np.max(c_arr) > terms.contract_cap:
         raise ValueError(f"contract size exceeds cap {terms.contract_cap:g}")
+    return c_arr
+
+
+def expected_profit(terms: ProgramTerms, dist: CurtailmentDistribution, c):
+    """Expected per-window profit J(c); accepts scalar or array c."""
+    c_arr = _contract_sizes(terms, c)
     f = np.asarray(dist.cdf(c_arr), dtype=float)
     part = np.asarray(dist.partial_expectation(c_arr), dtype=float)
     shortfall = c_arr * f - part
     out = terms.pi_r * c_arr + terms.p * (
         -terms.pi_p * shortfall + terms.pi_e * (part + c_arr * (1.0 - f))
     )
+    return out if np.ndim(c) else float(out)
+
+
+def quantile_loss(terms: ProgramTerms, dist: CurtailmentDistribution, c):
+    """L(c) = D*E[rho_psi(q - c)] + alpha*m*(c - mu); accepts scalar or array c.
+
+    rho_psi(u) = u*(psi - 1{u < 0}) is the pinball loss, which the
+    psi-quantile minimizes (Koenker & Bassett, Econometrica 1978), so
+    D*E[rho_psi(q - c)] = D*(psi*(mu - c) + S(c)).  J(c) + L(c) equals
+    (pi_r + p*pi_e)*mu for every law and every c >= 0.  Hence the gain from
+    pooling members whose means add up is sum_k L_k(c_k*) - L_pool(c_pool*),
+    and for an unclipped N(mu, sigma) L(c*) = sigma*bracket_factor(terms).
+    """
+    c_arr = _contract_sizes(terms, c)
+    mu = float(dist.partial_expectation(np.inf))
+    shortfall = np.asarray(dist.shortfall_expectation(c_arr), dtype=float)
+    out = terms.p * (terms.pi_p + terms.pi_e) * (
+        quantile_argument(terms) * (mu - c_arr) + shortfall
+    ) + terms.alpha * terms.no_asset_margin * (c_arr - mu)
     return out if np.ndim(c) else float(out)
 
 
@@ -209,34 +236,19 @@ def optimal_contract(terms: ProgramTerms, dist: CurtailmentDistribution) -> Cont
     )
 
 
-@dataclass(frozen=True)
-class ProfitAudit:
-    """Closed-form optimal profit against the direct evaluation of J."""
-
-    formula_value: float
-    expected_profit: float
-
-    @property
-    def residual(self) -> float:
-        return self.formula_value - self.expected_profit
-
-
 def optimal_profit_formula(
     terms: ProgramTerms, dist: CurtailmentDistribution, c_star: float
-) -> ProfitAudit:
+) -> float:
     """Evaluate J* = p*(pi_p + pi_e)*P(c*) - alpha*(pi_r - p*pi_p)*c*.
 
-    The closed form equals J(c*) whenever F(c*) = psi, at every alpha.  It
-    deviates for empirical buckets (c* is a sample, so F(c*) is a multiple of
-    1/n) and for clipped contracts; the residual is reported, not hidden.
+    The closed form exceeds J(c*) by exactly p*(pi_p + pi_e)*c*(F(c*) - psi),
+    so it equals J(c*) whenever F(c*) = psi, at every alpha.  It deviates for
+    empirical buckets (c* is a sample, so F(c*) is a multiple of 1/n) and for
+    clipped contracts.
     """
-    formula = terms.p * (terms.pi_p + terms.pi_e) * float(
+    return terms.p * (terms.pi_p + terms.pi_e) * float(
         dist.partial_expectation(c_star)
     ) - terms.alpha * (terms.pi_r - terms.p * terms.pi_p) * c_star
-    return ProfitAudit(
-        formula_value=formula,
-        expected_profit=expected_profit(terms, dist, c_star),
-    )
 
 
 def gamma(terms: ProgramTerms) -> float:
@@ -245,6 +257,25 @@ def gamma(terms: ProgramTerms) -> float:
     if not 0.0 < psi < 1.0:
         raise ValueError(f"gamma undefined: psi = {psi:g} outside (0, 1)")
     return float(standard_normal_quantile(psi))
+
+
+def bracket_factor(terms: ProgramTerms, gamma_value: float | None = None) -> float:
+    """p*(pi_p+pi_e)*phi(gamma) + alpha*(pi_r-p*pi_p)*gamma, the delta_sigma multiplier.
+
+    For an unclipped N(mu, sigma) it is quantile_loss(c*)/sigma, and minus the
+    exact slope dJ*/dsigma of the optimal profit.  The alpha term is negative
+    whenever gamma > 0, but at the program's own fractile the whole factor
+    stays positive: psi = 1 + (1+alpha)*margin/D (D = p*(pi_p+pi_e)) gives
+    alpha*|margin|*gamma/D < (1-psi)*gamma < phi(gamma) by the Gaussian tail
+    bound.  A negative factor therefore signals inconsistent inputs, not an
+    expected regime.  gamma_value, if given, is gamma(terms), which is then
+    not evaluated again; gamma_hat is where the factor itself crosses zero.
+    """
+    g = gamma(terms) if gamma_value is None else gamma_value
+    return float(
+        terms.p * (terms.pi_p + terms.pi_e) * standard_normal_pdf(g)
+        + terms.alpha * (terms.pi_r - terms.p * terms.pi_p) * g
+    )
 
 
 def alpha_threshold(terms: ProgramTerms) -> float:
@@ -261,74 +292,37 @@ def alpha_threshold(terms: ProgramTerms) -> float:
     return (terms.pi_r + terms.p * terms.pi_e) / (-margin)
 
 
-def sigma_coefficient(terms: ProgramTerms, gamma_value: float) -> float:
-    """Coefficient of sigma in the optimal profit for N(mu, sigma).
-
-    d(J*)/d(sigma) = -p*(pi_p + pi_e)*phi(gamma) - alpha*(pi_r - p*pi_p)*gamma.
-    Negative at gamma = 0; for alpha > 0 the linear term eventually dominates
-    and the sign flips at gamma_hat.
-    """
-    return -terms.p * (terms.pi_p + terms.pi_e) * float(
-        standard_normal_pdf(gamma_value)
-    ) - terms.alpha * (terms.pi_r - terms.p * terms.pi_p) * gamma_value
-
-
 def gamma_hat(terms: ProgramTerms) -> float | None:
-    """Sign-change point of the sigma coefficient, or None when there is none.
+    """The gamma > 0 at which bracket_factor changes sign, or None when it never does.
 
-    At alpha = 0 the coefficient is -p*(pi_p+pi_e)*phi(gamma) < 0 everywhere.
-    For alpha > 0 (and a negative no-asset margin) the coefficient is negative
-    at 0 and grows linearly, so a root exists; it is located by bisection to
-    a bracket width of GAMMA_HAT_TOLERANCE.
+    At alpha = 0 the factor is p*(pi_p+pi_e)*phi(gamma) > 0 everywhere.  For
+    alpha > 0 (and a negative no-asset margin m) D*phi(g) = -alpha*m*g has one
+    root, and squaring gives g^2*exp(g^2) = k^2 with k = D/(-alpha*m*sqrt(2*pi)):
+    gamma_hat = sqrt(W(k^2)), W the principal Lambert W.  Halley's method solves
+    W's equation in log form, w + ln(w) = 2*ln(k), for g = sqrt(w); ln(k) is
+    taken as a sum of logs, so no power of k overflows as alpha -> 0+.  From
+    these starts three steps reach rounding for every ln(k) in [-700, 700]
+    (checked against mpmath); the fourth is margin.
     """
     if terms.alpha == 0.0 or terms.no_asset_margin >= 0.0:
         return None
-    lo = 0.0
-    hi = 1.0
-    for _ in range(128):
-        if sigma_coefficient(terms, hi) > 0.0:
-            break
-        hi *= 2.0
-    else:
-        return None
-    while hi - lo > GAMMA_HAT_TOLERANCE:
-        mid = 0.5 * (lo + hi)
-        if sigma_coefficient(terms, mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
-
-
-@dataclass(frozen=True)
-class SigmaSensitivity:
-    derivative: float
-    gamma_value: float
-    gamma_hat: float | None
-
-
-def sigma_sensitivity(terms: ProgramTerms, mu: float, sigma: float) -> SigmaSensitivity:
-    """Central finite difference of the optimal profit J* in sigma at N(mu, sigma).
-
-    J* is the closed-form optimal profit evaluated at the optimizer for each
-    perturbed sigma, sigma +/- 1e-4 * sigma.  The companion gamma_hat locates where the analytic sigma
-    coefficient changes sign.
-    """
-    if sigma <= 0.0:
-        raise ValueError("sigma must be > 0 for a sigma sensitivity")
-    delta = 1e-4 * sigma
-
-    def j_star(s: float) -> float:
-        dist = NormalDistribution(mu, s)
-        decision = optimal_contract(terms, dist)
-        return optimal_profit_formula(terms, dist, decision.c_star).formula_value
-
-    derivative = (j_star(sigma + delta) - j_star(sigma - delta)) / (2.0 * delta)
-    return SigmaSensitivity(
-        derivative=derivative,
-        gamma_value=gamma(terms),
-        gamma_hat=gamma_hat(terms),
+    log_k = (
+        math.log(terms.p * (terms.pi_p + terms.pi_e))
+        - math.log(terms.alpha)
+        - math.log(-terms.no_asset_margin)
+        - 0.5 * math.log(2.0 * math.pi)
     )
+    if log_k > 0.5:
+        g = math.sqrt(2.0 * log_k - math.log(2.0 * log_k))
+    else:
+        k = math.exp(log_k)
+        g = k / math.sqrt(1.0 + k * k)
+    for _ in range(4):
+        # f(g) = g^2/2 + ln(g) - ln(k), with f' = (g^2 + 1)/g and f'' = 1 - 1/g^2.
+        f = 0.5 * g * g + math.log(g) - log_k
+        g2 = g * g
+        g -= 2.0 * f * g * (g2 + 1.0) / (2.0 * (g2 + 1.0) ** 2 - f * (g2 - 1.0))
+    return g
 
 
 def alpha_sweep(

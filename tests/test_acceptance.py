@@ -30,6 +30,7 @@ from drcontracts import (
     alpha_sweep,
     alpha_threshold,
     analytic_summary,
+    bracket_factor,
     contract_comparison,
     gamma,
     gamma_hat,
@@ -40,13 +41,12 @@ from drcontracts import (
     profit_delta_normal,
     profit_delta_oracle,
     rank_partners,
-    sigma_coefficient,
-    sigma_sensitivity,
     simulate_horizon,
     sum_normal,
 )
 from drcontracts.cli import main as cli_main
 from drcontracts.contracts import GRID_POINTS, _search_upper_bound
+from drcontracts.distributions import standard_normal_pdf
 from drcontracts.estimation import (
     DayTable,
     EndUseShapes,
@@ -123,8 +123,15 @@ def test_01_quantile_rule_matches_grid_search():
     )
 
 
+def formula_residual(terms, dist):
+    """The decision, the closed-form optimal profit, and its excess over J(c*)."""
+    decision = optimal_contract(terms, dist)
+    formula = optimal_profit_formula(terms, dist, decision.c_star)
+    return decision, formula, formula - decision.expected_profit
+
+
 def test_02_closed_form_profit_identity():
-    """Closed-form optimal profit equals J(c*) at alpha = 0."""
+    """Closed-form optimal profit equals J(c*) wherever F(c*) = psi, at every alpha."""
     rng = np.random.default_rng(22)
     worst_rel = 0.0
     for _ in range(25):
@@ -132,36 +139,44 @@ def test_02_closed_form_profit_identity():
             float(rng.uniform(0.1, 0.9)), pi_e=0.5, pi_p=6.0, p=0.15
         )
         dist = NormalDistribution(rng.uniform(60.0, 140.0), rng.uniform(3.0, 12.0))
-        audit = optimal_profit_formula(
-            terms, dist, optimal_contract(terms, dist).c_star
-        )
-        worst_rel = max(worst_rel, abs(audit.residual) / abs(audit.formula_value))
+        _, formula, residual = formula_residual(terms, dist)
+        worst_rel = max(worst_rel, abs(residual) / abs(formula))
 
     uniform_c = optimal_contract(UNIFORM_TERMS, dense_uniform()).c_star
-    uniform_audit = optimal_profit_formula(UNIFORM_TERMS, dense_uniform(), uniform_c)
+    uniform_formula = optimal_profit_formula(UNIFORM_TERMS, dense_uniform(), uniform_c)
     uniform_ok = (
-        abs(uniform_audit.formula_value - UNIFORM_J_STAR) <= 2e-4
-        and abs(uniform_audit.expected_profit - UNIFORM_J_STAR) <= 2e-4
+        abs(uniform_formula - UNIFORM_J_STAR) <= 2e-4
+        and abs(optimal_contract(UNIFORM_TERMS, dense_uniform()).expected_profit - UNIFORM_J_STAR)
+        <= 2e-4
     )
 
-    # With alpha > 0 the closed form drops the tail adjustment; the residual
-    # is surfaced for audit, not asserted.
-    reported = []
+    # The tail term is linear in c, so the identity holds at alpha > 0 too.
+    averse_rel = 0.0
     for alpha in (0.3, 1.0):
         terms = terms_for_psi(0.6, pi_e=0.5, pi_p=6.0, p=0.15, alpha=alpha)
-        dist = NormalDistribution(100.0, 10.0)
-        audit = optimal_profit_formula(
-            terms, dist, optimal_contract(terms, dist).c_star
-        )
-        reported.append(abs(audit.residual) / abs(audit.formula_value))
+        _, formula, residual = formula_residual(terms, NormalDistribution(100.0, 10.0))
+        averse_rel = max(averse_rel, abs(residual) / abs(formula))
 
-    ok = worst_rel <= 1e-9 and uniform_ok
+    # An empirical c* is a sample, so F(c*) misses psi; the residual is then
+    # exactly p*(pi_p + pi_e)*c*(F(c*) - psi), and not 0.
+    gap_rel = 0.0
+    for i in range(25):
+        terms = terms_for_psi(
+            float(rng.uniform(0.1, 0.9)), pi_e=0.5, pi_p=6.0, p=0.15, alpha=i % 3 * 0.5
+        )
+        dist = EmpiricalDistribution(rng.uniform(20.0, 60.0, int(rng.integers(3, 40))))
+        decision, _, residual = formula_residual(terms, dist)
+        c = decision.c_star
+        closed = terms.p * (terms.pi_p + terms.pi_e) * c * (dist.cdf(c) - decision.psi)
+        gap_rel = max(gap_rel, abs(residual - closed) / abs(closed))
+
+    ok = worst_rel <= 1e-9 and averse_rel <= 1e-9 and gap_rel <= 1e-12 and uniform_ok
     report(
         2,
         ok,
-        f"alpha=0 max relative residual {worst_rel:.2e} (tol 1e-9); uniform case "
-        f"both within 2e-4 of {UNIFORM_J_STAR:.6f}; alpha>0 residual "
-        f"reported: {max(reported):.2e}",
+        f"alpha=0 max relative residual {worst_rel:.2e}, alpha>0 {averse_rel:.2e} "
+        f"(tol 1e-9); empirical residual against D*c*(F(c*) - psi) {gap_rel:.2e} "
+        f"(tol 1e-12); uniform case both within 2e-4 of {UNIFORM_J_STAR:.6f}",
     )
 
 
@@ -228,21 +243,29 @@ def test_04_normal_distribution_sensitivities():
             fd_worst = max(fd_worst, abs((c_up - c_dn) / (2.0 * h) - g))
 
     neutral = terms_for_psi(0.5, pi_e=0.2)  # gamma = 0, alpha = 0
-    sens = sigma_sensitivity(neutral, 100.0, 10.0)
-    neutral_ok = sens.derivative < 0.0 and abs(sens.gamma_value) <= 1e-12
+
+    def j_star(sigma: float) -> float:
+        return optimal_contract(neutral, NormalDistribution(100.0, sigma)).expected_profit
+
+    slope = (j_star(10.1) - j_star(9.9)) / 0.2
+    neutral_ok = slope < 0.0 and abs(gamma(neutral)) <= 1e-12
     no_flip_ok = gamma_hat(neutral) is None
 
     averse = terms_for_psi(0.6, pi_e=0.2, alpha=0.8)
     gh = gamma_hat(averse)
-    flip_ok = gh is not None and (
-        sigma_coefficient(averse, gh - 1e-6) < 0.0 < sigma_coefficient(averse, gh + 1e-6)
+    root_scale = averse.p * (averse.pi_p + averse.pi_e) * standard_normal_pdf(gh)
+    flip_ok = (
+        bracket_factor(averse, gh - 1e-6) > 0.0 > bracket_factor(averse, gh + 1e-6)
+        and abs(bracket_factor(averse, gh)) <= 1e-12 * root_scale
     )
     ok = shift_ok and fd_worst <= 1e-6 and neutral_ok and no_flip_ok and flip_ok
     report(
         4,
         ok,
         f"c* = mu + gamma*sigma exact; max |dC*/dsigma - gamma| = {fd_worst:.2e} "
-        f"(tol 1e-6); dJ*/dsigma < 0 at gamma=0; sign flip bracketed to 1e-6",
+        f"(tol 1e-6); dJ*/dsigma < 0 at gamma=0; sign flip bracketed to 1e-6, "
+        f"bracket at gamma_hat {abs(bracket_factor(averse, gh)) / root_scale:.1e} "
+        f"of D*phi (tol 1e-12)",
     )
 
 

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import importlib.util
+import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +23,7 @@ from drcontracts import (
     ModelConsistencyError,
     NormalDistribution,
     PartnerRank,
+    ProgramTerms,
     aggregate_distribution,
     aggregation_contract,
     alpha_threshold,
@@ -32,9 +37,17 @@ from drcontracts import (
     profit_delta_normal,
     profit_delta_oracle,
     quantile_argument,
+    quantile_loss,
     rank_partners,
-    sigma_coefficient,
     write_ranking_csv,
+)
+from drcontracts.aggregation import _score_pair
+from drcontracts.estimation import (
+    EstimationConfig,
+    build_capability_model,
+    read_load_csv,
+    read_shapes_csv,
+    restrict_to_common,
 )
 from drcontracts.formatting import sig9
 
@@ -42,6 +55,11 @@ from conftest import terms_for_psi
 
 PHI_AT_ONE = math.exp(-0.5) / math.sqrt(2.0 * math.pi)  # standard normal pdf at 1
 CDF_AT_ONE = float(ndtr(1.0))
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+FIXTURE_CONFIG = json.loads((FIXTURES / "config.json").read_text())
+# Shut-off threshold alpha_0 = 2.4615...
+FIXTURE_TERMS = ProgramTerms(**FIXTURE_CONFIG["terms"])
 
 
 def pair_covariance(rho: float, ids=("a", "b")) -> CovarianceModel:
@@ -229,6 +247,17 @@ class TestContractComparison:
             expected = "ag_smaller" if verdict.gamma_value > 0 else "ag_larger"
             assert verdict.verdict == expected
 
+    def test_past_the_shut_off_the_contracts_decide(self):
+        terms = FIXTURE_TERMS.with_alpha(3.0)
+        assert quantile_argument(terms) == pytest.approx(-0.155556, abs=1e-6)
+        portfolio = normal_pair_portfolio(terms)
+        verdict = contract_comparison(portfolio)
+        assert verdict.verdict == "equal"
+        assert verdict.c_star_ag == verdict.c_star_sum == 0.0
+        assert math.isnan(verdict.gamma_value)
+        assert verdict.delta_sigma == pytest.approx(2.0, abs=1e-9)
+        assert profit_delta_oracle(portfolio) == 0.0
+
 
 class TestProfitDeltas:
     def test_mean_cancelled_matches_frozen_value(self):
@@ -279,6 +308,24 @@ class TestProfitDeltas:
         assert profit_delta_normal(portfolio, "mean_cancelled") == pytest.approx(
             0.0, abs=1e-12
         )
+
+    @pytest.mark.parametrize("mode", ["as_printed", "mean_cancelled"])
+    @pytest.mark.parametrize(
+        "sigmas, sigma_ag, match",
+        [
+            ([], 5.0, "at least one member"),
+            ([-3.0, 4.0], 5.0, "member spreads"),
+            ([3.0, math.nan], 5.0, "member spreads"),
+            ([3.0, math.inf], 5.0, "member spreads"),
+            ([3.0, 4.0], math.nan, "aggregate spread"),
+            ([3.0, 4.0], math.inf, "aggregate spread"),
+            ([3.0, 4.0], -1.0, "aggregate spread"),
+        ],
+    )
+    def test_invalid_spreads_rejected(self, sigmas, sigma_ag, match, mode):
+        terms = terms_for_psi(0.6, alpha=0.5)
+        with pytest.raises(ValueError, match=match):
+            profit_delta_from_sigmas(terms, sigmas, sigma_ag, mode)
 
     def test_unknown_mode_rejected(self):
         terms = terms_for_psi(0.6)
@@ -332,11 +379,18 @@ class TestBracketFactor:
         assert value > 0.0
 
     def test_bracket_is_negated_sigma_coefficient(self):
+        # J* = (pi_r + p*pi_e)*mu - sigma*bracket_factor is linear in sigma for an
+        # unclipped normal, so a unit step in sigma moves J* by -bracket_factor.
         terms = terms_for_psi(0.8, alpha=1.5)
-        g = gamma(terms)
-        assert bracket_factor(terms) == pytest.approx(
-            -sigma_coefficient(terms, g), rel=1e-12
+        low, high = (
+            optimal_contract(terms, NormalDistribution(100.0, sigma))
+            for sigma in (2.0, 3.0)
         )
+        assert low.clipped == high.clipped == "none"
+        assert bracket_factor(terms) == pytest.approx(
+            -(high.expected_profit - low.expected_profit), rel=1e-12
+        )
+
 
 
 class TestRanking:
@@ -499,3 +553,56 @@ def test_member_contracts_match_standalone(basic_terms):
         assert decision.c_star == pytest.approx(
             dist.quantile(decision.psi), rel=1e-12
         )
+
+
+def _load_perfbench_inputs():
+    """perfbench/inputs.py as a module, read without writing bytecode next to it."""
+    path = FIXTURES.parent / "perfbench" / "inputs.py"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sys, "dont_write_bytecode", True)
+        spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module", params=["fixtures", "year"])
+def shared_bucket_pairs(request, tmp_path_factory):
+    """(base, candidate) bucket pairs as aggregate scores them, on the fixtures
+    (acme_plant with birch_mall) and on the benchmark's `year` seed 3 (b00 with b01)."""
+    shapes_path = FIXTURES / "shapes.csv"
+    if request.param == "fixtures":
+        load_path, ids = FIXTURES / "sample_load.csv", ("acme_plant", "birch_mall")
+    else:
+        load_path, ids = tmp_path_factory.mktemp("year") / "load.csv", ("b00", "b01")
+        _load_perfbench_inputs().write_year_load(load_path, shapes_path, 3)
+    est = EstimationConfig(**FIXTURE_CONFIG["estimation"])
+    shapes = read_shapes_csv(shapes_path, est.curtailable_end_use)
+    model = build_capability_model(read_load_csv(load_path), shapes, est)
+    base, cand = (model.buildings[bid] for bid in ids)
+    base_shared, cand_shared = (
+        s.buckets for s in restrict_to_common([base.series, cand.series])
+    )
+    keys = sorted(set(base.buckets) & set(cand.buckets))
+    return [(base_shared[k], cand_shared[k]) for k in keys if base_shared[k].n >= 2]
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.5, 2.4, 2.46])
+def test_pooling_gain_is_the_drop_in_quantile_loss(shared_bucket_pairs, alpha):
+    """Per bucket, sum_k L_k(c_k*) - L_pool(c_pool*) is the oracle's delta_j.
+
+    J(c) = (pi_r + p*pi_e)*mu - L(c) and the pooled mean is the sum of the
+    member means, so the mean terms cancel; the bound is relative to the
+    joint expected profit.
+    """
+    terms = FIXTURE_TERMS.with_alpha(alpha)
+    assert len(shared_bucket_pairs) in (96, 576)
+    for base, cand in shared_bucket_pairs:
+        pair = AssetPortfolio(members=(("base", base), ("candidate", cand)), terms=terms)
+        decisions = [optimal_contract(terms, dist) for dist in (base, cand)]
+        _, oracle, _, _ = _score_pair(pair, decisions)
+        joint = optimal_contract(terms, pair.aggregate)
+        gain = sum(
+            quantile_loss(terms, dist, d.c_star) for dist, d in zip((base, cand), decisions)
+        ) - quantile_loss(terms, pair.aggregate, joint.c_star)
+        assert abs(gain - oracle) <= 1e-12 * abs(joint.expected_profit)

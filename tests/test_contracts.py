@@ -16,6 +16,7 @@ from drcontracts import (
     UnconstrainedContractError,
     alpha_sweep,
     alpha_threshold,
+    bracket_factor,
     cvar,
     expected_profit,
     gamma,
@@ -25,10 +26,10 @@ from drcontracts import (
     optimal_contract,
     optimal_profit_formula,
     quantile_argument,
-    sigma_coefficient,
-    sigma_sensitivity,
+    quantile_loss,
 )
 from drcontracts.contracts import GRID_POINTS, _search_upper_bound, tail_cutoff
+from drcontracts.distributions import standard_normal_pdf
 
 from conftest import dense_uniform, sampled_normal, terms_for_psi
 from oracles import empirical_distribution_cvar, quad_cvar, quad_expected_profit
@@ -428,31 +429,128 @@ class TestExactOptimizer:
             assert np.all(objective(terms, dist, grid) < decision.objective_value)
 
 
+def sigma_slope(terms, mu: float, sigma: float) -> float:
+    """Central finite difference in sigma of J(c*) at N(mu, sigma), c* re-optimized."""
+    h = 1e-2 * sigma
+
+    def j_star(s: float) -> float:
+        return optimal_contract(terms, NormalDistribution(mu, s)).expected_profit
+
+    return (j_star(sigma + h) - j_star(sigma - h)) / (2.0 * h)
+
+
+def rounded(lo: float, hi: float, digits: int = 6):
+    """Floats in [lo, hi] rounded to digits decimals, which keeps products clear of
+    subnormals (where no relative bound holds)."""
+    return st.floats(lo, hi).map(lambda x: round(x, digits))
+
+
+class TestQuantileLoss:
+    """J(c) + L(c) = (pi_r + p*pi_e)*mu, with L evaluated in its pinball form."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        law=st.one_of(
+            st.lists(
+                st.one_of(st.just(0.0), st.integers(0, 8).map(float), rounded(0.0, 60.0)),
+                min_size=1,
+                max_size=40,
+            ).map(lambda xs: EmpiricalDistribution(np.array(xs))),
+            st.builds(
+                NormalDistribution,
+                rounded(-20.0, 60.0),
+                st.one_of(st.just(0.0), rounded(1e-3, 25.0)),
+            ),
+        ),
+        share=rounded(0.0, 1.0, digits=9),
+        alpha=st.floats(0.0, 3.0),
+        rates=st.tuples(st.floats(0.0, 6.0), st.floats(0.5, 12.0), st.floats(0.01, 0.5)),
+        reservation=st.floats(0.0, 0.99),
+    )
+    def test_identity_holds_for_every_law_and_contract(
+        self, law, share, alpha, rates, reservation
+    ):
+        pi_e, pi_p, p = rates
+        terms = ProgramTerms(
+            pi_e=pi_e, pi_r=reservation * p * pi_p, pi_p=pi_p, p=p, alpha=alpha, c_max=80.0
+        )
+        c = share * terms.c_max
+        mu = float(law.partial_expectation(np.inf))
+        j = expected_profit(terms, law, c)
+        loss = quantile_loss(terms, law, c)
+        rhs = (terms.pi_r + terms.p * terms.pi_e) * mu
+        # J, L and the mean can all be near 0 while their terms are not, so the bound
+        # is relative to the largest term either side holds.
+        rates = terms.pi_r + terms.p * terms.pi_e + terms.p * (terms.pi_p + terms.pi_e)
+        scale = (rates + alpha * abs(terms.no_asset_margin)) * (mu + c)
+        assert abs(j + loss - rhs) <= 1e-12 * scale
+
+    def test_array_matches_scalar_and_checks_c(self):
+        terms = terms_for_psi(0.7, alpha=0.5, c_max=150.0)
+        dist = sampled_normal(100.0, 10.0, 501, seed=4)
+        grid = np.linspace(0.0, 150.0, 31)
+        assert quantile_loss(terms, dist, grid).tolist() == [
+            quantile_loss(terms, dist, float(c)) for c in grid
+        ]
+        with pytest.raises(ValueError, match=">= 0"):
+            quantile_loss(terms, dist, -1.0)
+        with pytest.raises(ValueError, match="cap"):
+            quantile_loss(terms, dist, 151.0)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.5])
+    def test_unclipped_normal_loss_is_sigma_times_bracket(self, alpha):
+        terms = terms_for_psi(0.8, alpha=alpha)
+        dist = NormalDistribution(100.0, 10.0)
+        c_star = optimal_contract(terms, dist).c_star
+        assert quantile_loss(terms, dist, c_star) == pytest.approx(
+            10.0 * bracket_factor(terms), rel=1e-12
+        )
+
+
 class TestOptimalProfitFormula:
     def test_identity_at_alpha_zero_normal(self):
         terms = terms_for_psi(0.65)
         dist = NormalDistribution(100.0, 10.0)
         decision = optimal_contract(terms, dist)
-        audit = optimal_profit_formula(terms, dist, decision.c_star)
-        assert audit.formula_value == pytest.approx(
-            audit.expected_profit, rel=1e-12
-        )
+        formula = optimal_profit_formula(terms, dist, decision.c_star)
+        assert formula == pytest.approx(decision.expected_profit, rel=1e-12)
 
     @pytest.mark.parametrize("psi, alpha", [(0.03, 0.5), (0.02, 2.0)])
     def test_identity_at_positive_alpha_normal(self, psi, alpha):
         terms = terms_for_psi(psi, alpha=alpha)
         dist = NormalDistribution(100.0, 10.0)
         decision = optimal_contract(terms, dist)
-        audit = optimal_profit_formula(terms, dist, decision.c_star)
-        assert abs(audit.residual) <= 1e-12 * abs(audit.formula_value)
+        formula = optimal_profit_formula(terms, dist, decision.c_star)
+        assert abs(formula - decision.expected_profit) <= 1e-12 * abs(formula)
 
     def test_uniform_closed_form_value(self, uniform_terms):
         dist = dense_uniform()
         decision = optimal_contract(uniform_terms, dist)
-        audit = optimal_profit_formula(uniform_terms, dist, decision.c_star)
-        assert audit.formula_value == pytest.approx(UNIFORM_J_STAR, abs=2e-4)
-        assert audit.expected_profit == pytest.approx(UNIFORM_J_STAR, abs=2e-4)
-        assert abs(audit.residual) < 2e-4
+        formula = optimal_profit_formula(uniform_terms, dist, decision.c_star)
+        assert formula == pytest.approx(UNIFORM_J_STAR, abs=2e-4)
+        assert decision.expected_profit == pytest.approx(UNIFORM_J_STAR, abs=2e-4)
+        assert abs(formula - decision.expected_profit) < 2e-4
+
+    @pytest.mark.parametrize(
+        "psi, alpha, c_max", [(0.3, 0.0, None), (0.7, 1.0, None), (0.9, 0.5, 95.0)]
+    )
+    def test_gap_has_closed_form(self, psi, alpha, c_max):
+        # c* is a sample (or, last case, the cap), so F(c*) misses psi.
+        terms = terms_for_psi(psi, alpha=alpha, c_max=c_max)
+        dist = sampled_normal(100.0, 10.0, 37, seed=9)
+        decision = optimal_contract(terms, dist)
+        c = decision.c_star
+        gap = optimal_profit_formula(terms, dist, c) - decision.expected_profit
+        closed = terms.p * (terms.pi_p + terms.pi_e) * c * (dist.cdf(c) - psi)
+        assert closed != 0.0
+        assert gap == pytest.approx(closed, rel=1e-12)
+
+
+def assert_bracket_changes_sign_at(terms, root: float) -> None:
+    """bracket_factor is positive just below gamma_hat, negative just above, ~0 on it."""
+    assert bracket_factor(terms, root - 1e-6) > 0.0 > bracket_factor(terms, root + 1e-6)
+    scale = terms.p * (terms.pi_p + terms.pi_e) * standard_normal_pdf(root)
+    assert abs(bracket_factor(terms, root)) <= 1e-12 * scale
 
 
 class TestGammaMachinery:
@@ -484,25 +582,34 @@ class TestGammaMachinery:
         terms = terms_for_psi(0.6, alpha=0.8)
         root = gamma_hat(terms)
         assert root is not None
-        eps = 1e-6
-        assert sigma_coefficient(terms, root - eps) < 0.0
-        assert sigma_coefficient(terms, root + eps) > 0.0
+        assert_bracket_changes_sign_at(terms, root)
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.3, 1.5, 2.46, 10.0, 100.0])
+    def test_gamma_hat_is_the_bracket_root(self, basic_terms, alpha):
+        terms = basic_terms.with_alpha(alpha)
+        assert_bracket_changes_sign_at(terms, gamma_hat(terms))
 
     def test_gamma_hat_none_when_risk_neutral(self):
         assert gamma_hat(terms_for_psi(0.6, alpha=0.0)) is None
 
+    def test_gamma_hat_at_extreme_risk_aversion(self, basic_terms):
+        # Recorded from a bisection of the bracket factor to a 1e-6 bracket.
+        bisected = 37.08059358596802
+        assert gamma_hat(basic_terms.with_alpha(1e-300)) == pytest.approx(bisected, abs=1e-6)
+        tiny = gamma_hat(basic_terms.with_alpha(1e12))
+        assert math.isfinite(tiny) and 0.0 < tiny < 1e-11
+
     def test_sigma_sensitivity_negative_at_gamma_zero(self):
         terms = terms_for_psi(0.5)  # gamma = 0
-        result = sigma_sensitivity(terms, mu=100.0, sigma=10.0)
-        assert result.gamma_value == pytest.approx(0.0, abs=1e-12)
-        assert result.derivative < 0.0
+        assert gamma(terms) == pytest.approx(0.0, abs=1e-12)
+        assert sigma_slope(terms, mu=100.0, sigma=10.0) < 0.0
 
     def test_sigma_sensitivity_matches_closed_form_slope(self):
-        terms = terms_for_psi(0.75)
-        result = sigma_sensitivity(terms, mu=100.0, sigma=10.0)
-        g = gamma(terms)
-        expected = sigma_coefficient(terms, g)
-        assert result.derivative == pytest.approx(expected, rel=1e-4)
+        # J* = (pi_r + p*pi_e)*mu - sigma*bracket_factor for an unclipped normal.
+        for alpha in (0.0, 0.5, 1.5):
+            terms = terms_for_psi(0.75, alpha=alpha)
+            slope = sigma_slope(terms, mu=100.0, sigma=10.0)
+            assert slope == pytest.approx(-bracket_factor(terms), rel=1e-9)
 
 
 class TestAlphaSweep:
