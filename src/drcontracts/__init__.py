@@ -4,9 +4,10 @@ The package covers the full workflow for a retailer offering curtailment
 contracts against uncertain customer capability:
 
 * :mod:`drcontracts.program` — program terms (rates, event probability,
-  risk aversion) and realized settlement cash flows.
+  risk aversion, cap).
 * :mod:`drcontracts.distributions` — empirical and normal capability
-  models with the partial-expectation machinery the pricing formulas need.
+  models with the partial-expectation machinery the pricing formulas need,
+  and the covariance model, keyed by asset id, that sums normal members.
 * :mod:`drcontracts.contracts` — critical-fractile contract sizing,
   tail-risk valuation, and the quantile loss whose identity
   J(c) = (pi_r + p*pi_e)*mu - L(c) gives the optimal profit, its slope in
@@ -14,9 +15,10 @@ contracts against uncertain customer capability:
 * :mod:`drcontracts.estimation` — capability estimation from metered
   load via end-use decomposition and calendar bucketing.
 * :mod:`drcontracts.aggregation` — multi-asset aggregation and partner
-  ranking by complementarity.
+  ranking by complementarity and the normal theory's two profit deltas.
 * :mod:`drcontracts.simulation` — counter-based Monte Carlo settlement
-  with analytic cross-checks.
+  with analytic cross-checks; ``drcontracts._kernels`` holds the
+  settlement rule it applies to each window.
 * :mod:`drcontracts.cli` — the ``drcontracts`` command-line pipeline.
 """
 
@@ -92,8 +94,6 @@ from .program import (
     DEFAULT_CVAR_LEVEL,
     DEFAULT_EVENT_PROBABILITY,
     ProgramTerms,
-    realized_curtailment,
-    realized_profit,
 )
 from .simulation import (
     CvarEstimate,
@@ -170,8 +170,6 @@ __all__ = [
     "rank_partners",
     "read_load_csv",
     "read_shapes_csv",
-    "realized_curtailment",
-    "realized_profit",
     "restrict_to_common",
     "simulate_horizon",
     "sum_empirical",

@@ -49,16 +49,15 @@ RANKING_CSV_HEADER = [
 # Relative tolerance for calling two contract sizes equal.
 _EQUAL_RTOL = 1e-9
 
-PROFIT_DELTA_MODES = ("as_printed", "mean_cancelled")
-
 
 @dataclass(frozen=True, eq=False)
 class AssetPortfolio:
     """Members sharing program terms, and so one risk aversion.
 
     The pool signs under the same terms as its members.  A covariance model
-    is required to sum normal members; its ids must cover the member ids and
-    its moments must agree with the member distributions.
+    is required to sum normal members; it matches members by asset id, so
+    its ids must cover the member ids and its moments must agree with the
+    member distributions.
     """
 
     members: tuple[tuple[str, CurtailmentDistribution], ...]
@@ -77,13 +76,12 @@ class AssetPortfolio:
         for aid, dist in members:
             if not isinstance(dist, (EmpiricalDistribution, NormalDistribution)):
                 raise TypeError(f"member {aid!r} has no distribution: {type(dist).__name__}")
-        if self.covariance is not None and self.covariance.asset_ids is not None:
+        if self.covariance is not None:
             missing = [aid for aid in ids if aid not in self.covariance.asset_ids]
             if missing:
                 raise ModelConsistencyError(
                     f"covariance model missing member ids {missing}"
                 )
-        if self.covariance is not None:
             self._check_covariance_moments(members)
         object.__setattr__(self, "members", members)
 
@@ -91,14 +89,10 @@ class AssetPortfolio:
         self, members: tuple[tuple[str, CurtailmentDistribution], ...]
     ) -> None:
         cov = self.covariance
-        for idx, (aid, dist) in enumerate(members):
+        for aid, dist in members:
             if not isinstance(dist, NormalDistribution):
                 continue
-            j = cov.index_of(aid) if cov.asset_ids is not None else idx
-            if cov.asset_ids is None and cov.k != len(members):
-                raise ModelConsistencyError(
-                    f"covariance model has {cov.k} assets for {len(members)} members"
-                )
+            j = cov.index_of(aid)
             for got, want, what in (
                 (cov.means[j], dist.mu, "mean"),
                 (cov.stddevs[j], dist.sigma, "stddev"),
@@ -125,10 +119,7 @@ class AssetPortfolio:
                 raise ModelConsistencyError(
                     "summing normal members requires a covariance model"
                 )
-            cov = self.covariance
-            if cov.asset_ids is not None:
-                cov = cov.subset(self.member_ids)
-            return sum_normal(cov)
+            return sum_normal(self.covariance.subset(self.member_ids))
         raise AlignmentError("cannot sum a mix of empirical and normal members")
 
 
@@ -219,19 +210,19 @@ def profit_delta_oracle(portfolio: AssetPortfolio) -> float:
 
 
 def profit_delta_from_sigmas(
-    terms: ProgramTerms, sigmas: Sequence[float], sigma_ag: float, mode: str
-) -> float:
-    """Analytic profit delta from member and aggregate spreads.
+    terms: ProgramTerms, sigmas: Sequence[float], sigma_ag: float
+) -> tuple[float, float]:
+    """Analytic profit deltas from member and aggregate spreads.
 
-    mean_cancelled: delta_sigma times the bracket factor (the member means
-    cancel against the aggregate mean, removing the count-proportional term).
-    as_printed: additionally keeps -p*(pi_p+pi_e)*(n_members-1)*Phi(gamma),
-    a count-proportional term that survives only if the cancellation is not
-    applied; exposed for auditing, not for decisions.  Spreads must be
-    finite and >= 0, with at least one member.
+    Returns (delta_j_printed, delta_j_cancelled), from one evaluation of
+    gamma and the bracket factor.  delta_j_cancelled is delta_sigma times
+    the bracket factor (the member means cancel against the aggregate mean,
+    removing the count-proportional term).  delta_j_printed additionally
+    keeps -p*(pi_p+pi_e)*(n_members-1)*Phi(gamma), a count-proportional term
+    that survives only if the cancellation is not applied; it is reported
+    for auditing, not for decisions.  Spreads must be finite and >= 0, with
+    at least one member.
     """
-    if mode not in PROFIT_DELTA_MODES:
-        raise ValueError(f"mode must be one of {PROFIT_DELTA_MODES}, got {mode!r}")
     sigmas = np.asarray(sigmas, dtype=float)
     if sigmas.size == 0:
         raise ValueError("profit delta needs at least one member spread")
@@ -241,25 +232,24 @@ def profit_delta_from_sigmas(
         raise ValueError(f"aggregate spread must be finite and >= 0, got {sigma_ag!r}")
     delta_sigma = float(sigmas.sum()) - float(sigma_ag)
     g = gamma(terms)
-    value = delta_sigma * bracket_factor(terms, g)
-    if mode == "as_printed":
-        value += (
-            -terms.p
-            * (terms.pi_p + terms.pi_e)
-            * (sigmas.size - 1)
-            * float(standard_normal_cdf(g))
-        )
-    return value
+    cancelled = delta_sigma * bracket_factor(terms, g)
+    printed = cancelled + (
+        -terms.p
+        * (terms.pi_p + terms.pi_e)
+        * (sigmas.size - 1)
+        * float(standard_normal_cdf(g))
+    )
+    return printed, cancelled
 
 
-def profit_delta_normal(portfolio: AssetPortfolio, mode: str) -> float:
-    """Analytic profit delta for an all-normal portfolio."""
+def profit_delta_normal(portfolio: AssetPortfolio) -> tuple[float, float]:
+    """Analytic (delta_j_printed, delta_j_cancelled) for an all-normal portfolio."""
     for aid, dist in portfolio.members:
         if not isinstance(dist, NormalDistribution):
             raise TypeError(f"member {aid!r} is not normal; the formula needs sigmas")
     sigmas = member_sigmas(portfolio)
     sigma_ag = aggregate_distribution(portfolio).stddev()
-    return profit_delta_from_sigmas(portfolio.terms, sigmas, sigma_ag, mode)
+    return profit_delta_from_sigmas(portfolio.terms, sigmas, sigma_ag)
 
 
 @dataclass(frozen=True)
@@ -288,11 +278,9 @@ def _score_pair(
     pooled = aggregate_distribution(pair)
     sigma_ag = pooled.stddev()
     joint = optimal_contract(terms, pooled).expected_profit
-    analytic = [math.nan] * len(PROFIT_DELTA_MODES)
+    analytic = (math.nan, math.nan)
     if 0.0 < quantile_argument(terms) < 1.0:
-        analytic = [
-            profit_delta_from_sigmas(terms, sigmas, sigma_ag, mode) for mode in PROFIT_DELTA_MODES
-        ]
+        analytic = profit_delta_from_sigmas(terms, sigmas, sigma_ag)
     return (
         float(sigmas.sum()) - sigma_ag,
         float(joint - sum(d.expected_profit for d in decisions)),

@@ -3,8 +3,9 @@
 Two families cover the estimation pipeline and the analytic results: an
 empirical distribution over stored historical samples, and a normal
 approximation used where closed forms exist.  Both expose the same surface
-(cdf, quantile, partial/shortfall expectation, moments, sampling) so the
-contract optimizer does not care which one it is given.
+(cdf, quantile, partial/shortfall expectation, moments, and the inverse-cdf
+transform of uniforms) so the contract optimizer does not care which one it
+is given.  A covariance model, keyed by asset id, sums normal members.
 
 The standard normal cdf and quantile are the package's own, with NumPy and
 the math module only:
@@ -43,7 +44,9 @@ class ClippedMassWarning(UserWarning):
 
 
 def standard_normal_pdf(z):
-    z = np.asarray(z, dtype=float)
+    # The density is exactly 0.0 once |z| exceeds about 38.6; clipping at 40
+    # keeps z*z from overflowing and changes no returned bit.
+    z = np.clip(np.asarray(z, dtype=float), -40.0, 40.0)
     out = np.exp(-0.5 * z * z) / _SQRT_2PI
     return out if out.ndim else float(out)
 
@@ -290,17 +293,14 @@ class EmpiricalDistribution:
         out = self.samples[idx]
         return out if np.ndim(u) else float(out)
 
-    def sample(self, rng: np.random.Generator, size=None):
-        return self.transform_uniform(rng.random(size))
-
 
 @dataclass(frozen=True)
 class NormalDistribution:
     """Normal capability model N(mu, sigma); sigma = 0 degenerates to a point mass.
 
     The model itself is supported on the whole line; draws are clipped at zero.
-    sample, and the Monte Carlo once per call, raise a ClippedMassWarning when
-    P(q < 0) exceeds CLIPPED_MASS_WARN.
+    The Monte Carlo raises a ClippedMassWarning, once per call, when P(q < 0)
+    exceeds CLIPPED_MASS_WARN.
     """
 
     mu: float
@@ -388,10 +388,6 @@ class NormalDistribution:
             out = clipped_normal_transform(self.mu, self.sigma, u_arr)
         return out if np.ndim(u) else float(out)
 
-    def sample(self, rng: np.random.Generator, size=None):
-        self.warn_clipped_mass(stacklevel=2)
-        return self.transform_uniform(rng.random(size))
-
 
 CurtailmentDistribution = Union[EmpiricalDistribution, NormalDistribution]
 
@@ -438,12 +434,15 @@ def fit_normal(empirical: EmpiricalDistribution) -> tuple[NormalDistribution, fl
 
 @dataclass(frozen=True, eq=False)
 class CovarianceModel:
-    """Second-moment model for a set of assets: means, stddevs, correlation."""
+    """Second-moment model for a set of assets: means, stddevs, correlation.
+
+    asset_ids name the entries in order; members are looked up by id only.
+    """
 
     means: np.ndarray
     stddevs: np.ndarray
     correlation: np.ndarray
-    asset_ids: tuple[str, ...] | None = None
+    asset_ids: tuple[str, ...]
 
     def __post_init__(self) -> None:
         means = np.array(self.means, dtype=float, copy=True)
@@ -473,24 +472,17 @@ class CovarianceModel:
             raise ValueError(
                 f"correlation matrix is not positive semidefinite (min eigenvalue {eigmin:.3g})"
             )
-        if self.asset_ids is not None:
-            ids = tuple(str(a) for a in self.asset_ids)
-            if len(ids) != k:
-                raise ValueError("asset_ids must match means in length")
-            if len(set(ids)) != k:
-                raise ValueError("asset_ids must be unique")
-            object.__setattr__(self, "asset_ids", ids)
+        ids = tuple(str(a) for a in self.asset_ids)
+        if len(ids) != k:
+            raise ValueError("asset_ids must match means in length")
+        if len(set(ids)) != k:
+            raise ValueError("asset_ids must be unique")
+        object.__setattr__(self, "asset_ids", ids)
         for name, arr in (("means", means), ("stddevs", stds), ("correlation", rho)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
-    @property
-    def k(self) -> int:
-        return int(self.means.size)
-
     def index_of(self, asset_id: str) -> int:
-        if self.asset_ids is None:
-            raise ValueError("covariance model carries no asset ids")
         try:
             return self.asset_ids.index(asset_id)
         except ValueError:
@@ -505,43 +497,6 @@ class CovarianceModel:
             asset_ids=tuple(asset_ids),
         )
 
-    @classmethod
-    def from_aligned(
-        cls,
-        dists: Sequence[EmpiricalDistribution],
-        asset_ids: Sequence[str] | None = None,
-    ) -> CovarianceModel:
-        """Estimate the model from empirical distributions paired sample by sample.
-
-        The inputs pair in construction order, so they must have one size of
-        at least two samples.  Assets with zero variance get correlation zero
-        against everything (they contribute nothing to the aggregate variance).
-        """
-        if len(dists) == 0:
-            raise ValueError("need at least one distribution")
-        matrix = np.stack(_paired_samples(dists))
-        if matrix.shape[1] < 2:
-            raise AlignmentError("need at least two paired samples to estimate moments")
-        means = matrix.mean(axis=1)
-        stds = matrix.std(axis=1, ddof=1)
-        k = len(dists)
-        rho = np.eye(k)
-        live = stds > 0.0
-        if np.count_nonzero(live) >= 2:
-            sub = np.corrcoef(matrix[live])
-            rho[np.ix_(live, live)] = sub
-            np.fill_diagonal(rho, 1.0)
-        ids = tuple(str(a) for a in asset_ids) if asset_ids is not None else None
-        return cls(means=means, stddevs=stds, correlation=rho, asset_ids=ids)
-
-
-def _paired_samples(dists: Sequence[EmpiricalDistribution]) -> list[np.ndarray]:
-    """Each input's samples in construction order; the k-th samples pair up."""
-    sizes = {d.n for d in dists}
-    if len(sizes) != 1:
-        raise AlignmentError(f"paired distributions differ in size: {sorted(sizes)}")
-    return [d.original_samples for d in dists]
-
 
 def sum_empirical(dists: Sequence[EmpiricalDistribution]) -> EmpiricalDistribution:
     """Index-wise sum: the empirical distribution of the pooled asset.
@@ -554,10 +509,12 @@ def sum_empirical(dists: Sequence[EmpiricalDistribution]) -> EmpiricalDistributi
         raise ValueError("need at least one distribution")
     if len(dists) == 1:
         return dists[0]
-    paired = _paired_samples(dists)
-    total = np.zeros(paired[0].size)
-    for samples in paired:
-        total += samples
+    sizes = {d.n for d in dists}
+    if len(sizes) != 1:
+        raise AlignmentError(f"paired distributions differ in size: {sorted(sizes)}")
+    total = np.zeros(dists[0].n)
+    for d in dists:
+        total += d.original_samples
     return EmpiricalDistribution(total)
 
 

@@ -1,8 +1,9 @@
-"""Program terms and per-window settlement arithmetic.
+"""Program terms of an incentive-based demand response enrollment.
 
-An incentive-based demand response program pays a reservation rate on the
-contracted curtailment size, rewards delivered curtailment during events at
-the retail rate, and penalizes the undelivered remainder.
+The program pays a reservation rate on the contracted curtailment size,
+rewards delivered curtailment during events at the retail rate, and
+penalizes the undelivered remainder.  ``_kernels.settle_trials`` applies
+that settlement rule to simulated windows.
 """
 
 from __future__ import annotations
@@ -96,45 +97,7 @@ class ProgramTerms:
             allow_ill_posed=True,
         )
 
-    def to_json_dict(self) -> dict:
-        out = {
-            "pi_e": self.pi_e,
-            "pi_r": self.pi_r,
-            "pi_p": self.pi_p,
-            "p": self.p,
-            "alpha": self.alpha,
-            "c_hat": self.c_hat,
-        }
-        if self.c_max is not None:
-            out["c_max"] = self.c_max
-        return out
-
     @classmethod
     def from_json_dict(cls, obj: dict, *, allow_ill_posed: bool = False) -> ProgramTerms:
         return read_json_block(cls, "terms", obj, allow_ill_posed=allow_ill_posed)
 
-
-def realized_curtailment(contract_c: float, capability_q: float) -> float:
-    """Delivered curtailment in one event window: min(contract, capability)."""
-    if contract_c < 0.0 or capability_q < 0.0:
-        raise ValueError("contract and capability must be >= 0")
-    return min(contract_c, capability_q)
-
-
-def realized_profit(
-    terms: ProgramTerms, contract_c: float, capability_q: float, event: bool
-) -> float:
-    """Settle one window.
-
-    Reservation revenue accrues unconditionally; during an event the delivered
-    part earns pi_e and the shortfall pays pi_p.
-    """
-    if contract_c > terms.contract_cap:
-        raise ValueError(
-            f"contract {contract_c:g} exceeds program cap {terms.contract_cap:g}"
-        )
-    x = realized_curtailment(contract_c, capability_q)
-    profit = terms.pi_r * contract_c
-    if event:
-        profit += terms.pi_e * x - terms.pi_p * (contract_c - x)
-    return profit

@@ -347,8 +347,7 @@ def test_06_aggregation_profit_audit():
                         covariance=cov,
                     )
                     oracle = profit_delta_oracle(portfolio)
-                    cancelled = profit_delta_normal(portfolio, "mean_cancelled")
-                    printed = profit_delta_normal(portfolio, "as_printed")
+                    printed, cancelled = profit_delta_normal(portfolio)
                     worst_oracle = max(
                         worst_oracle, abs(cancelled - oracle) / max(abs(oracle), 1e-9)
                     )

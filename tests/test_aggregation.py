@@ -262,13 +262,13 @@ class TestContractComparison:
 class TestProfitDeltas:
     def test_mean_cancelled_matches_frozen_value(self):
         terms = terms_for_psi(CDF_AT_ONE)
-        value = profit_delta_normal(normal_pair_portfolio(terms), "mean_cancelled")
+        _, value = profit_delta_normal(normal_pair_portfolio(terms))
         # delta_sigma = 2, bracket = p*(pi_p+pi_e)*pdf(1) = 1.0*pdf(1) at alpha=0
         assert value == pytest.approx(2.0 * PHI_AT_ONE, rel=1e-12)
 
     def test_as_printed_keeps_count_term(self):
         terms = terms_for_psi(CDF_AT_ONE)
-        value = profit_delta_normal(normal_pair_portfolio(terms), "as_printed")
+        value, _ = profit_delta_normal(normal_pair_portfolio(terms))
         expected = 2.0 * PHI_AT_ONE - 1.0 * CDF_AT_ONE
         assert value == pytest.approx(expected, rel=1e-12)
         assert value < 0.0  # the count term can flip the sign on its own
@@ -278,14 +278,14 @@ class TestProfitDeltas:
         terms = terms_for_psi(psi, pi_e=0.2)
         portfolio = normal_pair_portfolio(terms)
         oracle = profit_delta_oracle(portfolio)
-        analytic = profit_delta_normal(portfolio, "mean_cancelled")
+        _, analytic = profit_delta_normal(portfolio)
         assert oracle == pytest.approx(analytic, rel=1e-9)
 
     def test_oracle_matches_mean_cancelled_risk_averse(self):
         terms = terms_for_psi(0.7, alpha=0.5)
         portfolio = normal_pair_portfolio(terms)
         oracle = profit_delta_oracle(portfolio)
-        analytic = profit_delta_normal(portfolio, "mean_cancelled")
+        _, analytic = profit_delta_normal(portfolio)
         assert oracle == pytest.approx(analytic, rel=1e-9)
 
     def test_identical_comonotone_pair_gains_nothing(self):
@@ -305,11 +305,8 @@ class TestProfitDeltas:
             covariance=cov,
         )
         assert profit_delta_oracle(portfolio) == pytest.approx(0.0, abs=1e-9)
-        assert profit_delta_normal(portfolio, "mean_cancelled") == pytest.approx(
-            0.0, abs=1e-12
-        )
+        assert profit_delta_normal(portfolio)[1] == pytest.approx(0.0, abs=1e-12)
 
-    @pytest.mark.parametrize("mode", ["as_printed", "mean_cancelled"])
     @pytest.mark.parametrize(
         "sigmas, sigma_ag, match",
         [
@@ -322,18 +319,29 @@ class TestProfitDeltas:
             ([3.0, 4.0], -1.0, "aggregate spread"),
         ],
     )
-    def test_invalid_spreads_rejected(self, sigmas, sigma_ag, match, mode):
+    def test_invalid_spreads_rejected(self, sigmas, sigma_ag, match):
         terms = terms_for_psi(0.6, alpha=0.5)
         with pytest.raises(ValueError, match=match):
-            profit_delta_from_sigmas(terms, sigmas, sigma_ag, mode)
+            profit_delta_from_sigmas(terms, sigmas, sigma_ag)
 
-    def test_unknown_mode_rejected(self):
-        terms = terms_for_psi(0.6)
-        with pytest.raises(ValueError, match="mode"):
-            profit_delta_from_sigmas(terms, [3.0, 4.0], 5.0, "bogus")
+    # (alpha, member spreads, aggregate spread) under the fixture terms, and the
+    # as_printed and mean_cancelled values as float.hex, recorded when each was
+    # its own call with a mode argument.
+    RECORDED_DELTAS = [
+        (0.5, [3.0, 4.0], 5.0, "0x1.a598fe6f6e1ccp-8", "0x1.c58f355e6ae35p-6"),
+        (1.5, [2.5, 0.0, 7.25], 6.0, "0x1.fde114f2ef29cp-5", "0x1.5445dfceccea3p-4"),
+        (2.4, [1.0], 0.0, "0x1.cd28d3b62a812p-5", "0x1.cd28d3b62a812p-5"),
+    ]
 
-    @pytest.mark.parametrize("mode", ["as_printed", "mean_cancelled"])
-    def test_gamma_is_evaluated_once_per_call(self, mode, monkeypatch):
+    @pytest.mark.parametrize("alpha, sigmas, sigma_ag, printed, cancelled", RECORDED_DELTAS)
+    def test_both_deltas_match_recorded_bits(self, alpha, sigmas, sigma_ag, printed, cancelled):
+        terms = FIXTURE_TERMS.with_alpha(alpha)
+        assert profit_delta_from_sigmas(terms, sigmas, sigma_ag) == (
+            float.fromhex(printed),
+            float.fromhex(cancelled),
+        )
+
+    def test_score_pair_evaluates_gamma_once(self, monkeypatch):
         import drcontracts.aggregation as aggregation
 
         calls = []
@@ -342,10 +350,11 @@ class TestProfitDeltas:
             calls.append(terms)
             return gamma(terms)
 
-        terms = terms_for_psi(0.6, alpha=0.5)
-        expected = profit_delta_from_sigmas(terms, [3.0, 4.0], 5.0, mode)
+        portfolio = normal_pair_portfolio(terms_for_psi(0.6, alpha=0.5))
+        decisions = member_contracts(portfolio)
+        expected = _score_pair(portfolio, decisions)
         monkeypatch.setattr(aggregation, "gamma", counting_gamma)
-        assert profit_delta_from_sigmas(terms, [3.0, 4.0], 5.0, mode) == expected
+        assert _score_pair(portfolio, decisions) == expected
         assert len(calls) == 1
 
     def test_formula_rejects_empirical_members(self, basic_terms):
@@ -354,7 +363,7 @@ class TestProfitDeltas:
             terms=basic_terms,
         )
         with pytest.raises(TypeError, match="not normal"):
-            profit_delta_normal(portfolio, "mean_cancelled")
+            profit_delta_normal(portfolio)
 
 
 class TestBracketFactor:
@@ -375,7 +384,7 @@ class TestBracketFactor:
     def test_bracket_positive_for_extreme_risk_aversion(self):
         terms = terms_for_psi(0.95, alpha=8.0)
         assert bracket_factor(terms) > 0.0
-        value = profit_delta_normal(normal_pair_portfolio(terms), "mean_cancelled")
+        _, value = profit_delta_normal(normal_pair_portfolio(terms))
         assert value > 0.0
 
     def test_bracket_is_negated_sigma_coefficient(self):
@@ -522,7 +531,7 @@ class TestRanking:
             assert row.delta_j_oracle == 0.0 and row.individual_profit == 0.0
             assert math.isnan(row.delta_j_printed) and math.isnan(row.delta_j_cancelled)
         with pytest.raises(ValueError, match="gamma undefined"):
-            profit_delta_from_sigmas(past, [3.0, 4.0], 5.0, "mean_cancelled")
+            profit_delta_from_sigmas(past, [3.0, 4.0], 5.0)
 
     def test_each_contract_is_decided_once(self, monkeypatch):
         terms, cov, base, candidates = self.ranking_inputs()

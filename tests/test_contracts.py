@@ -372,10 +372,13 @@ class TestExactOptimizer:
                 )
 
     def test_empirical_buckets_match_grid(self):
+        # 240 draws of 8-25 samples, then 40 each of every smaller size down to
+        # 2, the smallest bucket that min_bucket_size admits.
         rng = np.random.default_rng(5)
         a0 = alpha_threshold(SHUTOFF_TERMS)
-        for i in range(240):
-            n = int(rng.integers(8, 26))
+        small = np.repeat(np.arange(2, 8), 40)
+        for i in range(240 + small.size):
+            n = int(rng.integers(8, 26)) if i < 240 else int(small[i - 240])
             samples = np.maximum(
                 rng.normal(rng.uniform(0.0, 20.0), rng.uniform(0.0, 8.0), n), 0.0
             )
@@ -459,7 +462,9 @@ class TestQuantileLoss:
             st.builds(
                 NormalDistribution,
                 rounded(-20.0, 60.0),
-                st.one_of(st.just(0.0), rounded(1e-3, 25.0)),
+                # Down to 1e-300: (c - mu)/sigma then runs far past where the
+                # density is exactly 0, and must not overflow on the way.
+                st.one_of(st.just(0.0), rounded(1e-3, 25.0), st.floats(1e-300, 1e-3)),
             ),
         ),
         share=rounded(0.0, 1.0, digits=9),

@@ -15,6 +15,8 @@ from drcontracts import (
     CovarianceModel,
     EmpiricalDistribution,
     NormalDistribution,
+    ProgramTerms,
+    expected_profit,
     fit_normal,
     kolmogorov_distance,
     sum_empirical,
@@ -23,6 +25,7 @@ from drcontracts import (
 from drcontracts.distributions import (
     clipped_normal_transform,
     standard_normal_cdf,
+    standard_normal_pdf,
     standard_normal_quantile,
 )
 from oracles import quad_partial_expectation, quad_shortfall_expectation
@@ -103,7 +106,7 @@ class TestEmpirical:
     def test_single_sample_always_returned(self):
         emp = EmpiricalDistribution([5.0])
         rng = np.random.default_rng(0)
-        assert all(emp.sample(rng) == 5.0 for _ in range(10))
+        assert emp.transform_uniform(rng.random(10)).tolist() == [5.0] * 10
 
     @given(
         samples=st.lists(
@@ -223,6 +226,17 @@ class TestNormal:
             50.0, rel=1e-9
         )
 
+    def test_tiny_sigma_does_not_overflow(self):
+        # (c - mu)/sigma = 8e169: its square overflows, so the density must not square it.
+        dist = NormalDistribution(0.0, 1e-168)
+        mean = 1e-168 / math.sqrt(2.0 * math.pi)
+        assert dist.partial_expectation(80.0) == pytest.approx(mean, rel=1e-15)
+        terms = ProgramTerms(pi_e=4.0, pi_r=0.01, pi_p=5.0, p=0.25)
+        # Every event delivers the ~0 capability and pays the penalty on the rest.
+        assert expected_profit(terms, dist, 80.0) == pytest.approx(
+            0.01 * 80.0 - 0.25 * 5.0 * 80.0, rel=1e-15
+        )
+
     def test_point_mass_branches(self):
         pm = NormalDistribution(7.0, 0.0)
         assert pm.cdf(6.9) == 0.0
@@ -232,7 +246,7 @@ class TestNormal:
         assert pm.partial_expectation(5.0) == 0.0
         assert pm.shortfall_expectation(10.0) == pytest.approx(3.0)
         rng = np.random.default_rng(1)
-        assert pm.sample(rng) == 7.0
+        assert pm.transform_uniform(rng.random()) == 7.0
 
     def test_nan_level_rejected(self):
         dist = NormalDistribution(100.0, 10.0)
@@ -249,20 +263,14 @@ class TestNormal:
     def test_clipped_sampling_matches_half_normal_mean(self):
         dist = NormalDistribution(0.0, 1.0)
         rng = np.random.default_rng(123)
-        with pytest.warns(ClippedMassWarning):
-            draws = dist.sample(rng, 1_000_000)
+        draws = dist.transform_uniform(rng.random(1_000_000))
         assert draws.min() >= 0.0
         half_normal_mean = stats.norm.pdf(0.0)
         se = draws.std(ddof=1) / math.sqrt(draws.size)
         assert abs(draws.mean() - half_normal_mean) < 3.0 * se
 
-    def test_no_warning_when_clipped_mass_negligible(self, recwarn):
-        dist = NormalDistribution(100.0, 10.0)
-        dist.sample(np.random.default_rng(0), 2)
-        assert not [w for w in recwarn if w.category is ClippedMassWarning]
-
     def test_transform_uniform_does_not_warn(self, recwarn):
-        # The transform is pure; sample and the Monte Carlo do the warning.
+        # The transform is pure; the Monte Carlo does the warning.
         dist = NormalDistribution(0.0, 1.0)
         assert dist.transform_uniform(np.array([0.2, 0.8]))[0] == 0.0
         assert not [w for w in recwarn if w.category is ClippedMassWarning]
@@ -326,6 +334,17 @@ class TestStandardNormal:
         reference = special.ndtr(z)
         rel = np.abs(standard_normal_cdf(z) - reference) / reference
         assert rel.max() <= 1e-13
+
+    def test_pdf_keeps_its_bits_and_never_overflows(self):
+        z = np.concatenate(
+            (np.linspace(-45.0, 45.0, 90_001), [1e20, -1e160, 1e300, -np.inf, np.inf, np.nan])
+        )
+        with np.errstate(over="ignore"):
+            reference = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+        ours = standard_normal_pdf(z)  # filterwarnings = error: no overflow may escape
+        assert ours.tobytes() == reference.tobytes()
+        assert not ours[np.abs(z) > 38.6].any()
+        assert standard_normal_pdf(1e200) == 0.0
 
     def test_cdf_limits(self):
         assert standard_normal_cdf(np.array([-np.inf, 0.0, np.inf])).tolist() == [
@@ -454,6 +473,7 @@ class TestSums:
             means=np.array([1.0, 2.0]),
             stddevs=np.array([3.0, 4.0]),
             correlation=np.eye(2),
+            asset_ids=("a", "b"),
         )
         total = sum_normal(model)
         assert total.mu == pytest.approx(3.0)
@@ -465,12 +485,14 @@ class TestSums:
             means=np.array([0.0, 0.0]),
             stddevs=np.array([2.0, 2.0]),
             correlation=ones,
+            asset_ids=("a", "b"),
         )
         assert sum_normal(model).sigma == pytest.approx(4.0)
         hedged = CovarianceModel(
             means=np.array([0.0, 0.0]),
             stddevs=np.array([2.0, 2.0]),
             correlation=np.array([[1.0, -1.0], [-1.0, 1.0]]),
+            asset_ids=("a", "b"),
         )
         assert sum_normal(hedged).sigma == 0.0
 
@@ -478,22 +500,20 @@ class TestSums:
         bad = np.array([[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]])
         with pytest.raises(ValueError):
             CovarianceModel(
-                means=np.zeros(3), stddevs=np.ones(3), correlation=bad
+                means=np.zeros(3), stddevs=np.ones(3), correlation=bad, asset_ids="abc"
             )
 
-    def test_covariance_from_aligned_samples(self):
-        rng = np.random.default_rng(11)
-        x = rng.normal(0.0, 1.0, 4000)
-        a = EmpiricalDistribution(10.0 + x)
-        b = EmpiricalDistribution(20.0 - x)
-        model = CovarianceModel.from_aligned([a, b], asset_ids=("a", "b"))
-        assert model.correlation[0, 1] == pytest.approx(-1.0, abs=1e-9)
-
-    @pytest.mark.parametrize("sizes", [(3, 2), (1, 1)])
-    def test_covariance_from_aligned_needs_two_pairs(self, sizes):
-        dists = [EmpiricalDistribution(np.arange(1.0, n + 1.0)) for n in sizes]
-        with pytest.raises(AlignmentError):
-            CovarianceModel.from_aligned(dists)
+    def test_covariance_model_requires_asset_ids(self):
+        moments = dict(means=np.zeros(2), stddevs=np.ones(2), correlation=np.eye(2))
+        with pytest.raises(TypeError, match="asset_ids"):
+            CovarianceModel(**moments)
+        model = CovarianceModel(**moments, asset_ids=("a", "b"))
+        assert model.index_of("b") == 1
+        with pytest.raises(KeyError, match="unknown asset id"):
+            model.index_of("c")
+        for ids, match in ((("a",), "length"), (("a", "a"), "unique")):
+            with pytest.raises(ValueError, match=match):
+                CovarianceModel(**moments, asset_ids=ids)
 
     def test_sum_normal_vs_sum_empirical_on_gaussian_samples(self):
         rng = np.random.default_rng(21)
@@ -504,7 +524,12 @@ class TestSums:
         b_samples = 80.0 + 4.0 * (0.5 * x + math.sqrt(1 - 0.25) * y)
         a = EmpiricalDistribution(a_samples)
         b = EmpiricalDistribution(b_samples)
-        model = CovarianceModel.from_aligned([a, b])
+        model = CovarianceModel(
+            means=np.array([a.mean(), b.mean()]),
+            stddevs=np.array([a.stddev(), b.stddev()]),
+            correlation=np.corrcoef(a_samples, b_samples),
+            asset_ids=("a", "b"),
+        )
         analytic_sigma = sum_normal(model).sigma
         sampled_sigma = sum_empirical([a, b]).stddev()
         # se of a sample stddev is roughly sigma/sqrt(2n)

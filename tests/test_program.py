@@ -1,20 +1,21 @@
-"""Program terms validation and realized settlement cash flows."""
+"""Program terms: defaults, validation, the JSON block, and the settlement rule
+that the kernel applies to them."""
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from drcontracts import (
     DEFAULT_CVAR_LEVEL,
     DEFAULT_EVENT_PROBABILITY,
     IllPosedProgramError,
     ProgramTerms,
-    realized_curtailment,
-    realized_profit,
 )
+from drcontracts._kernels import settle_trials
 
 
 def test_defaults():
@@ -68,9 +69,21 @@ def test_with_alpha_preserves_everything_else(basic_terms):
     assert swept.c_hat == basic_terms.c_hat
 
 
-def test_json_round_trip(basic_terms):
-    restored = ProgramTerms.from_json_dict(basic_terms.to_json_dict())
-    assert restored == basic_terms
+def test_json_round_trip():
+    block = {
+        "pi_e": 4.0,
+        "pi_r": 0.01,
+        "pi_p": 5.0,
+        "p": 0.25,
+        "alpha": 0.5,
+        "c_hat": 0.9,
+        "c_max": 150.0,
+    }
+    assert ProgramTerms.from_json_dict(block) == ProgramTerms(
+        pi_e=4.0, pi_r=0.01, pi_p=5.0, p=0.25, alpha=0.5, c_hat=0.9, c_max=150.0
+    )
+    del block["c_max"]
+    assert ProgramTerms.from_json_dict(block).c_max is None
 
 
 def test_json_rejects_unknown_keys():
@@ -85,42 +98,36 @@ def test_json_rejects_boolean_rates():
         ProgramTerms.from_json_dict({"pi_e": True, "pi_r": 0.01, "pi_p": 5.0})
 
 
-def test_realized_curtailment_is_capped_delivery():
-    assert realized_curtailment(5.0, 3.0) == 3.0
-    assert realized_curtailment(5.0, 8.0) == 5.0
-
-
-def test_realized_profit_no_event_pays_reservation_only():
-    terms = ProgramTerms(pi_e=0.2, pi_r=1.0, pi_p=10.0, p=0.2)
-    assert realized_profit(terms, 1.0, 0.0, event=False) == pytest.approx(1.0)
-
-
-def test_realized_profit_event_full_delivery():
-    # Full delivery: reservation plus energy value of the contracted amount.
-    terms = ProgramTerms(pi_e=0.2, pi_r=1.0, pi_p=10.0, p=0.2)
-    assert realized_profit(terms, 1.0, 2.0, event=True) == pytest.approx(1.2)
-
-
-def test_realized_profit_event_shortfall_penalized():
-    terms = ProgramTerms(pi_e=0.2, pi_r=1.0, pi_p=10.0, p=0.2)
-    # q = 0.5 against C = 1: deliver 0.5, pay penalty on the missing 0.5.
-    expected = 1.0 + 0.2 * 0.5 - 10.0 * 0.5
-    assert realized_profit(terms, 1.0, 0.5, event=True) == pytest.approx(expected)
-
-
-def test_realized_profit_respects_cap():
-    terms = ProgramTerms(pi_e=0.2, pi_r=1.0, pi_p=10.0, p=0.2, c_max=2.0)
-    with pytest.raises(ValueError):
-        realized_profit(terms, 3.0, 1.0, event=True)
-
-
+@settings(deadline=None)
 @given(
-    q=st.floats(min_value=0.0, max_value=50.0),
-    c=st.floats(min_value=0.0, max_value=20.0),
+    events=st.lists(
+        st.tuples(st.integers(0, 23), st.floats(0.0, 50.0)),
+        min_size=1,
+        max_size=24,
+        unique_by=lambda cell: cell[0],
+    ),
+    contracts=st.lists(st.floats(0.0, 20.0), min_size=8, max_size=8),
+    rates=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 12.0), st.floats(0.0, 6.0)),
+    pick=st.integers(0, 23),
+    bump=st.floats(0.0, 50.0, exclude_min=True),
 )
-def test_event_profit_non_decreasing_in_capability(q, c):
-    """More capability never hurts: the event payoff is monotone in q."""
-    terms = ProgramTerms(pi_e=0.2, pi_r=1.0, pi_p=10.0, p=0.2)
-    lower = realized_profit(terms, c, q, event=True)
-    higher = realized_profit(terms, c, q + 1.0, event=True)
-    assert higher >= lower - 1e-12
+def test_event_profit_non_decreasing_in_capability(events, contracts, rates, pick, bump):
+    """More capability never hurts: raising one event cell's capability never
+    lowers its trial's profit, and leaves every other trial as it was."""
+    pi_r, pi_p, pi_e = rates
+    cells = np.array([cell for cell, _ in events])
+    capability = np.array([q for _, q in events])
+    contracts = np.array(contracts)
+    k = pick % cells.size
+    raised = capability.copy()
+    raised[k] += bump
+    before, after = (
+        settle_trials(cells, q, contracts, 3, pi_r=pi_r, pi_p=pi_p, pi_e=pi_e)
+        for q in (capability, raised)
+    )
+    row = cells[k] // contracts.size
+    others = np.arange(3) != row
+    assert after[0][row] >= before[0][row]
+    assert after[0][others].tobytes() == before[0][others].tobytes()
+    assert after[1].tolist() == before[1].tolist()
+    assert after[2][row] <= before[2][row]
