@@ -259,6 +259,11 @@ class TestContractComparison:
         assert profit_delta_oracle(portfolio) == 0.0
 
 
+# Position of each delta in the (delta_j_printed, delta_j_cancelled) pair that
+# profit_delta_from_sigmas and profit_delta_normal return.
+DELTA_INDEX = {"as_printed": 0, "mean_cancelled": 1}
+
+
 class TestProfitDeltas:
     def test_mean_cancelled_matches_frozen_value(self):
         terms = terms_for_psi(CDF_AT_ONE)
@@ -307,6 +312,7 @@ class TestProfitDeltas:
         assert profit_delta_oracle(portfolio) == pytest.approx(0.0, abs=1e-9)
         assert profit_delta_normal(portfolio)[1] == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("mode", list(DELTA_INDEX))
     @pytest.mark.parametrize(
         "sigmas, sigma_ag, match",
         [
@@ -319,10 +325,10 @@ class TestProfitDeltas:
             ([3.0, 4.0], -1.0, "aggregate spread"),
         ],
     )
-    def test_invalid_spreads_rejected(self, sigmas, sigma_ag, match):
+    def test_invalid_spreads_rejected(self, sigmas, sigma_ag, match, mode):
         terms = terms_for_psi(0.6, alpha=0.5)
         with pytest.raises(ValueError, match=match):
-            profit_delta_from_sigmas(terms, sigmas, sigma_ag)
+            profit_delta_from_sigmas(terms, sigmas, sigma_ag)[DELTA_INDEX[mode]]
 
     # (alpha, member spreads, aggregate spread) under the fixture terms, and the
     # as_printed and mean_cancelled values as float.hex, recorded when each was
@@ -340,6 +346,23 @@ class TestProfitDeltas:
             float.fromhex(printed),
             float.fromhex(cancelled),
         )
+
+    @pytest.mark.parametrize("mode", list(DELTA_INDEX))
+    def test_gamma_is_evaluated_once_per_call(self, mode, monkeypatch):
+        import drcontracts.aggregation as aggregation
+
+        calls = []
+
+        def counting_gamma(terms):
+            calls.append(terms)
+            return gamma(terms)
+
+        terms = terms_for_psi(0.6, alpha=0.5)
+        expected = profit_delta_from_sigmas(terms, [3.0, 4.0], 5.0)[DELTA_INDEX[mode]]
+        monkeypatch.setattr(aggregation, "gamma", counting_gamma)
+        value = profit_delta_from_sigmas(terms, [3.0, 4.0], 5.0)[DELTA_INDEX[mode]]
+        assert value == expected
+        assert len(calls) == 1
 
     def test_score_pair_evaluates_gamma_once(self, monkeypatch):
         import drcontracts.aggregation as aggregation
