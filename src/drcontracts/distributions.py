@@ -140,18 +140,18 @@ def _ndtri(u: float) -> float:
 
 def _tail_point(tail: np.ndarray) -> np.ndarray:
     """-Phi^-1(tail) for tails below 0.075, as _ndtri takes it; overwrites tail."""
-    inside = tail > 0.0
-    if not inside.all():
+    if tail.size and not tail.min() > 0.0:
+        inside = tail > 0.0
         x = np.where(tail == 0.0, np.inf, np.nan)
         x[inside] = _tail_point(tail[inside])
         return x
     r = np.log(tail, out=tail)
     np.negative(r, out=r)
     np.sqrt(r, out=r)
-    near = r <= 5.0
-    if near.all():
+    if not r.size or r.max() <= 5.0:
         r -= 1.6
         return _rational(_TAIL, r)
+    near = r <= 5.0
     x = np.empty_like(r)
     x[near] = _rational(_TAIL, r[near] - 1.6)
     x[~near] = _rational(_FAR_TAIL, r[~near] - 5.0)
@@ -161,13 +161,16 @@ def _tail_point(tail: np.ndarray) -> np.ndarray:
 def _ndtri_array(u: np.ndarray) -> np.ndarray:
     """_ndtri elementwise, each branch on the elements that take it."""
     q = u - 0.5
+    if q.size and q.max() < -0.425:  # all in the lower tail, as tail draws are
+        x = _tail_point(u.copy())
+        return np.negative(x, out=x)
     out = np.full_like(u, np.nan)
-    central = np.abs(q) <= 0.425
+    central = np.nonzero(np.abs(q) <= 0.425)
     out[central] = _central(q[central])
-    low = q < -0.425
+    low = np.nonzero(q < -0.425)
     x = _tail_point(u[low])
     out[low] = np.negative(x, out=x)
-    high = q > 0.425
+    high = np.nonzero(q > 0.425)
     out[high] = _tail_point(1.0 - u[high])
     return out
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import date, datetime
 from functools import cached_property
 from itertools import chain
@@ -152,11 +152,16 @@ def decompose_load(
 
 @dataclass(frozen=True)
 class CurtailableSeries:
-    """One building's complete days, ascending, and their read-only (days x 24) kWh."""
+    """One building's complete days, ascending, and their read-only (days x 24) kWh.
+
+    A series that ``restrict_to_common`` cut from another keeps that one as
+    its source.
+    """
 
     days: tuple[date, ...]
     values: np.ndarray
     skipped_days: int
+    source: CurtailableSeries | None = field(default=None, repr=False, compare=False)
 
     @cached_property
     def buckets(self) -> dict[BucketKey, EmpiricalDistribution]:
@@ -165,16 +170,23 @@ class CurtailableSeries:
         The days of one (month, day type) give each hour's bucket its column
         of samples, in day order.  ``estimate`` and the model reader both
         read these through ``split_buckets``, and ``aggregate`` reads those
-        of the series ``restrict_to_common`` returns.
+        of the series ``restrict_to_common`` returns.  A (month, day type)
+        that lost no day from the source keeps the source's 24 buckets, which
+        hold the same samples in the same order.
         """
         groups: dict[tuple[int, bool], list[int]] = {}
         for row, day in enumerate(self.days):
             groups.setdefault((day.month, day.weekday() >= 5), []).append(row)
+        source = self.source.buckets if self.source is not None else {}
         out = {}
         for (month, is_weekend), rows in groups.items():
+            keys = [BucketKey(month, hour, is_weekend) for hour in range(HOURS_PER_DAY)]
+            if keys[0] in source and source[keys[0]].n == len(rows):
+                out.update((key, source[key]) for key in keys)
+                continue
             block = self.values[rows]
-            for hour in range(HOURS_PER_DAY):
-                out[BucketKey(month, hour, is_weekend)] = EmpiricalDistribution(block[:, hour])
+            for hour, key in enumerate(keys):
+                out[key] = EmpiricalDistribution(block[:, hour])
         return out
 
 
@@ -207,8 +219,9 @@ def restrict_to_common(series: Sequence[CurtailableSeries]) -> list[CurtailableS
 
     This is the one rule by which buildings' samples pair: the same bucket of
     each restricted series holds the same days in the same order.  A series
-    that keeps every day comes back as itself, buckets and all; series that
-    share no day come back with no days.
+    that keeps every day comes back as itself, buckets and all, and one that
+    loses days keeps the buckets of each (month, day type) that lost none.
+    Series that share no day come back with no days.
     """
     if not series:
         raise ValueError("restrict_to_common needs at least one series, got none")
@@ -221,7 +234,9 @@ def restrict_to_common(series: Sequence[CurtailableSeries]) -> list[CurtailableS
         rows = [row for row, day in enumerate(s.days) if day in shared]
         values = s.values[rows]
         values.flags.writeable = False
-        out.append(CurtailableSeries(tuple(s.days[r] for r in rows), values, s.skipped_days))
+        out.append(
+            CurtailableSeries(tuple(s.days[r] for r in rows), values, s.skipped_days, source=s)
+        )
     return out
 
 

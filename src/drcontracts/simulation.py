@@ -21,6 +21,13 @@ q <= q_hat_g.  Every draw of a point mass is its one value, which is its own
 clipped cutoff, so its CVaR is exact and takes no draws.  Profits, counts,
 CVaR values and their standard errors are bit-identical for a given seed
 whatever the chunking.
+
+A call builds one Philox generator per purpose and moves it from block to
+block by setting its counter, which gives the draws of a generator built on
+that block's stream.  Each chunk of CHUNK_TRIALS trials draws its blocks'
+gaps as the rows of one array, sums them in one cumsum and maps the arrivals
+of all its blocks to cells in one vectorized pass; one settlement call and
+one tail transform then cover the chunk.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -36,10 +43,13 @@ from . import _kernels
 from .contracts import cvar as analytic_cvar
 from .contracts import expected_profit, tail_cutoff
 from .distributions import (
+    CLIPPED_MASS_WARN,
     CurtailmentDistribution,
     EmpiricalDistribution,
     NormalDistribution,
     clipped_normal_transform,
+    standard_normal_cdf,
+    standard_normal_quantile,
 )
 from .errors import ModelConsistencyError
 from .formatting import is_integer, sig9
@@ -77,24 +87,69 @@ class SimulationConfig:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
 
 
-def _stream(seed: int, purpose: int, block: int) -> np.random.Generator:
-    """The random stream of one (seed, purpose, block)."""
-    key = np.array([seed, purpose], dtype=np.uint64)
-    counter = np.array([0, 0, 0, block], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key, counter=counter))
+class _Stream:
+    """The Philox generator of one (seed, purpose), moved from block to block.
+
+    at(block) sets the counter to (0, 0, 0, block) and empties the buffer,
+    the state a generator built on that counter starts in, so the draws that
+    follow are the (seed, purpose, block) stream's, whatever was drawn before.
+    """
+
+    def __init__(self, seed: int, purpose: int) -> None:
+        key = np.array([seed, purpose], dtype=np.uint64)
+        self._bits = np.random.Philox(key=key, counter=np.zeros(4, dtype=np.uint64))
+        self._gen = np.random.Generator(self._bits)
+        # The state as plain ints, which the setter reads faster than arrays.
+        self._state = self._bits.state
+        self._state["state"] = {name: words.tolist() for name, words in self._state["state"].items()}
+        self._state["buffer"] = self._state["buffer"].tolist()
+
+    def at(self, block: int) -> np.random.Generator:
+        self._state["state"]["counter"][3] = block
+        self._bits.state = self._state
+        return self._gen
 
 
-def _arrivals(gen: np.random.Generator, total: float) -> np.ndarray:
-    """The points of a unit-rate Poisson process on [0, total), ascending."""
+def _gap_batch(total: float) -> int:
+    """Gaps to draw for the arrivals on [0, total): their mean count plus three
+    standard deviations, so about one block in 700 draws again.
+
+    Timed over 4,800 blocks at the fixtures' two totals (391 and 1900), a
+    margin of 2.5 to 4 standard deviations cost the least per block: fewer
+    gaps pay for more refills, each of which redraws its row.
+    """
+    return int(total + 3.0 * math.sqrt(total)) + 1
+
+
+def _arrivals(stream: _Stream, blocks: range, total: float) -> tuple[np.ndarray, np.ndarray]:
+    """The points of each block's unit-rate Poisson process on [0, total).
+
+    Returns (block, point), ascending by block and by point in each block,
+    the block counted from blocks.start.  Each block's gaps fill one row and
+    their running sums come from one cumsum over the rows; a block whose
+    row ends short of total draws again, with more gaps.  NumPy's exponential
+    stream, and so each running sum, is the same however the gaps are split
+    into batches.
+    """
     if not total > 0.0:
-        return np.empty(0)
-    batch = int(total + 4.0 * math.sqrt(total)) + 16
-    points = np.cumsum(gen.standard_exponential(batch))
-    while points[-1] < total:
-        gaps = gen.standard_exponential(batch)
-        gaps[0] += points[-1]
-        points = np.concatenate((points, np.cumsum(gaps)))
-    return points[: np.searchsorted(points, total)]
+        return np.empty(0, dtype=np.intp), np.empty(0)
+    points = np.empty((len(blocks), _gap_batch(total)))
+    for row, block in zip(points, blocks):
+        stream.at(block).standard_exponential(out=row)
+    np.cumsum(points, axis=1, out=points)
+    for i in np.flatnonzero(points[:, -1] < total):
+        gen = stream.at(blocks[i])
+        row = np.cumsum(gen.standard_exponential(points.shape[1]))
+        while row[-1] < total:
+            more = gen.standard_exponential(_gap_batch(total - row[-1]))
+            more[0] += row[-1]
+            row = np.concatenate((row, np.cumsum(more)))
+        if row.size > points.shape[1]:
+            points = np.pad(points, ((0, 0), (0, row.size - points.shape[1])), constant_values=np.inf)
+        points[i, : row.size] = row
+    # Each row's points below total are a prefix of it: argmin counts them.
+    inside = points < total
+    return np.repeat(np.arange(len(blocks)), inside.argmin(axis=1)), points[inside]
 
 
 class _Cells:
@@ -117,25 +172,37 @@ class _Cells:
         self.starts = np.concatenate(([0.0], self.ends[:-1]))
         self.offsets = np.cumsum(lengths) - lengths
         self.lengths = lengths
+        self.last = lengths - 1
+        self.size = int(lengths.sum())
         self.every = np.flatnonzero(np.repeat(~finite, lengths))
 
-    def hits(self, gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        """The cells that the arrivals of gen fall in: (segment, cell), ascending."""
-        x = _arrivals(gen, float(self.ends[-1]) if self.ends.size else 0.0)
+    def hits(self, stream: _Stream, blocks: range) -> tuple[np.ndarray, ...]:
+        """The cells that each block's arrivals fall in, ascending.
+
+        Returns (block, segment, cell) per hit cell, the block counted from
+        blocks.start and block b's cells numbered from b * size.  Every
+        block's arrivals are mapped in one pass.
+        """
+        block, x = _arrivals(stream, blocks, float(self.ends[-1]) if self.ends.size else 0.0)
         seg = np.searchsorted(self.ends, x, side="right")
-        index = ((x - self.starts[seg]) / self.hazards[seg]).astype(np.int64)
-        cells = self.offsets[seg] + np.minimum(index, self.lengths[seg] - 1)
+        x -= self.starts[seg]
+        x /= self.hazards[seg]
+        cells = x.astype(np.int64)
+        np.minimum(cells, self.last[seg], out=cells)
+        cells += self.offsets[seg]
+        cells += block * self.size
         first = np.ones(cells.size, dtype=bool)
-        first[1:] = cells[1:] != cells[:-1]
-        seg, cells = seg[first], cells[first]
-        if self.every.size:
-            cells = np.union1d(cells, self.every)
-            seg = np.searchsorted(self.offsets + self.lengths, cells, side="right")
-        return seg, cells
+        np.not_equal(cells[1:], cells[:-1], out=first[1:])
+        if not self.every.size:
+            return block[first], seg[first], cells[first]
+        every = np.arange(len(blocks))[:, None] * self.size + self.every
+        cells = np.union1d(cells[first], every)
+        block = cells // self.size
+        seg = np.searchsorted(self.offsets + self.lengths, cells - block * self.size, side="right")
+        return block, seg, cells
 
 
-@dataclass(frozen=True)
-class _WindowGroup:
+class _WindowGroup(NamedTuple):
     label: str
     dist: CurtailmentDistribution
     contract: float
@@ -146,11 +213,13 @@ class _WindowGroup:
 class _Plan:
     groups: tuple[_WindowGroup, ...]
     contracts: np.ndarray  # (windows,)
+    col_group: np.ndarray  # (windows,) group index of each window
     windows: int
 
 
 def _key_label(key) -> str:
-    return key.label if hasattr(key, "label") else str(key)
+    label = getattr(key, "label", None)
+    return str(key) if label is None else label
 
 
 def _normalize_plan(
@@ -192,41 +261,49 @@ def _normalize_plan(
                 f"got {value!r}"
             )
 
+    # The keys in use, in order of first use, and each window's index into them.
     if schedule is None:
-        keys = sorted(cap_map)
         windows = config.windows_per_horizon
-        ordered = [keys[i % len(keys)] for i in range(windows)]
+        used = sorted(cap_map)[:windows]
+        codes = np.arange(windows) % len(used)
     else:
         ordered = list(schedule)
         if not ordered:
             raise ModelConsistencyError("schedule is empty")
-        unknown = sorted({_key_label(k) for k in ordered if k not in cap_map})
+        windows = len(ordered)
+        # One key lookup per run of one key object.
+        starts = [0] + [i for i in range(1, windows) if ordered[i] is not ordered[i - 1]]
+        index: dict = {}
+        run_codes = [index.setdefault(ordered[i], len(index)) for i in starts]
+        used = list(index)
+        unknown = sorted({_key_label(k) for k in used if k not in cap_map})
         if unknown:
             raise ModelConsistencyError(f"schedule references unknown buckets {unknown}")
-        windows = len(ordered)
+        codes = np.repeat(run_codes, np.diff(starts + [windows]))
 
-    labels_seen: dict[str, object] = {}
-    columns: dict = {}
-    for idx, key in enumerate(ordered):
-        columns.setdefault(key, []).append(idx)
-    groups = []
-    contracts_vec = np.empty(windows)
-    for key in sorted(columns, key=_key_label):
-        label = _key_label(key)
-        if label in labels_seen:
-            raise ValueError(f"duplicate bucket label {label!r}")
-        labels_seen[label] = key
-        cols = np.asarray(columns[key], dtype=np.intp)
-        contracts_vec[cols] = contract_map[key]
-        groups.append(
-            _WindowGroup(
-                label=label,
-                dist=cap_map[key],
-                contract=contract_map[key],
-                columns=cols,
-            )
+    labels = [_key_label(key) for key in used]
+    order = sorted(range(len(used)), key=labels.__getitem__)
+    for a, b in zip(order, order[1:]):
+        if labels[a] == labels[b]:
+            raise ValueError(f"duplicate bucket label {labels[a]!r}")
+    rank = np.empty(len(used), dtype=np.intp)
+    rank[order] = np.arange(len(used))
+    col_group = rank[codes]
+    by_group = np.argsort(col_group, kind="stable")
+    ends = np.cumsum(np.bincount(col_group, minlength=len(used))).tolist()
+    groups = tuple(
+        _WindowGroup(
+            label=labels[k],
+            dist=cap_map[used[k]],
+            contract=contract_map[used[k]],
+            columns=by_group[start:end],
         )
-    return _Plan(groups=tuple(groups), contracts=contracts_vec, windows=windows)
+        for k, start, end in zip(order, [0, *ends], ends)
+    )
+    group_contracts = np.array([group.contract for group in groups])
+    return _Plan(
+        groups=groups, contracts=group_contracts[col_group], col_group=col_group, windows=windows
+    )
 
 
 @dataclass(frozen=True)
@@ -302,54 +379,72 @@ class _Laws:
     A normal with sigma > 0 transforms its uniforms; every other group draws
     from its sorted samples, a point normal from its one value clipped at
     zero.  A group that is not a point mass draws its tail at the rate
-    tau = F(q_hat), q_hat its clipped cutoff.
+    tau = F(q_hat), q_hat its clipped cutoff.  The normals' cutoffs, rates
+    and clipped masses are computed as arrays from one Phi^-1(tail_mass);
+    the array paths of `distributions` give the bits of the scalar ones.
     """
 
     def __init__(self, terms: ProgramTerms, dists: Sequence[CurtailmentDistribution]):
-        normal = [isinstance(d, NormalDistribution) and d.sigma > 0.0 for d in dists]
+        is_normal = [isinstance(d, NormalDistribution) for d in dists]
+        self.mu = np.array([d.mu if n else 0.0 for d, n in zip(dists, is_normal)])
+        self.sigma = np.array([d.sigma if n else 0.0 for d, n in zip(dists, is_normal)])
+        self.normal = spread = self.sigma > 0.0
+        mu, sigma = self.mu[spread], self.sigma[spread]
+        # The values each group draws from: a sample group's samples, a point
+        # normal's one value clipped at zero, none for a normal with spread.
         tables = [
-            np.empty(0) if is_normal
-            else d.samples if isinstance(d, EmpiricalDistribution)
-            else np.array([max(d.mu, 0.0)])
-            for d, is_normal in zip(dists, normal)
+            np.empty(0) if s else np.array([max(d.mu, 0.0)]) if n else d.samples
+            for d, n, s in zip(dists, is_normal, spread.tolist())
         ]
-        self.normal = np.array(normal, dtype=bool)
-        self.mu = np.array([d.mu if n else 0.0 for d, n in zip(dists, normal)])
-        self.sigma = np.array([d.sigma if n else 0.0 for d, n in zip(dists, normal)])
         self.sizes = np.array([table.size for table in tables], dtype=np.int64)
         self.offsets = np.cumsum(self.sizes) - self.sizes
         self.samples = np.concatenate(tables)
-        self.cutoffs = np.array([tail_cutoff(terms, d) for d in dists])
         # The one value of each point mass, None for every other group.
         self.points = [
-            None if n or t[0] != t[-1] else float(t[0]) for n, t in zip(normal, tables)
+            None if s or t[0] != t[-1] else float(t[0]) for s, t in zip(spread.tolist(), tables)
         ]
-        self.tau = np.array(
-            [1.0 if pt is not None else d.cdf(q)
-             for d, q, pt in zip(dists, self.cutoffs, self.points)]
-        )
+        # Each normal's cutoff, tail_cutoff's max(quantile(tail_mass), 0.0).
+        quantile = self.mu.copy()
+        quantile[spread] += sigma * standard_normal_quantile(terms.tail_mass)
+        self.cutoffs = np.where(0.0 > quantile, 0.0, quantile)
+        self.tau = np.ones(len(dists))
+        self.tau[spread] = standard_normal_cdf((self.cutoffs[spread] - mu) / sigma)
+        # A normal's mass below zero; a point normal below zero is all clipped.
+        self.clip = np.where(self.mu < 0.0, 1.0, 0.0)
+        self.clip[spread] = standard_normal_cdf(-mu / sigma)
         # A normal's tail uniform is U*tau; a sample group draws from its
         # tail_sizes = n*tau samples at or below the cutoff.
-        self.tail_scale = np.where(self.normal, self.tau, 1.0)
-        self.tail_sizes = np.array(
-            [np.searchsorted(table, q, side="right") for table, q in zip(tables, self.cutoffs)]
-        )
-        self.clip = np.array([d.clipped_mass() if n else 0.0 for d, n in zip(dists, normal)])
+        self.tail_sizes = self.sizes.copy()
+        for g, dist in enumerate(dists):
+            if not is_normal[g]:
+                q = self.cutoffs[g] = tail_cutoff(terms, dist)
+                if self.points[g] is None:
+                    self.tau[g] = dist.cdf(q)
+                self.tail_sizes[g] = np.searchsorted(dist.samples, q, side="right")
+        self.tail_scale = np.where(spread, self.tau, 1.0)
 
     def draw(self, group: np.ndarray, u: np.ndarray, sizes: np.ndarray) -> np.ndarray:
         """Draws at uniforms u; a sample group's is sample min(floor(u*size), size - 1).
 
         With sizes=self.sizes these are bit for bit each group's transform_uniform.
         """
-        q = np.empty_like(u)
         normal = self.normal[group]
-        g = group[normal]
-        q[normal] = clipped_normal_transform(self.mu[g], self.sigma[g], u[normal])
-        g = group[~normal]
-        size = sizes[g]
-        index = np.minimum((u[~normal] * size).astype(np.int64), size - 1)
-        q[~normal] = self.samples[self.offsets[g] + index]
+        if normal.all():
+            return clipped_normal_transform(self.mu[group], self.sigma[group], u)
+        if not normal.any():
+            return self._sample(group, u, sizes)
+        q = np.empty_like(u)
+        at = np.flatnonzero(normal)
+        g = group[at]
+        q[at] = clipped_normal_transform(self.mu[g], self.sigma[g], u[at])
+        at = np.flatnonzero(~normal)
+        q[at] = self._sample(group[at], u[at], sizes)
         return q
+
+    def _sample(self, group: np.ndarray, u: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+        size = sizes[group]
+        index = np.minimum((u * size).astype(np.int64), size - 1)
+        return self.samples[self.offsets[group] + index]
 
     def tail(self, group: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Tail draws at uniforms u, each at most its cutoff, and which are clipped.
@@ -394,11 +489,8 @@ def simulate_horizon(
     n_groups = len(groups)
 
     laws = _Laws(terms, [group.dist for group in groups])
-    col_group = np.empty(windows, dtype=np.intp)
-    for g, group in enumerate(groups):
-        col_group[group.columns] = g
-        if isinstance(group.dist, NormalDistribution):
-            group.dist.warn_clipped_mass(stacklevel=2)
+    for g in np.flatnonzero(laws.clip > CLIPPED_MASS_WARN):
+        groups[g].dist.warn_clipped_mass(stacklevel=2)
     widths = np.array([group.columns.size for group in groups], dtype=np.int64)
     group_contracts = np.array([group.contract for group in groups])
     tail_groups = np.array([g for g, pt in enumerate(laws.points) if pt is None], dtype=np.intp)
@@ -410,15 +502,34 @@ def simulate_horizon(
         )
         for rows in {min(BLOCK_TRIALS, n_trials), n_trials % BLOCK_TRIALS or BLOCK_TRIALS}
     }
+    event_stream, capability_stream, tail_stream, tail_value_stream = (
+        _Stream(seed, purpose)
+        for purpose in (EVENT_PURPOSE, CAPABILITY_PURPOSE, TAIL_PURPOSE, TAIL_VALUE_PURPOSE)
+    )
 
-    def draw_block(block: int):
-        """Event cells and their uniforms, tail groups and their uniforms."""
-        event_cells, tail_cells = layout[min(BLOCK_TRIALS, n_trials - block * BLOCK_TRIALS)]
-        _, events = event_cells.hits(_stream(seed, EVENT_PURPOSE, block))
-        event_u = _stream(seed, CAPABILITY_PURPOSE, block).random(events.size)
-        seg, _ = tail_cells.hits(_stream(seed, TAIL_PURPOSE, block))
-        tail_u = _stream(seed, TAIL_VALUE_PURPOSE, block).random(seg.size)
-        return events, event_u, tail_groups[seg], tail_u
+    def uniforms(stream: _Stream, blocks: range, block: np.ndarray) -> np.ndarray:
+        """One uniform per entry of the ascending block, from that block's stream."""
+        u = np.empty(block.size)
+        ends = np.searchsorted(block, np.arange(1, len(blocks) + 1))
+        for b, lo, hi in zip(blocks, [0, *ends[:-1].tolist()], ends.tolist()):
+            if hi > lo:
+                stream.at(b).random(out=u[lo:hi])
+        return u
+
+    def draw(blocks: range, first: int):
+        """The cells and uniforms of blocks of one size, in a chunk from block first.
+
+        Returns the event cells, numbered across the chunk, and their
+        uniforms; then each tail cell's block in the chunk, group and uniform.
+        """
+        event_cells, tail_cells = layout[min(BLOCK_TRIALS, n_trials - blocks.start * BLOCK_TRIALS)]
+        shift = blocks.start - first
+        block, _, events = event_cells.hits(event_stream, blocks)
+        event_u = uniforms(capability_stream, blocks, block)
+        events += shift * BLOCK_TRIALS * windows
+        block, seg, _ = tail_cells.hits(tail_stream, blocks)
+        tail_u = uniforms(tail_value_stream, blocks, block)
+        return events, event_u, block + shift, tail_groups[seg], tail_u
 
     # Per trial, and per (block, group) with the key block * n_groups + group.
     profits = np.empty(n_trials)
@@ -428,33 +539,40 @@ def simulate_horizon(
     sums, sq_sums, lows, highs = (np.full(n_keys, v) for v in (0.0, 0.0, np.inf, -np.inf))
     counts, clips = np.zeros(n_keys, dtype=np.int64), np.zeros(n_keys, dtype=np.int64)
 
-    # Settle each chunk's trials and sum its tail terms.
+    # Settle each chunk's trials and sum its tail terms.  Only the horizon's
+    # last block may be short, so a chunk draws one or two runs of blocks.
+    full_blocks = n_trials // BLOCK_TRIALS
     for row_start in range(0, n_trials, CHUNK_TRIALS):
         n_rows = min(CHUNK_TRIALS, n_trials - row_start)
         first = row_start // BLOCK_TRIALS
-        drawn = [draw_block(first + b) for b in range(-(-n_rows // BLOCK_TRIALS))]
-        cells = np.concatenate([d[0] + b * BLOCK_TRIALS * windows for b, d in enumerate(drawn)])
-        u = np.concatenate([d[1] for d in drawn])
-        q = laws.draw(col_group[cells % windows], u, laws.sizes)
+        stop = first + -(-n_rows // BLOCK_TRIALS)
+        runs = (range(first, min(stop, full_blocks)), range(max(first, full_blocks), stop))
+        events, u, tail_block, tail_group, tail_u = (
+            parts[0] if len(parts) == 1 else np.concatenate(parts)
+            for parts in zip(*(draw(run, first) for run in runs if run))
+        )
+        q = laws.draw(plan.col_group[events % windows], u, laws.sizes)
         rows = slice(row_start, row_start + n_rows)
         profits[rows], event_counts[rows], shortfall_counts[rows] = _kernels.settle_trials(
-            cells, q, plan.contracts, n_rows, terms.pi_r, terms.pi_p, terms.pi_e
+            events, q, plan.contracts, n_rows, terms.pi_r, terms.pi_p, terms.pi_e
         )
 
-        tail_group = np.concatenate([d[2] for d in drawn])
-        q, clipped = laws.tail(tail_group, np.concatenate([d[3] for d in drawn]))
+        q, clipped = laws.tail(tail_group, tail_u)
         tail_terms = _tail_term(terms, group_contracts[tail_group], q)
-        # bincount adds each key's terms one by one, in the order drawn.
-        block = np.repeat(np.arange(len(drawn)), [d[2].size for d in drawn])
-        keys = block * n_groups + tail_group
-        view = slice(first * n_groups, (first + len(drawn)) * n_groups)
+        # The keys come in ascending order.  bincount adds each key's terms
+        # one by one, in the order drawn.
+        keys = tail_block * n_groups + tail_group
+        view = slice(first * n_groups, stop * n_groups)
         size = view.stop - view.start
         sums[view] = np.bincount(keys, tail_terms, size)
         sq_sums[view] = np.bincount(keys, tail_terms * tail_terms, size)
-        counts[view] = np.bincount(keys, minlength=size)
+        counts[view] = count = np.bincount(keys, minlength=size)
         clips[view] = np.bincount(keys[clipped], minlength=size)
-        np.minimum.at(lows[view], keys, tail_terms)
-        np.maximum.at(highs[view], keys, tail_terms)
+        drawn = np.flatnonzero(count)
+        if drawn.size:  # each drawn key's terms are one run, from its start
+            starts = (np.cumsum(count) - count)[drawn]
+            lows[view][drawn] = np.minimum.reduceat(tail_terms, starts)
+            highs[view][drawn] = np.maximum.reduceat(tail_terms, starts)
 
     tail_sums, tail_sq_sums, tail_count = (
         a.reshape(-1, n_groups).sum(axis=0) for a in (sums, sq_sums, counts)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from drcontracts import (
 )
 from drcontracts.contracts import tail_cutoff
 from conftest import sampled_normal, terms_for_psi
-from oracles import dense_event_cells, dense_simulate_horizon
+from oracles import dense_event_cells, dense_simulate_horizon, philox_stream
 
 
 def small_config(**overrides) -> SimulationConfig:
@@ -86,6 +87,75 @@ class TestDeterminism:
         first = simulate_horizon(basic_terms, dist, 90.0, small_config(seed=1))
         second = simulate_horizon(basic_terms, dist, 90.0, small_config(seed=2))
         assert not np.array_equal(first.profits, second.profits)
+
+
+class TestStreams:
+    """One generator per purpose, moved from block to block by its counter."""
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_reset_reproduces_each_block_stream(self, seed):
+        for purpose in (simulation.EVENT_PURPOSE, simulation.TAIL_VALUE_PURPOSE):
+            stream = simulation._Stream(seed, purpose)
+            for block in (1, 0, 2**63, 2**64 - 1, 1):
+                oracle = philox_stream(seed, purpose, block)
+                gen = stream.at(block)
+                assert gen.random(3).tobytes() == oracle.random(3).tobytes()
+                # Three doubles leave the four-word buffer part used: a reset
+                # must drop the rest of it.
+                gen = stream.at(block)
+                oracle = philox_stream(seed, purpose, block)
+                assert gen.standard_exponential(9).tobytes() == (
+                    oracle.standard_exponential(9).tobytes()
+                )
+
+    @pytest.mark.parametrize("n_trials, windows", [(400, 60), (100_000, 24)])
+    def test_one_philox_per_purpose_per_call(self, basic_terms, monkeypatch, n_trials, windows):
+        built = []
+        philox = np.random.Philox
+
+        def counting(*args, key, **kwargs):
+            built.append(int(key[1]))
+            return philox(*args, key=key, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counting)
+        config = small_config(n_trials=n_trials, windows_per_horizon=windows)
+        result = simulate_horizon(basic_terms, NormalDistribution(100.0, 10.0), 90.0, config)
+        assert result.event_total > 0 and result.cvar["all"].tail_count > 0
+        assert sorted(built) == [
+            simulation.EVENT_PURPOSE,
+            simulation.CAPABILITY_PURPOSE,
+            simulation.TAIL_PURPOSE,
+            simulation.TAIL_VALUE_PURPOSE,
+        ]
+
+    @pytest.mark.parametrize("case", ["interleaved", "mixed"])
+    def test_refill_on_every_block_matches_dense(self, case, monkeypatch):
+        """A first batch of one gap falls short in every block, so each block's
+        arrivals come from the refill path; no draw moves."""
+        monkeypatch.setattr("drcontracts.simulation.CHUNK_TRIALS", 128)
+        monkeypatch.setattr(simulation, "_gap_batch", lambda total: 1)
+        visits = Counter()
+        at = simulation._Stream.at
+
+        def counting(self, block):
+            visits[int(self._state["state"]["key"][1]), block] += 1
+            return at(self, block)
+
+        monkeypatch.setattr(simulation._Stream, "at", counting)
+        terms = ProgramTerms(pi_e=4.0, pi_r=0.01, pi_p=5.0, p=0.05)
+        capability, contracts, schedule, windows = sparse_cases()[case]
+        config = small_config(n_trials=300, windows_per_horizon=windows or 1, seed=5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ClippedMassWarning)
+            result = simulate_horizon(terms, capability, contracts, config, schedule)
+        monkeypatch.setattr(simulation._Stream, "at", at)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ClippedMassWarning)
+            oracle = dense_simulate_horizon(terms, capability, contracts, config, schedule)
+        assert_bitwise_equal(result, oracle)
+        # Each block's arrival streams are visited to fill and again to refill.
+        for purpose in (simulation.EVENT_PURPOSE, simulation.TAIL_PURPOSE):
+            assert [visits[purpose, block] for block in range(5)] == [2] * 5
 
 
 class TestChunkingInvariance:
