@@ -24,10 +24,11 @@ whatever the chunking.
 
 A call builds one Philox generator per purpose and moves it from block to
 block by setting its counter, which gives the draws of a generator built on
-that block's stream.  Each chunk of CHUNK_TRIALS trials draws its blocks'
-gaps as the rows of one array, sums them in one cumsum and maps the arrivals
-of all its blocks to cells in one vectorized pass; one settlement call and
-one tail transform then cover the chunk.
+that block's stream.  A chunk holds blocks of one size: up to CHUNK_TRIALS
+trials of full blocks, or the horizon's short last block alone.  It draws its
+blocks' gaps as the rows of one array, sums them in one cumsum and maps the
+arrivals of all its blocks to cells in one vectorized pass; one settlement
+call and one tail transform then cover the chunk.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -202,19 +203,16 @@ class _Cells:
         return block, seg, cells
 
 
-class _WindowGroup(NamedTuple):
-    label: str
-    dist: CurtailmentDistribution
-    contract: float
-    columns: np.ndarray  # window indices using this bucket
-
-
 @dataclass(frozen=True)
 class _Plan:
-    groups: tuple[_WindowGroup, ...]
-    contracts: np.ndarray  # (windows,)
+    """The buckets in use, one entry per group in label order, and each
+    window's group."""
+
+    labels: list[str]
+    dists: list[CurtailmentDistribution]
+    contracts: np.ndarray  # (groups,) contracted size of each group
+    widths: np.ndarray  # (groups,) windows of each group
     col_group: np.ndarray  # (windows,) group index of each window
-    windows: int
 
 
 def _key_label(key) -> str:
@@ -289,20 +287,12 @@ def _normalize_plan(
     rank = np.empty(len(used), dtype=np.intp)
     rank[order] = np.arange(len(used))
     col_group = rank[codes]
-    by_group = np.argsort(col_group, kind="stable")
-    ends = np.cumsum(np.bincount(col_group, minlength=len(used))).tolist()
-    groups = tuple(
-        _WindowGroup(
-            label=labels[k],
-            dist=cap_map[used[k]],
-            contract=contract_map[used[k]],
-            columns=by_group[start:end],
-        )
-        for k, start, end in zip(order, [0, *ends], ends)
-    )
-    group_contracts = np.array([group.contract for group in groups])
     return _Plan(
-        groups=groups, contracts=group_contracts[col_group], col_group=col_group, windows=windows
+        labels=[labels[k] for k in order],
+        dists=[cap_map[used[k]] for k in order],
+        contracts=np.array([contract_map[used[k]] for k in order]),
+        widths=np.bincount(col_group),
+        col_group=col_group,
     )
 
 
@@ -485,23 +475,22 @@ def simulate_horizon(
     plan = _normalize_plan(terms, capability, contracts, config, schedule)
     if CHUNK_TRIALS % BLOCK_TRIALS:
         raise ValueError("CHUNK_TRIALS must be a multiple of BLOCK_TRIALS")
-    n_trials, windows, groups, seed = config.n_trials, plan.windows, plan.groups, config.seed
-    n_groups = len(groups)
+    n_trials, seed = config.n_trials, config.seed
+    windows, n_groups = plan.col_group.size, len(plan.labels)
 
-    laws = _Laws(terms, [group.dist for group in groups])
+    laws = _Laws(terms, plan.dists)
     for g in np.flatnonzero(laws.clip > CLIPPED_MASS_WARN):
-        groups[g].dist.warn_clipped_mass(stacklevel=2)
-    widths = np.array([group.columns.size for group in groups], dtype=np.int64)
-    group_contracts = np.array([group.contract for group in groups])
+        plan.dists[g].warn_clipped_mass(stacklevel=2)
     tail_groups = np.array([g for g, pt in enumerate(laws.points) if pt is None], dtype=np.intp)
     # The (event, tail) cells of a block of each size: full, and the last.
     layout = {
         rows: (
             _Cells(np.array([terms.p]), np.array([rows * windows])),
-            _Cells(laws.tau[tail_groups], rows * widths[tail_groups]),
+            _Cells(laws.tau[tail_groups], rows * plan.widths[tail_groups]),
         )
         for rows in {min(BLOCK_TRIALS, n_trials), n_trials % BLOCK_TRIALS or BLOCK_TRIALS}
     }
+    window_contracts = plan.contracts[plan.col_group]
     event_stream, capability_stream, tail_stream, tail_value_stream = (
         _Stream(seed, purpose)
         for purpose in (EVENT_PURPOSE, CAPABILITY_PURPOSE, TAIL_PURPOSE, TAIL_VALUE_PURPOSE)
@@ -516,21 +505,6 @@ def simulate_horizon(
                 stream.at(b).random(out=u[lo:hi])
         return u
 
-    def draw(blocks: range, first: int):
-        """The cells and uniforms of blocks of one size, in a chunk from block first.
-
-        Returns the event cells, numbered across the chunk, and their
-        uniforms; then each tail cell's block in the chunk, group and uniform.
-        """
-        event_cells, tail_cells = layout[min(BLOCK_TRIALS, n_trials - blocks.start * BLOCK_TRIALS)]
-        shift = blocks.start - first
-        block, _, events = event_cells.hits(event_stream, blocks)
-        event_u = uniforms(capability_stream, blocks, block)
-        events += shift * BLOCK_TRIALS * windows
-        block, seg, _ = tail_cells.hits(tail_stream, blocks)
-        tail_u = uniforms(tail_value_stream, blocks, block)
-        return events, event_u, block + shift, tail_groups[seg], tail_u
-
     # Per trial, and per (block, group) with the key block * n_groups + group.
     profits = np.empty(n_trials)
     event_counts = np.empty(n_trials, dtype=np.int64)
@@ -539,30 +513,35 @@ def simulate_horizon(
     sums, sq_sums, lows, highs = (np.full(n_keys, v) for v in (0.0, 0.0, np.inf, -np.inf))
     counts, clips = np.zeros(n_keys, dtype=np.int64), np.zeros(n_keys, dtype=np.int64)
 
-    # Settle each chunk's trials and sum its tail terms.  Only the horizon's
-    # last block may be short, so a chunk draws one or two runs of blocks.
-    full_blocks = n_trials // BLOCK_TRIALS
-    for row_start in range(0, n_trials, CHUNK_TRIALS):
-        n_rows = min(CHUNK_TRIALS, n_trials - row_start)
-        first = row_start // BLOCK_TRIALS
-        stop = first + -(-n_rows // BLOCK_TRIALS)
-        runs = (range(first, min(stop, full_blocks)), range(max(first, full_blocks), stop))
-        events, u, tail_block, tail_group, tail_u = (
-            parts[0] if len(parts) == 1 else np.concatenate(parts)
-            for parts in zip(*(draw(run, first) for run in runs if run))
+    # Settle each chunk's trials and sum its tail terms.  A chunk holds blocks
+    # of one size: full blocks in runs of CHUNK_TRIALS // BLOCK_TRIALS, and
+    # the horizon's short last block, if any, alone.
+    full_blocks, short = divmod(n_trials, BLOCK_TRIALS)
+    per_chunk = CHUNK_TRIALS // BLOCK_TRIALS
+    chunks = [range(b, min(b + per_chunk, full_blocks)) for b in range(0, full_blocks, per_chunk)]
+    if short:
+        chunks.append(range(full_blocks, full_blocks + 1))
+    for blocks in chunks:
+        rows = min(BLOCK_TRIALS, n_trials - blocks.start * BLOCK_TRIALS)
+        event_cells, tail_cells = layout[rows]
+        block, _, events = event_cells.hits(event_stream, blocks)
+        q = laws.draw(
+            plan.col_group[events % windows], uniforms(capability_stream, blocks, block), laws.sizes
         )
-        q = laws.draw(plan.col_group[events % windows], u, laws.sizes)
-        rows = slice(row_start, row_start + n_rows)
-        profits[rows], event_counts[rows], shortfall_counts[rows] = _kernels.settle_trials(
-            events, q, plan.contracts, n_rows, terms.pi_r, terms.pi_p, terms.pi_e
+        n_rows = len(blocks) * rows
+        trials = slice(blocks.start * BLOCK_TRIALS, blocks.start * BLOCK_TRIALS + n_rows)
+        profits[trials], event_counts[trials], shortfall_counts[trials] = _kernels.settle_trials(
+            events, q, window_contracts, n_rows, terms.pi_r, terms.pi_p, terms.pi_e
         )
 
-        q, clipped = laws.tail(tail_group, tail_u)
-        tail_terms = _tail_term(terms, group_contracts[tail_group], q)
+        block, seg, _ = tail_cells.hits(tail_stream, blocks)
+        tail_group = tail_groups[seg]
+        q, clipped = laws.tail(tail_group, uniforms(tail_value_stream, blocks, block))
+        tail_terms = _tail_term(terms, plan.contracts[tail_group], q)
         # The keys come in ascending order.  bincount adds each key's terms
         # one by one, in the order drawn.
-        keys = tail_block * n_groups + tail_group
-        view = slice(first * n_groups, stop * n_groups)
+        keys = block * n_groups + tail_group
+        view = slice(blocks.start * n_groups, blocks.stop * n_groups)
         size = view.stop - view.start
         sums[view] = np.bincount(keys, tail_terms, size)
         sq_sums[view] = np.bincount(keys, tail_terms * tail_terms, size)
@@ -579,19 +558,19 @@ def simulate_horizon(
     )
     constant = lows.reshape(-1, n_groups).min(axis=0) == highs.reshape(-1, n_groups).max(axis=0)
     cvar_out = {}
-    for g, group in enumerate(groups):
+    for g, (label, contract) in enumerate(zip(plan.labels, plan.contracts.tolist())):
         n, point = int(tail_count[g]), laws.points[g]
         if point is not None:  # every draw is the point, its own clipped cutoff
-            n, mean, var = n_trials * int(widths[g]), _tail_term(terms, group.contract, point), 0.0
+            n, mean, var = n_trials * int(plan.widths[g]), _tail_term(terms, contract, point), 0.0
         elif n:
             mean = tail_sums[g] / n
             var = 0.0 if constant[g] else max(tail_sq_sums[g] / n - mean * mean, 0.0)
         value = se = None
         if n:
-            value = float(terms.pi_r * group.contract + terms.p * mean)
+            value = float(terms.pi_r * contract + terms.p * mean)
             if n >= 2:
                 se = float(terms.p * math.sqrt(var / n))
-        cvar_out[group.label] = CvarEstimate(value=value, standard_error=se, tail_count=n)
+        cvar_out[label] = CvarEstimate(value=value, standard_error=se, tail_count=n)
 
     total_windows = n_trials * windows
     mean = float(profits.mean())
@@ -654,27 +633,29 @@ def analytic_summary(
 ) -> AnalyticSummary:
     """The analytic counterparts of everything the simulation measures."""
     plan = _normalize_plan(terms, capability, contracts, config, schedule)
+    windows = plan.col_group.size
     total = 0.0
     shortfall_prob_sum = 0.0
     groups = {}
-    for group in plan.groups:
-        per_window = float(expected_profit(terms, group.dist, group.contract))
-        n_windows = int(group.columns.size)
+    for label, dist, contract, n_windows in zip(
+        plan.labels, plan.dists, plan.contracts.tolist(), plan.widths.tolist()
+    ):
+        per_window = float(expected_profit(terms, dist, contract))
         total += per_window * n_windows
-        sf = terms.p * _strict_lower_probability(group.dist, group.contract)
+        sf = terms.p * _strict_lower_probability(dist, contract)
         shortfall_prob_sum += sf * n_windows
-        groups[group.label] = GroupAnalytic(
-            label=group.label,
+        groups[label] = GroupAnalytic(
+            label=label,
             windows=n_windows,
-            contract=group.contract,
+            contract=contract,
             expected_profit=per_window,
-            cvar_value=float(analytic_cvar(terms, group.dist, group.contract)),
+            cvar_value=float(analytic_cvar(terms, dist, contract)),
             shortfall_probability=sf,
         )
     return AnalyticSummary(
         total_expected_profit=total,
-        expected_events_per_trial=terms.p * plan.windows,
-        shortfall_probability=shortfall_prob_sum / plan.windows,
+        expected_events_per_trial=terms.p * windows,
+        shortfall_probability=shortfall_prob_sum / windows,
         groups=groups,
     )
 

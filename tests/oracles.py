@@ -236,46 +236,43 @@ def dense_simulate_horizon(terms, capability, contracts, config, schedule=None):
     call, as the engine's do.
     """
     plan = simulation._normalize_plan(terms, capability, contracts, config, schedule)
-    n_trials, windows, groups = config.n_trials, plan.windows, plan.groups
+    n_trials, windows, dists = config.n_trials, plan.col_group.size, plan.dists
+    contracts, widths = plan.contracts.tolist(), plan.widths.tolist()
+    col_group = plan.col_group.tolist()
     block_trials = simulation.BLOCK_TRIALS
     n_blocks = -(-n_trials // block_trials)
-    col_group = {}
-    for g, group in enumerate(groups):
-        col_group.update((int(col), g) for col in group.columns)
-        if isinstance(group.dist, NormalDistribution):
-            group.dist.warn_clipped_mass(stacklevel=1)
-    cutoffs = [max(float(group.dist.quantile(terms.tail_mass)), 0.0) for group in groups]
+    for dist in dists:
+        if isinstance(dist, NormalDistribution):
+            dist.warn_clipped_mass(stacklevel=1)
+    cutoffs = [max(float(dist.quantile(terms.tail_mass)), 0.0) for dist in dists]
     points = []
-    for group in groups:
-        dist = group.dist
+    for dist in dists:
         if isinstance(dist, NormalDistribution):
             points.append(max(dist.mu, 0.0) if dist.sigma == 0.0 else None)
         else:
             points.append(dist.samples[0] if dist.samples[0] == dist.samples[-1] else None)
-    tail = [g for g in range(len(groups)) if points[g] is None]
-    tau = {g: float(groups[g].dist.cdf(cutoffs[g])) for g in tail}
+    tail = [g for g in range(len(dists)) if points[g] is None]
+    tau = {g: float(dists[g].cdf(cutoffs[g])) for g in tail}
 
-    block_sums = np.zeros((n_blocks, len(groups)))
-    block_sq_sums = np.zeros((n_blocks, len(groups)))
-    tails = [[] for _ in groups]
+    block_sums = np.zeros((n_blocks, len(dists)))
+    block_sq_sums = np.zeros((n_blocks, len(dists)))
+    tails = [[] for _ in dists]
     cells, capability_q = [], []
     clip_count = 0
     for block in range(n_blocks):
         rows = min(block_trials, n_trials - block * block_trials)
         uniforms = philox_stream(config.seed, simulation.CAPABILITY_PURPOSE, block)
         for cell in dense_event_cells(config.seed, terms.p, windows, block, rows):
-            dist = groups[col_group[cell % windows]].dist
+            dist = dists[col_group[cell % windows]]
             cells.append(block * block_trials * windows + cell)
             capability_q.append(dist.transform_uniform(uniforms.random()))
 
         gen = philox_stream(config.seed, simulation.TAIL_PURPOSE, block)
         uniforms = philox_stream(config.seed, simulation.TAIL_VALUE_PURPOSE, block)
-        hits = walk_cells(
-            gen, [hazard(tau[g]) for g in tail], [rows * groups[g].columns.size for g in tail]
-        )
+        hits = walk_cells(gen, [hazard(tau[g]) for g in tail], [rows * widths[g] for g in tail])
         for g in tail:
-            dist, c = groups[g].dist, groups[g].contract
-            for _ in range(rows * groups[g].columns.size):
+            dist, c = dists[g], contracts[g]
+            for _ in range(rows * widths[g]):
                 if not next(hits):
                     continue
                 if isinstance(dist, NormalDistribution):
@@ -293,7 +290,7 @@ def dense_simulate_horizon(terms, capability, contracts, config, schedule=None):
     profits, event_counts, shortfall_counts = dense_settle(
         np.array(cells, dtype=np.int64),
         np.array(capability_q),
-        plan.contracts,
+        plan.contracts[plan.col_group],
         n_trials,
         terms.pi_r,
         terms.pi_p,
@@ -302,25 +299,25 @@ def dense_simulate_horizon(terms, capability, contracts, config, schedule=None):
     cvar = {}
     tail_sums = block_sums.sum(axis=0)
     tail_sq_sums = block_sq_sums.sum(axis=0)
-    for g, group in enumerate(groups):
+    for g, (label, c) in enumerate(zip(plan.labels, contracts)):
         n = len(tails[g])
         if points[g] is not None:
             # Every draw is the point: n tail terms, each exactly this one.
-            n = n_trials * group.columns.size
+            n = n_trials * widths[g]
             q = points[g]
-            mean = terms.pi_e * q - terms.pi_p * (group.contract - q)
+            mean = terms.pi_e * q - terms.pi_p * (c - q)
         elif n:
             mean = tail_sums[g] / n
         value = se = None
         if n:
-            value = float(terms.pi_r * group.contract + terms.p * mean)
+            value = float(terms.pi_r * c + terms.p * mean)
             if n >= 2:
                 if points[g] is not None or min(tails[g]) == max(tails[g]):
                     var = 0.0
                 else:
                     var = max(tail_sq_sums[g] / n - mean * mean, 0.0)
                 se = float(terms.p * math.sqrt(var / n))
-        cvar[group.label] = simulation.CvarEstimate(value, se, n)
+        cvar[label] = simulation.CvarEstimate(value, se, n)
     total_windows = n_trials * windows
     return simulation.SimulationResult(
         profits=profits,

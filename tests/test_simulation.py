@@ -258,23 +258,21 @@ def test_each_chunk_settles_through_the_kernel_module(basic_terms, monkeypatch):
     config = small_config()
     dist = NormalDistribution(100.0, 10.0)
     simulate_horizon(basic_terms, dist, 90.0, config)
-    assert [n_rows for n_rows, _ in calls] == [128] * 4 + [88]
+    assert [n_rows for n_rows, _ in calls] == [128] * 4 + [64, 24]
     # The chunks settle in order, and each call gets its chunk's event cells,
-    # block after block, in row-major order: two 64-trial blocks per chunk,
-    # the last one short.
-    block_cells = config.windows_per_horizon * simulation.BLOCK_TRIALS
+    # block after block, in row-major order: two full 64-trial blocks per
+    # chunk, then the ninth block alone, and the short tenth alone.
+    chunks = [range(2 * c, 2 * c + 2) for c in range(4)] + [range(8, 9), range(9, 10)]
     expected = []
-    for row_start in range(0, config.n_trials, 128):
-        n_rows = min(128, config.n_trials - row_start)
+    for blocks in chunks:
+        rows = min(64, config.n_trials - 64 * blocks.start)
         cells = []
-        for b in range(-(-n_rows // 64)):
-            block = row_start // 64 + b
-            rows = min(64, config.n_trials - 64 * block)
+        for b, block in enumerate(blocks):
             events = dense_event_cells(
                 config.seed, basic_terms.p, config.windows_per_horizon, block, rows
             )
-            cells += [b * block_cells + cell for cell in events]
-        expected.append((n_rows, np.array(cells, dtype=np.int64).tobytes()))
+            cells += [b * rows * config.windows_per_horizon + cell for cell in events]
+        expected.append((len(blocks) * rows, np.array(cells, dtype=np.int64).tobytes()))
     assert calls == expected
 
 
