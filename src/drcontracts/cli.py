@@ -533,9 +533,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--out", required=True, help="output file path")
-        p.add_argument(
-            "--seed", type=int, default=None, help="override the configured seed"
-        )
 
     p_est = sub.add_parser(
         "estimate",
@@ -606,6 +603,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common(p_sim)
     p_sim.add_argument("--building", required=True, help="building id in the model")
+    p_sim.add_argument("--seed", type=int, default=None, help="override the configured seed")
     p_sim.add_argument(
         "--profits-csv", default=None, help="also write per-trial profits (trial,profit)"
     )

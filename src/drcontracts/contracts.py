@@ -122,9 +122,7 @@ def cvar(terms: ProgramTerms, dist: CurtailmentDistribution, c):
     (Acerbi & Tasche, 2002).  Below q_hat it credits capability above c at
     pi_e, so CVaR(0) = p*(pi_e + pi_p)*E[q | tail], which is not 0.
     """
-    c_arr = np.asarray(c, dtype=float)
-    if c_arr.size and np.min(c_arr) < 0.0:
-        raise ValueError("contract size must be >= 0")
+    c_arr = _contract_sizes(terms, c)
     q_hat = tail_cutoff(terms, dist)
     q_tail = float(dist.partial_expectation(q_hat)) / float(dist.cdf(q_hat))
     out = terms.pi_r * c_arr + terms.p * (

@@ -30,14 +30,13 @@ def is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def read_json_block(cls: type[T], block: str, obj, *, required=(), exclude=(), **init) -> T:
+def read_json_block(cls: type[T], block: str, obj, *, required=(), exclude=()) -> T:
     """Build the dataclass ``cls`` from the JSON object of config block ``block``.
 
     The keys must be fields of ``cls`` other than ``exclude``; the fields
-    without a default and the names in ``required`` must be present.  ``init``
-    passes init-only arguments.  Errors name the block and raise
-    InputFormatError, except the package's own errors from construction,
-    which already name their cause.
+    without a default and the names in ``required`` must be present.  Errors
+    name the block and raise InputFormatError, except the package's own
+    errors from construction, which already name their cause.
     """
     if not isinstance(obj, dict):
         raise InputFormatError(f"{block} block must be an object")
@@ -50,7 +49,7 @@ def read_json_block(cls: type[T], block: str, obj, *, required=(), exclude=(), *
         if key not in obj:
             raise InputFormatError(f"{block} block needs {key!r}")
     try:
-        return cls(**obj, **init)
+        return cls(**obj)
     except DrContractsError:
         raise
     except (TypeError, ValueError) as exc:

@@ -98,6 +98,6 @@ class ProgramTerms:
         )
 
     @classmethod
-    def from_json_dict(cls, obj: dict, *, allow_ill_posed: bool = False) -> ProgramTerms:
-        return read_json_block(cls, "terms", obj, allow_ill_posed=allow_ill_posed)
+    def from_json_dict(cls, obj: dict) -> ProgramTerms:
+        return read_json_block(cls, "terms", obj)
 

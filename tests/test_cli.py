@@ -738,6 +738,26 @@ def test_unwritable_output_is_input_error(workspace, monkeypatch, capsys, argv):
     assert not (workspace / "unwritten.json").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("estimate",),
+        ("contract", "--building", "acme_plant"),
+        ("aggregate", "--base", "acme_plant", "--candidates", "birch_mall"),
+    ],
+    ids=["estimate", "contract", "aggregate"],
+)
+def test_seed_is_a_simulate_option_only(workspace, tmp_path, capsys, argv):
+    # Only simulate draws, so only simulate takes a seed.
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run(argv[0], "--config", str(workspace / "config.json"), *argv[1:],
+            "--out", str(out), "--seed", "3")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestSpearman:
     @staticmethod
     def printed(x, y) -> tuple[str, str]:

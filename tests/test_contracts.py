@@ -71,6 +71,13 @@ class TestExpectedProfit:
 
 
 class TestCvar:
+    def test_out_of_cap_rejected(self):
+        # The contract-size rule of expected_profit and quantile_loss.
+        terms = ProgramTerms(pi_e=0.2, pi_r=1.0, pi_p=10.0, p=0.2, c_max=1.0)
+        for c in (1.5, np.array([0.5, 1.5])):
+            with pytest.raises(ValueError, match="contract size exceeds cap 1"):
+                cvar(terms, dense_uniform(), c)
+
     def test_degenerate_rates_leave_reservation_leg(self):
         terms = ProgramTerms(
             pi_e=0.0, pi_r=0.1, pi_p=0.0, p=0.2, c_hat=0.5, allow_ill_posed=True

@@ -7,10 +7,13 @@ import importlib
 import importlib.util
 import io
 import re
+import shlex
+import shutil
 import sys
 from pathlib import Path
 
 import drcontracts
+from drcontracts.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -18,6 +21,10 @@ SPANS = ROOT / "perfbench" / "spans.py"
 
 # A python block, then the bare block right after it that shows its output.
 EXAMPLE = re.compile(r"```python\n(.*?)```\s*```\n(.*?)```", re.DOTALL)
+# The CLI walkthrough: each `$ drcontracts ...` line, then the stdout lines it
+# shows, "..." standing for lines left out.
+WALKTHROUGH = re.compile(r"Representative output:\n\n```\n(.*?)```", re.DOTALL)
+COMMAND = re.compile(r"^\$ drcontracts (.*)\n((?:.+\n)*)", re.MULTILINE)
 
 
 def test_public_names_are_sorted_unique_and_resolve():
@@ -36,6 +43,23 @@ def test_readme_examples_print_their_output():
         with contextlib.redirect_stdout(out):
             exec(compile(code, f"README.md example {index}", "exec"), {})
         assert out.getvalue() == expected
+
+
+def test_readme_cli_walkthrough_prints_its_output(tmp_path, monkeypatch, capsys):
+    for name in ("config.json", "sample_load.csv", "shapes.csv"):
+        shutil.copy(ROOT / "fixtures" / name, tmp_path / name)
+    monkeypatch.chdir(tmp_path)
+    (block,) = WALKTHROUGH.findall(README.read_text())
+    commands = COMMAND.findall(block)
+    assert [argv.split()[0] for argv, _ in commands] == [
+        "estimate", "contract", "aggregate", "simulate"
+    ]
+    for argv, shown in commands:
+        assert main(shlex.split(argv)) == 0
+        printed = iter(capsys.readouterr().out.splitlines())
+        for line in shown.splitlines():
+            # `in` advances the iterator past the match: the lines come in order.
+            assert line == "..." or line in printed, (argv, line)
 
 
 def test_every_traced_binding_exists(monkeypatch):
