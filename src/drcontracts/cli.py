@@ -60,7 +60,15 @@ from .estimation import (
     read_shapes_csv,
     restrict_to_common,
 )
-from .formatting import flag, is_integer, parse_flag, read_csv_rows, read_json_block, sig9
+from .formatting import (
+    flag,
+    is_integer,
+    parse_flag,
+    read_csv_rows,
+    read_json_block,
+    roundtrip,
+    sig9,
+)
 from .program import ProgramTerms
 from .simulation import (
     SimulationConfig,
@@ -260,7 +268,7 @@ def _write_schedule_csv(path, rows) -> None:
                     key.hour,
                     flag(key.is_weekend),
                     sig9(decision.psi),
-                    sig9(decision.c_star),
+                    roundtrip(decision.c_star),
                     decision.clipped,
                     sig9(decision.expected_profit),
                     sig9(decision.cvar_value),

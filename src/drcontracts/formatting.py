@@ -106,6 +106,12 @@ def sig9(x: float) -> str:
     return f"{x:.9g}"
 
 
+def roundtrip(x: float) -> str:
+    """The shortest decimal that reads back as x bit for bit, without a
+    trailing ".0" (for a value that is read back and used, like c_star)."""
+    return repr(float(x)).removesuffix(".0")
+
+
 def flag(value: bool) -> str:
     return "true" if value else "false"
 

@@ -28,6 +28,7 @@ from drcontracts.cli import (
     main,
     spearman_rho,
 )
+from drcontracts.contracts import optimal_contract
 from drcontracts.estimation import CapabilityModel, read_shapes_csv
 from drcontracts.simulation import simulate_horizon
 from oracles import passive_set_search_nnls
@@ -823,12 +824,14 @@ def test_import_leaves_scipy_unloaded():
 # model.json digest was re-recorded when the normal cdf moved from SciPy to the
 # package: 6 of its 5,257 floats, all fit_distance, moved in the last bits.
 # The report.json digest was re-recorded when the Monte Carlo began to draw only
-# the event and CVaR-tail cells: every simulated number moved.
+# the event and CVaR-tail cells: every simulated number moved.  The
+# contracts.csv and report.json digests were re-recorded when c_star began to
+# be written so that it reads back bit for bit (38 of the 96 c_star cells).
 GOLDEN_DIGESTS = {
     "model.json": "3a9915aa995a4c38950aa7fedd92a63c3720554bcd988190ef3d899be762362c",
-    "contracts.csv": "5c4c76aa73a38c59415085db7446189a73cd3f97a5dd9da9a2786cb71c53f77a",
+    "contracts.csv": "bd8d9930ae8e02c6c9bf79cfa67147deca8668b264cfd3794f5c97dad8cb69b8",
     "ranking.csv": "648235a3574135943f90c1eb31407850c7d6bd44129b02a9437221d94effc1c5",
-    "report.json": "cc406b376cf04a094907685ee310edaceae656d723172c0c6b4bc76ed61a81d8",
+    "report.json": "40a9f22dd6b74ba5fc9cbdba986a135ee842c5f3f74dc3fab5b1c9a168ac06cd",
 }
 
 
@@ -1111,23 +1114,26 @@ YEAR_STAGES = {
 }
 YEAR_OUTPUTS = ("model.json", "contracts.csv", "contracts_alpha_sweep.csv",
                 "ranking_b01.csv", "ranking_all.csv", "report.json")
-# SHA-256 of each output file and each stage's stdout.
+# SHA-256 of each output file and each stage's stdout.  contracts.csv,
+# report.json and simulate's stdout were re-recorded when c_star began to be
+# written so that it reads back bit for bit.
 YEAR_DIGESTS = {
     "estimate stdout": "7b9cbfae420e6aab601804c39ce743d35f20ee5e6d4ff349302df71507214f99",
     "contract stdout": "e144041eba1a1fd2ce45943968ff78e3c4d6165904e242c7add82de43086aa3c",
     "aggregate b01 stdout": "7521ba94f833b7dfdc621e38ab6b9fe89edee0debcf6601f014af3d8a737ad81",
     "aggregate b01 b02 b03 stdout": "b52d8c7b33708af6eb8a9b0ccd08e83d9e3468d6b130185aa8ed6b7ee9148950",
-    "simulate stdout": "0e00536464387405009779a0ef141742df2570e7c7fd67c0756943568499f674",
+    "simulate stdout": "41a15db5ab8fff7467bffc7ecb53f5088acfa3088ce3ca70883a4de5615def2f",
     "model.json": "f03bbe28e220cbe7c86bc1368db5331b5ac658b5396258559e2bbaa0e59b1208",
-    "contracts.csv": "063aed19d8dd097484fd44fc8bf4289b5f411d6741540112e6060e2a15140e9c",
+    "contracts.csv": "23ca1954a1136ec0979994b66bc1d39861a9d1ba272a51de2bd6105f7c8fd8ea",
     "contracts_alpha_sweep.csv": "f34675bf4e42802b74a3beddf3e9ef0cca3acb1f81f91b3c019cc7eb449ee973",
     "ranking_b01.csv": "f8262baf82d5f6ac0715a31265d5618fa8e0db2899a58997a2e32af76471c7de",
     "ranking_all.csv": "e30754207c02d62b72d28f4be0edbfeb523529fac49519e036a3bb33ddd22a7f",
-    "report.json": "0abad793afa6aeb88934388836710eb598740ea5f2eb880369376af9223b779a",
+    "report.json": "b51e60814426630da13cff0bf184efb8e4f3c3bbcde65688ac0dc1938195cfdc",
 }
 
 
-def test_year_pipeline_outputs_are_golden(tmp_path, monkeypatch, capsys):
+def _year_inputs(tmp_path: Path, monkeypatch) -> None:
+    """The `year` workload's inputs at seed 3 in tmp_path, the working directory."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec = importlib.util.spec_from_file_location("perfbench_inputs", PERFBENCH_INPUTS)
     inputs = importlib.util.module_from_spec(spec)
@@ -1139,6 +1145,9 @@ def test_year_pipeline_outputs_are_golden(tmp_path, monkeypatch, capsys):
     (tmp_path / "config.json").write_text(json.dumps(config))
     monkeypatch.chdir(tmp_path)
 
+
+def test_year_pipeline_outputs_are_golden(tmp_path, monkeypatch, capsys):
+    _year_inputs(tmp_path, monkeypatch)
     digests = {}
     for stage, (command, *rest) in YEAR_STAGES.items():
         assert run(command, "--config", "config.json", *rest) == 0
@@ -1150,12 +1159,39 @@ def test_year_pipeline_outputs_are_golden(tmp_path, monkeypatch, capsys):
     assert digests == YEAR_DIGESTS
 
 
+@pytest.mark.parametrize("workload, building_id", [("fixtures", "acme_plant"), ("year", "b00")])
+def test_contract_c_star_reads_back_bit_for_bit(
+    workload, building_id, tmp_path, monkeypatch, capsys
+):
+    # simulate settles the c_star it reads from contracts.csv: a value rounded
+    # up past a sample would count every event at that sample as a shortfall.
+    if workload == "year":
+        _year_inputs(tmp_path, monkeypatch)
+    else:
+        for name in INPUTS:
+            shutil.copy(FIXTURES / name, tmp_path / name)
+        monkeypatch.chdir(tmp_path)
+    assert run("estimate", "--config", "config.json", "--out", "model.json") == 0
+    argv = ("contract", "--config", "config.json", "--building", building_id)
+    assert run(*argv, "--out", "contracts.csv") == 0
+    capsys.readouterr()
+
+    terms = load_run_config("config.json").require_terms()
+    building = CapabilityModel.load("model.json").building(building_id)
+    read = _read_contracts_csv(Path("contracts.csv"))
+    assert read.keys() == building.buckets.keys()
+    for key, bucket in building.buckets.items():
+        c_star = optimal_contract(terms, bucket.empirical).c_star
+        assert read[key].hex() == float(c_star).hex(), key.label
+
+
 # SHA-256 of the benchmark's library call on the fixtures: simulate_horizon on
 # acme_plant's fitted normals at the `contract` stage's c_star, 20000 trials
 # over its 1464 windows, round-robin, at the committed config's seed.
+# Re-recorded when c_star began to be written so that it reads back bit for bit.
 LIBRARY_CALL_DIGESTS = {
-    "profits": "d55089fc711501cfe9b52fd05a83f25e0b484ead158aa1436b64a950b7485828",
-    "result": "f3e0c6045dd66dd44f3ddaacabd03601224eadc9144b5456888ac794b23adde5",
+    "profits": "b2bd1446c5a47f3a07144e536c206ecfb590fbd7b5da0f704f3c7664d6af56b8",
+    "result": "285d5b7b52c312ed7c28a3514aca6e3bcc490746de3aaffa5669a544780dbfe9",
 }
 
 
