@@ -39,6 +39,8 @@ from .aggregation import (  # noqa: F401
     profit_delta_oracle,
 )
 from .contracts import (
+    ContractDecision,
+    decide_sorted,
     grid_search_optimal,
     optimal_contract,
 )
@@ -51,7 +53,6 @@ from .errors import (
 )
 from .estimation import (
     BucketKey,
-    BuildingModel,
     CapabilityModel,
     EstimationConfig,
     build_capability_model,
@@ -228,13 +229,14 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     distances = []
     for bid in sorted(model.buildings):
         bm = model.buildings[bid]
-        kept = len(bm.buckets)
+        # (mu, sigma, fit distance) of each bucket, in key order.
+        fits = [bm.table[key.month, key.is_weekend].fits[key.hour] for key in bm.sorted_keys()]
+        kept = len(fits)
         dropped = len(bm.dropped_buckets)
         total_kept += kept
         total_dropped += dropped
-        sigmas = [b.normal.sigma for b in bm.buckets.values()]
-        zero_sigma += sum(1 for s in sigmas if s == 0.0)
-        distances.extend(b.fit_distance for b in bm.buckets.values())
+        zero_sigma += sum(1 for _, sigma, _ in fits if sigma == 0.0)
+        distances.extend(distance for _, _, distance in fits)
         print(
             f"{bid}: {kept} buckets ({dropped} dropped), "
             f"{bm.days_used} days used, {bm.skipped_days} skipped"
@@ -249,19 +251,11 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _schedule_rows(building: BuildingModel, terms: ProgramTerms):
-    for key in building.sorted_keys():
-        emp = building.buckets[key].empirical
-        decision = optimal_contract(terms, emp)
-        oracle = grid_search_optimal(terms, emp)
-        yield key, emp, decision, oracle
-
-
 def _write_schedule_csv(path, rows) -> None:
     with Path(path).open("w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(SCHEDULE_CSV_HEADER_FULL)
-        for key, _, decision, oracle in rows:
+        for key, decision, oracle in rows:
             writer.writerow(
                 [
                     key.month,
@@ -303,17 +297,27 @@ def cmd_contract(args: argparse.Namespace) -> int:
     terms = config.require_terms()
     alphas = _parse_alpha_sweep(args.alpha_sweep) if args.alpha_sweep else None
     building = CapabilityModel.load(config.path("model")).building(args.building)
-    if not building.buckets:
+    if not building.table:
         raise ModelConsistencyError(f"building {args.building!r} has no buckets")
-    rows = list(_schedule_rows(building, terms))
-    _write_schedule_csv(args.out, rows)
+    keys = building.sorted_keys()
 
-    weights = np.array([emp.n for _, emp, _, _ in rows], dtype=float)
-    profits = np.array([d.expected_profit for _, _, d, _ in rows])
-    c_stars = np.array([d.c_star for _, _, d, _ in rows])
-    clipped = sum(1 for _, _, d, _ in rows if d.clipped != "none")
+    def decide(terms: ProgramTerms) -> list[ContractDecision]:
+        """Each bucket's decision in key order, from one call per (month, day type) block."""
+        blocks = building.table.items()
+        decided = {group: decide_sorted(terms, b.samples, b.prefix) for group, b in blocks}
+        return [decided[key.month, key.is_weekend].decision(key.hour) for key in keys]
+
+    emps = [building.series.buckets[key] for key in keys]
+    decisions = decide(terms)
+    oracles = [grid_search_optimal(terms, emp) for emp in emps]
+    _write_schedule_csv(args.out, zip(keys, decisions, oracles))
+
+    weights = np.array([emp.n for emp in emps], dtype=float)
+    profits = np.array([d.expected_profit for d in decisions])
+    c_stars = np.array([d.c_star for d in decisions])
+    clipped = sum(1 for d in decisions if d.clipped != "none")
     print(
-        f"{args.building}: {len(rows)} buckets; "
+        f"{args.building}: {len(keys)} buckets; "
         f"window-weighted expected profit {np.average(profits, weights=weights):.6g} $/window; "
         f"mean c_star {np.average(c_stars, weights=weights):.6g} kWh; "
         f"{clipped} clipped"
@@ -323,13 +327,11 @@ def cmd_contract(args: argparse.Namespace) -> int:
     if alphas is not None:
         out = Path(args.out)
         sweep_path = out.with_name(out.stem + "_alpha_sweep.csv")
-        emps = [emp for _, emp, _, _ in rows]
         with sweep_path.open("w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(ALPHA_SWEEP_HEADER)
             for alpha in alphas:
-                swept = terms.with_alpha(float(alpha))
-                decisions = [optimal_contract(swept, e) for e in emps]
+                decisions = decide(terms.with_alpha(float(alpha)))
                 total_c = float(np.dot(weights, [d.c_star for d in decisions]))
                 total_j = float(np.dot(weights, [d.expected_profit for d in decisions]))
                 total_obj = float(np.dot(weights, [d.objective_value for d in decisions]))

@@ -26,12 +26,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .distributions import (
     CurtailmentDistribution,
     EmpiricalDistribution,
+    linear_quantile,
     standard_normal_pdf,
     standard_normal_quantile,
 )
@@ -71,15 +73,25 @@ def _contract_sizes(terms: ProgramTerms, c) -> np.ndarray:
     return c_arr
 
 
+def _profit(terms: ProgramTerms, c, f, part):
+    """J(c) from F(c) and the partial expectation P(c)."""
+    shortfall = c * f - part
+    return terms.pi_r * c + terms.p * (
+        -terms.pi_p * shortfall + terms.pi_e * (part + c * (1.0 - f))
+    )
+
+
+def _tail_profit(terms: ProgramTerms, c, q_tail):
+    """CVaR(c) from E[q | q <= q_hat]."""
+    return terms.pi_r * c + terms.p * (terms.pi_e * q_tail - terms.pi_p * (c - q_tail))
+
+
 def expected_profit(terms: ProgramTerms, dist: CurtailmentDistribution, c):
     """Expected per-window profit J(c); accepts scalar or array c."""
     c_arr = _contract_sizes(terms, c)
     f = np.asarray(dist.cdf(c_arr), dtype=float)
     part = np.asarray(dist.partial_expectation(c_arr), dtype=float)
-    shortfall = c_arr * f - part
-    out = terms.pi_r * c_arr + terms.p * (
-        -terms.pi_p * shortfall + terms.pi_e * (part + c_arr * (1.0 - f))
-    )
+    out = _profit(terms, c_arr, f, part)
     return out if np.ndim(c) else float(out)
 
 
@@ -125,9 +137,7 @@ def cvar(terms: ProgramTerms, dist: CurtailmentDistribution, c):
     c_arr = _contract_sizes(terms, c)
     q_hat = tail_cutoff(terms, dist)
     q_tail = float(dist.partial_expectation(q_hat)) / float(dist.cdf(q_hat))
-    out = terms.pi_r * c_arr + terms.p * (
-        terms.pi_e * q_tail - terms.pi_p * (c_arr - q_tail)
-    )
+    out = _tail_profit(terms, c_arr, q_tail)
     return out if np.ndim(c) else float(out)
 
 
@@ -188,50 +198,88 @@ def grid_search_optimal(terms: ProgramTerms, dist: CurtailmentDistribution) -> f
     return float(grid[int(np.argmax(values))])
 
 
+def _contract_outside(terms: ProgramTerms, psi: float) -> float | None:
+    """The contract when psi leaves (0, 1): 0 (shut off) or the cap; None inside."""
+    if psi <= 0.0:
+        return 0.0
+    if psi >= 1.0 and math.isinf(terms.contract_cap):
+        raise UnconstrainedContractError(
+            f"psi = {psi:g} >= 1 with no contract cap: optimum is unbounded"
+        )
+    return terms.contract_cap if psi >= 1.0 else None
+
+
+class SortedDecisions(NamedTuple):
+    """The decisions of decide_sorted, one entry per row."""
+
+    psi: float
+    clipped_high: np.ndarray
+    c_star: np.ndarray
+    expected_profit: np.ndarray
+    cvar_value: np.ndarray
+    objective_value: np.ndarray
+
+    def decision(self, row: int) -> ContractDecision:
+        c, profit, tail, value = (float(values[row]) for values in self[2:])
+        high = bool(self.clipped_high[row])
+        return ContractDecision(c, self.psi, self.psi <= 0.0, high, profit, tail, value)
+
+
+def decide_sorted(terms: ProgramTerms, samples: np.ndarray, prefix: np.ndarray) -> SortedDecisions:
+    """Size the contract of each row of samples, a (rows x n) block sorted along its rows.
+
+    prefix[r, k] is the sum of the k smallest samples of row r.  The optimum
+    is the smallest sample whose cdf reaches psi: below it the objective
+    rises, from it on it does not.  That is one order statistic, so one
+    column decides every row.  Each row's values are those expected_profit
+    and cvar give on its EmpiricalDistribution, bit for bit.
+    """
+    psi = quantile_argument(terms)
+    rows, n = samples.shape
+    c = _contract_outside(terms, psi)
+    if c is None:
+        # Levels k/n as cdf computes them, so psi = F(s_k) picks s_k.
+        c = samples[:, int(np.searchsorted(np.arange(1, n + 1) / n, psi))]
+        clipped_high = c >= terms.contract_cap
+        c = np.where(clipped_high, terms.contract_cap, c)
+    else:
+        clipped_high, c = np.full(rows, psi >= 1.0), np.full(rows, c)
+
+    def below(x):
+        """F(x) and P(x) of each row, as cdf and partial_expectation compute them."""
+        k = np.count_nonzero(samples <= x[:, None], axis=1)
+        return k / n, prefix[np.arange(rows), k] / n
+
+    profit = _profit(terms, c, *below(c))
+    f_hat, part_hat = below(np.maximum(linear_quantile(samples, terms.tail_mass), 0.0))
+    tail = _tail_profit(terms, c, part_hat / f_hat)
+    # The expression objective() evaluates, on the values already in hand.
+    value = profit if terms.alpha == 0.0 else profit + terms.alpha * tail
+    return SortedDecisions(psi, clipped_high, c, profit, tail, value)
+
+
 def optimal_contract(terms: ProgramTerms, dist: CurtailmentDistribution) -> ContractDecision:
     """Size the contract at the psi-quantile, the exact argmax, with clipping flags.
 
-    For samples that is the smallest sample whose cdf reaches psi: below it
-    the objective rises, from it on it does not.
+    Samples are decide_sorted's one-row block.
     """
+    if isinstance(dist, EmpiricalDistribution):
+        return decide_sorted(terms, dist.samples[None], dist.prefix[None]).decision(0)
     psi = quantile_argument(terms)
-    cap = terms.contract_cap
-    clipped_low = clipped_high = False
-    if psi <= 0.0:
-        c = 0.0
-        clipped_low = True
-    elif psi >= 1.0:
-        if math.isinf(cap):
-            raise UnconstrainedContractError(
-                f"psi = {psi:g} >= 1 with no contract cap: optimum is unbounded"
-            )
-        c = cap
-        clipped_high = True
-    else:
-        if isinstance(dist, EmpiricalDistribution):
-            # Levels k/n as cdf computes them, so psi = F(s_k) picks s_k.
-            levels = np.arange(1, dist.n + 1) / dist.n
-            c = float(dist.samples[int(np.searchsorted(levels, psi))])
-        else:
-            c = float(dist.quantile(psi))
-            if c < 0.0:
-                c = 0.0
-                clipped_low = True
-        if c >= cap:
-            c = cap
+    clipped_low, clipped_high = psi <= 0.0, psi >= 1.0
+    c = _contract_outside(terms, psi)
+    if c is None:
+        c = float(dist.quantile(psi))
+        if c < 0.0:
+            c = 0.0
+            clipped_low = True
+        if c >= terms.contract_cap:
+            c = terms.contract_cap
             clipped_high = True
     profit = expected_profit(terms, dist, c)
     tail = cvar(terms, dist, c)
-    return ContractDecision(
-        c_star=c,
-        psi=psi,
-        clipped_low=clipped_low,
-        clipped_high=clipped_high,
-        expected_profit=profit,
-        cvar_value=tail,
-        # The expression objective() evaluates, on the values already in hand.
-        objective_value=profit if terms.alpha == 0.0 else profit + terms.alpha * tail,
-    )
+    value = profit if terms.alpha == 0.0 else profit + terms.alpha * tail
+    return ContractDecision(c, psi, clipped_low, clipped_high, profit, tail, value)
 
 
 def optimal_profit_formula(

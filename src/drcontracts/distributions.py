@@ -198,6 +198,33 @@ def _check_unit_interval(u: np.ndarray) -> None:
         raise ValueError("quantile argument must lie in [0, 1]")
 
 
+def linear_quantile(samples: np.ndarray, u):
+    """numpy's default ``linear`` quantile of samples sorted along the last axis.
+
+    The virtual index (n - 1)*u falls between the samples at its floor and
+    the next index; from the last index on, numpy takes the last sample on
+    both sides and measures the weight t from index -1.  Its lerp steps back
+    from the upper sample once t >= 0.5.  u is one level for a block of rows
+    or any array of levels for one row.
+    """
+    n = samples.shape[-1]
+    virtual = (n - 1) * np.asarray(u, dtype=float)
+    top = virtual >= n - 1
+    below = np.where(top, -1.0, np.floor(virtual))
+    lo = below.astype(np.intp)
+    a, b = samples[..., lo], samples[..., np.where(top, -1, lo + 1)]
+    t = virtual - below
+    return np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t)
+
+
+def check_normal_parameters(mu: float, sigma: float) -> None:
+    """The checks NormalDistribution makes on its parameters."""
+    if not math.isfinite(mu):
+        raise ValueError(f"mu must be finite, got {mu!r}")
+    if not (math.isfinite(sigma) and sigma >= 0.0):
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class EmpiricalDistribution:
     """Distribution putting mass 1/n on each stored sample.
@@ -233,8 +260,8 @@ class EmpiricalDistribution:
         return self._original
 
     @cached_property
-    def _prefix(self) -> np.ndarray:
-        # _prefix[k] = sum of the k smallest samples
+    def prefix(self) -> np.ndarray:
+        """prefix[k] is the sum of the k smallest samples."""
         return np.concatenate(([0.0], np.cumsum(self.samples)))
 
     def cdf(self, x):
@@ -243,22 +270,10 @@ class EmpiricalDistribution:
         return out if out.ndim else float(out)
 
     def quantile(self, u):
-        """Interpolated quantile, bit for bit numpy's default ``linear`` method.
-
-        The virtual index (n - 1)*u falls between the samples at its floor
-        and the next index; from the last index on, numpy takes the last
-        sample on both sides and measures the weight t from index -1.  Its
-        lerp steps back from the upper sample once t >= 0.5.
-        """
+        """Interpolated quantile, bit for bit numpy's default ``linear`` method."""
         u_arr = np.asarray(u, dtype=float)
         _check_unit_interval(u_arr)
-        virtual = (self.n - 1) * u_arr
-        top = virtual >= self.n - 1
-        below = np.where(top, -1.0, np.floor(virtual))
-        lo = below.astype(np.intp)
-        a, b = self.samples[lo], self.samples[np.where(top, -1, lo + 1)]
-        t = virtual - below
-        out = np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t)
+        out = linear_quantile(self.samples, u_arr)
         return out if np.ndim(u) else float(out)
 
     def partial_expectation(self, c):
@@ -267,7 +282,7 @@ class EmpiricalDistribution:
         if c.size and np.min(c) < 0.0:
             raise ValueError("partial expectation bound must be >= 0")
         k = np.searchsorted(self.samples, c, side="right")
-        out = self._prefix[k] / self.n
+        out = self.prefix[k] / self.n
         return out if out.ndim else float(out)
 
     def shortfall_expectation(self, c):
@@ -310,10 +325,7 @@ class NormalDistribution:
     sigma: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.mu):
-            raise ValueError(f"mu must be finite, got {self.mu!r}")
-        if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
-            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma!r}")
+        check_normal_parameters(self.mu, self.sigma)
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)

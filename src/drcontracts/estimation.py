@@ -7,7 +7,9 @@ hourly curtailment-capability estimate, one row of a (days x 24) array.  The
 buckets slice that array: the days of one (month, weekday/weekend) give each
 hour-of-day's bucket its column, in day order, as an empirical distribution
 with a fitted normal alongside.  model.json stores the array and the fits; its
-reader re-buckets it.  Two buildings' samples pair by day:
+reader checks them and builds each building's bucket table, one block sorted
+along its rows per (month, day type), and no bucket objects until a caller
+asks for them.  Two buildings' samples pair by day:
 ``restrict_to_common`` keeps the days both have, so the same bucket of each
 restricted series holds the same days in the same order.
 """
@@ -29,6 +31,7 @@ import numpy as np
 from .distributions import (
     EmpiricalDistribution,
     NormalDistribution,
+    check_normal_parameters,
     fit_normal,
 )
 from .errors import InputFormatError, ModelConsistencyError
@@ -85,8 +88,17 @@ class BucketKey:
 
     @property
     def label(self) -> str:
-        day = "weekend" if self.is_weekend else "weekday"
-        return f"{self.month:02d}-{self.hour:02d}-{day}"
+        return _label(self.month, self.hour, self.is_weekend)
+
+
+def _label(month: int, hour: int, is_weekend: bool) -> str:
+    return f"{month:02d}-{hour:02d}-{'weekend' if is_weekend else 'weekday'}"
+
+
+def _cells(groups) -> list[tuple[int, int, bool]]:
+    """(month, hour, is_weekend) of each bucket of the (month, is_weekend) groups, in key order."""
+    cells = ((month, hour, weekend) for month, weekend in groups for hour in range(HOURS_PER_DAY))
+    return sorted(cells)
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,22 +176,27 @@ class CurtailableSeries:
     source: CurtailableSeries | None = field(default=None, repr=False, compare=False)
 
     @cached_property
+    def groups(self) -> dict[tuple[int, bool], list[int]]:
+        """The rows of each (month, is_weekend), in day order."""
+        groups: dict[tuple[int, bool], list[int]] = {}
+        for row, day in enumerate(self.days):
+            groups.setdefault((day.month, day.weekday() >= 5), []).append(row)
+        return groups
+
+    @cached_property
     def buckets(self) -> dict[BucketKey, EmpiricalDistribution]:
         """The day rows pooled into calendar buckets, built on first access.
 
         The days of one (month, day type) give each hour's bucket its column
-        of samples, in day order.  ``estimate`` and the model reader both
-        read these through ``split_buckets``, and ``aggregate`` reads those
-        of the series ``restrict_to_common`` returns.  A (month, day type)
-        that lost no day from the source keeps the source's 24 buckets, which
-        hold the same samples in the same order.
+        of samples, in day order.  ``estimate`` fits these, a building
+        model's ``buckets`` hold them, and ``aggregate`` reads those of the
+        series ``restrict_to_common`` returns.  A (month, day type) that lost
+        no day from the source keeps the source's 24 buckets, which hold the
+        same samples in the same order.
         """
-        groups: dict[tuple[int, bool], list[int]] = {}
-        for row, day in enumerate(self.days):
-            groups.setdefault((day.month, day.weekday() >= 5), []).append(row)
         source = self.source.buckets if self.source is not None else {}
         out = {}
-        for (month, is_weekend), rows in groups.items():
+        for (month, is_weekend), rows in self.groups.items():
             keys = [BucketKey(month, hour, is_weekend) for hour in range(HOURS_PER_DAY)]
             if keys[0] in source and source[keys[0]].n == len(rows):
                 out.update((key, source[key]) for key in keys)
@@ -240,13 +257,40 @@ def restrict_to_common(series: Sequence[CurtailableSeries]) -> list[CurtailableS
     return out
 
 
-def split_buckets(
+def split_groups(
     series: CurtailableSeries, min_bucket_size: int
-) -> tuple[dict[BucketKey, EmpiricalDistribution], tuple[tuple[str, int], ...]]:
-    """The buckets of at least min_bucket_size samples, and (label, size) of the rest."""
-    buckets = sorted(series.buckets.items())
-    kept = {key: emp for key, emp in buckets if emp.n >= min_bucket_size}
-    return kept, tuple((key.label, emp.n) for key, emp in buckets if key not in kept)
+) -> tuple[list[tuple[int, bool]], tuple[tuple[str, int], ...]]:
+    """The (month, is_weekend) groups of at least min_bucket_size days, sorted,
+    and (label, size) of the buckets of the rest."""
+    groups = series.groups
+    kept = sorted(group for group, rows in groups.items() if len(rows) >= min_bucket_size)
+    dropped = _cells(groups.keys() - set(kept))
+    return kept, tuple((_label(*cell), len(groups[cell[0], cell[2]])) for cell in dropped)
+
+
+@dataclass(frozen=True, eq=False)
+class BucketBlock:
+    """The 24 buckets of one (month, day type), hour h in row h of each read-only array.
+
+    samples is (24 x days), C-contiguous and sorted stably along its rows,
+    as EmpiricalDistribution sorts; prefix[h, k] is the sum of the k smallest
+    samples of row h; fits[h] holds hour h's mu, sigma and fit distance.
+    """
+
+    samples: np.ndarray
+    prefix: np.ndarray
+    fits: np.ndarray
+
+
+def _bucket_block(series: CurtailableSeries, group: tuple[int, bool], fits) -> BucketBlock:
+    samples = np.ascontiguousarray(series.values[series.groups[group]].T)
+    samples.sort(axis=1, kind="stable")
+    prefix = np.zeros((HOURS_PER_DAY, samples.shape[1] + 1))
+    np.cumsum(samples, axis=1, out=prefix[:, 1:])
+    fits = np.array(fits, dtype=float)
+    for array in (samples, prefix, fits):
+        array.flags.writeable = False
+    return BucketBlock(samples, prefix, fits)
 
 
 @dataclass(frozen=True)
@@ -281,12 +325,25 @@ class BucketModel:
 
 @dataclass(frozen=True)
 class BuildingModel:
-    """One building's day matrix and the fitted buckets kept from it."""
+    """One building's day matrix and the bucket table kept from it."""
 
     building_id: str
     series: CurtailableSeries
-    buckets: Mapping[BucketKey, BucketModel]
+    table: Mapping[tuple[int, bool], BucketBlock]
     dropped_buckets: tuple[tuple[str, int], ...]
+
+    @cached_property
+    def buckets(self) -> dict[BucketKey, BucketModel]:
+        """Each kept bucket's samples and fit, in key order, built on first access.
+
+        The samples are the series' own buckets, in day order.
+        """
+        samples = self.series.buckets
+        out = {}
+        for key in self.sorted_keys():
+            mu, sigma, distance = self.table[key.month, key.is_weekend].fits[key.hour].tolist()
+            out[key] = BucketModel(samples[key], NormalDistribution(mu, sigma), distance)
+        return out
 
     @property
     def days_used(self) -> int:
@@ -297,7 +354,7 @@ class BuildingModel:
         return self.series.skipped_days
 
     def sorted_keys(self) -> list[BucketKey]:
-        return sorted(self.buckets)
+        return [BucketKey(*cell) for cell in _cells(self.table)]
 
 
 @dataclass(frozen=True)
@@ -326,10 +383,9 @@ class CapabilityModel:
                 "values": bm.series.values.tolist(),
                 "skipped_days": bm.skipped_days,
                 "buckets": {
-                    key.label: {
-                        "mu": b.normal.mu, "sigma": b.normal.sigma, "fit_distance": b.fit_distance
-                    }
-                    for key, b in bm.buckets.items()
+                    _label(month, hour, is_weekend): dict(zip(("mu", "sigma", "fit_distance"), fit))
+                    for (month, is_weekend), block in bm.table.items()
+                    for hour, fit in enumerate(block.fits.tolist())
                 },
             }
         return {
@@ -385,24 +441,28 @@ class CapabilityModel:
 
 
 def _read_building(bid: str, raw: dict, min_bucket_size: int) -> BuildingModel:
-    """Re-bucket the stored days and values and attach the stored fits."""
+    """Check the stored days, values and fits, and build the bucket table from them."""
     _check_keys(f"building {bid!r}", raw, ("days", "values", "skipped_days", "buckets"))
     series = _read_series(raw)
-    kept, dropped = split_buckets(series, min_bucket_size)
+    kept, dropped = split_groups(series, min_bucket_size)
     fits = raw["buckets"]
-    labels = {key.label for key in kept}
-    if set(fits) != labels:
+    cells = _cells(kept)
+    labels = [_label(*cell) for cell in cells]
+    if set(fits) != set(labels):
         raise ValueError(
             f"building {bid!r}: bucket labels differ from the buckets its days and values "
-            f"keep (missing {sorted(labels - set(fits))}, extra {sorted(set(fits) - labels)})"
+            f"keep (missing {sorted(set(labels) - set(fits))}, "
+            f"extra {sorted(set(fits) - set(labels))})"
         )
-    buckets = {}
-    for key, emp in kept.items():
-        fit = fits[key.label]
-        _check_keys(f"bucket {key.label} of {bid!r}", fit, ("mu", "sigma", "fit_distance"))
-        normal = NormalDistribution(_number("mu", fit["mu"]), _number("sigma", fit["sigma"]))
-        buckets[key] = BucketModel(emp, normal, _number("fit_distance", fit["fit_distance"]))
-    return BuildingModel(bid, series, buckets, dropped)
+    params = {group: [] for group in kept}
+    for (month, _, is_weekend), label in zip(cells, labels):
+        fit = fits[label]
+        _check_keys(f"bucket {label} of {bid!r}", fit, ("mu", "sigma", "fit_distance"))
+        mu, sigma = _number("mu", fit["mu"]), _number("sigma", fit["sigma"])
+        check_normal_parameters(mu, sigma)
+        params[month, is_weekend].append((mu, sigma, _number("fit_distance", fit["fit_distance"])))
+    table = {group: _bucket_block(series, group, fit) for group, fit in params.items()}
+    return BuildingModel(bid, series, table, dropped)
 
 
 def _read_series(raw: dict) -> CurtailableSeries:
@@ -464,10 +524,16 @@ def build_capability_model(
     buildings = {}
     for bid in sorted(table.buildings):
         series = curtailable_series(table.buildings[bid], shapes, config.curtailable_fraction)
-        kept, dropped = split_buckets(series, config.min_bucket_size)
-        buckets = {key: BucketModel(emp, *fit_normal(emp)) for key, emp in kept.items()}
-        buildings[bid] = BuildingModel(bid, series, buckets, dropped)
-    if not any(b.buckets for b in buildings.values()):
+        kept, dropped = split_groups(series, config.min_bucket_size)
+        blocks = {}
+        for month, is_weekend in kept:
+            fits = []
+            for hour in range(HOURS_PER_DAY):
+                normal, distance = fit_normal(series.buckets[BucketKey(month, hour, is_weekend)])
+                fits.append((normal.mu, normal.sigma, distance))
+            blocks[month, is_weekend] = _bucket_block(series, (month, is_weekend), fits)
+        buildings[bid] = BuildingModel(bid, series, blocks, dropped)
+    if not any(b.table for b in buildings.values()):
         raise ModelConsistencyError("no valid buckets after the minimum-size rule")
     return CapabilityModel(
         buildings=buildings,

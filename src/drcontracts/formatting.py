@@ -22,7 +22,10 @@ T = TypeVar("T")
 
 def is_number(value) -> bool:
     """A real number that is not a boolean (JSON true/false are not numbers)."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    # The exact-type test is the fast path: it settles every JSON number.
+    return type(value) in (float, int) or (
+        isinstance(value, numbers.Real) and not isinstance(value, bool)
+    )
 
 
 def is_integer(value) -> bool:

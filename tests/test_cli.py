@@ -424,6 +424,75 @@ class TestContract:
 
 
 @pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("values", 0, 3), "1.5", "values must be a list of 24-long rows of JSON numbers"),
+        (("values", 2, 5), -0.5, "values must be finite and >= 0"),
+        (
+            ("buckets", "03-10-weekday"),
+            None,
+            "building 'birch_mall': bucket labels differ from the buckets its days and "
+            "values keep (missing ['03-10-weekday'], extra [])",
+        ),
+        (("buckets", "03-10-weekday", "sigma"), -1.0, "sigma must be finite and >= 0, got -1.0"),
+    ],
+)
+def test_model_load_checks_buildings_the_command_does_not_use(
+    workspace, capsys, path, value, message
+):
+    model = json.loads((workspace / "model.json").read_text())
+    target = model["buildings"]["birch_mall"]
+    for step in path[:-1]:
+        target = target[step]
+    # None deletes the entry; anything else replaces it.
+    if value is None:
+        del target[path[-1]]
+    else:
+        target[path[-1]] = value
+    (workspace / "model_other.json").write_text(json.dumps(model))
+    obj = json.loads((workspace / "config.json").read_text())
+    obj["paths"]["model"] = "model_other.json"
+    config = workspace / "config_other.json"
+    config.write_text(json.dumps(obj))
+    out = workspace / "other.csv"
+    code = run("contract", "--config", str(config), "--building", "acme_plant", "--out", str(out))
+    assert code == 2
+    assert capsys.readouterr().err == f"error: malformed capability model: {message}\n"
+    assert not out.exists()
+
+
+def test_buckets_are_built_only_for_the_building_in_use(workspace, monkeypatch, capsys):
+    from drcontracts.distributions import EmpiricalDistribution
+
+    built = []
+    init = EmpiricalDistribution.__post_init__
+
+    def counting(self):
+        init(self)
+        built.append(self)
+
+    model = CapabilityModel.load(workspace / "model.json")
+    acme = model.building("acme_plant").series
+    buckets = 24 * len(acme.groups)
+    columns = {
+        acme.values[rows, hour].tobytes() for rows in acme.groups.values() for hour in range(24)
+    }
+    monkeypatch.setattr(EmpiricalDistribution, "__post_init__", counting)
+    CapabilityModel.load(workspace / "model.json")
+    assert built == []
+
+    config = str(workspace / "config.json")
+    args = ("--config", config, "--building", "acme_plant", "--out")
+    assert run("contract", *args, str(workspace / "counted.csv")) == 0
+    assert 0 < len(built) <= buckets
+    built.clear()
+    assert run("simulate", *args, str(workspace / "counted.json")) == 0
+    assert len(built) == buckets
+    assert {dist.original_samples.tobytes() for dist in built} <= columns
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("contract", "--building", "acme_plant"),

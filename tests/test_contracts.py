@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -28,7 +29,7 @@ from drcontracts import (
     quantile_argument,
     quantile_loss,
 )
-from drcontracts.contracts import GRID_POINTS, _search_upper_bound, tail_cutoff
+from drcontracts.contracts import GRID_POINTS, _search_upper_bound, decide_sorted, tail_cutoff
 from drcontracts.distributions import standard_normal_pdf
 
 from conftest import dense_uniform, sampled_normal, terms_for_psi
@@ -437,6 +438,81 @@ class TestExactOptimizer:
             assert grid_search_optimal(terms, dist) == 0.0
             grid = np.linspace(0.0, 140.0, 141)[1:]
             assert np.all(objective(terms, dist, grid) < decision.objective_value)
+
+
+def bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+@st.composite
+def sorted_block_cases(draw):
+    """A (rows x n) block, unsorted, with terms in one regime of the quantile rule.
+
+    Samples come from a few fixed values, so rows hold ties, and some rows
+    are all zero (point masses).  The regimes: psi exactly a level k/n,
+    psi in (0, 1) at some alpha and c_hat, psi <= 0 past the shut-off
+    threshold, and psi >= 1 with a finite cap.  The cap is absent, one of
+    the samples (so it falls inside some rows) or any value up to past the
+    largest sample.
+    """
+    n = draw(st.integers(2, 9))
+    rows = draw(st.integers(1, 4))
+    value = st.one_of(st.sampled_from([0.0, 0.5, 2.0, 3.25]), st.floats(0.0, 50.0))
+    block = np.array(draw(st.lists(st.lists(value, min_size=n, max_size=n),
+                                   min_size=rows, max_size=rows)))
+    block[np.array(draw(st.lists(st.booleans(), min_size=rows, max_size=rows)))] = 0.0
+    c_max = draw(st.one_of(st.sampled_from(block.ravel().tolist()), st.floats(0.0, 60.0)))
+    regime = draw(st.sampled_from(["level", "interior", "shut_off", "at_cap"]))
+    if regime == "at_cap":
+        terms = ProgramTerms(
+            pi_e=4.0, pi_r=0.05, pi_p=0.01, p=0.5, c_max=c_max, allow_ill_posed=True
+        )
+        return block, terms
+    c_max = draw(st.one_of(st.none(), st.just(c_max)))
+    if regime == "level":
+        # psi = (pi_r + 1/2)/2 here, and every step of it is exact.
+        k = draw(st.integers(-(-n // 4), n - 1))
+        terms = ProgramTerms(pi_e=1.0, pi_r=2.0 * (k / n) - 0.5, pi_p=3.0, p=0.5, c_max=c_max)
+        assert quantile_argument(terms) == k / n
+        return block, terms
+    a0 = alpha_threshold(SHUTOFF_TERMS)
+    alpha = draw(st.floats(0.0, 0.99 * a0) if regime == "interior" else st.floats(a0, 4.0 * a0))
+    terms = dataclasses.replace(
+        SHUTOFF_TERMS, alpha=alpha, c_hat=draw(st.sampled_from([0.5, 0.8, 0.95])), c_max=c_max
+    )
+    return block, terms
+
+
+class TestDecideSorted:
+    @settings(max_examples=300, deadline=None)
+    @given(case=sorted_block_cases())
+    def test_each_row_is_its_distributions_decision_bit_for_bit(self, case):
+        block, terms = case
+        samples = np.sort(block, axis=1, kind="stable")
+        prefix = np.zeros((samples.shape[0], samples.shape[1] + 1))
+        np.cumsum(samples, axis=1, out=prefix[:, 1:])
+        decided = decide_sorted(terms, samples, prefix)
+        psi = quantile_argument(terms)
+        cap = terms.contract_cap
+        assert decided.psi == psi
+        for row, values in enumerate(block):
+            dist = EmpiricalDistribution(values)
+            if psi <= 0.0:
+                c, high = 0.0, False
+            elif psi >= 1.0:
+                c, high = cap, True
+            else:
+                # The smallest sample whose cdf reaches psi, then the cap.
+                first = next(x for x in dist.samples if dist.cdf(x) >= psi)
+                c, high = (cap, True) if first >= cap else (float(first), False)
+            assert bits(decided.c_star[row]) == bits(c)
+            assert decided.clipped_high[row] == high
+            assert bits(decided.expected_profit[row]) == bits(expected_profit(terms, dist, c))
+            assert bits(decided.cvar_value[row]) == bits(cvar(terms, dist, c))
+            assert bits(decided.objective_value[row]) == bits(objective(terms, dist, c))
+            decision = decided.decision(row)
+            assert decision.clipped_low == (psi <= 0.0)
+            assert optimal_contract(terms, dist) == decision
 
 
 def sigma_slope(terms, mu: float, sigma: float) -> float:
