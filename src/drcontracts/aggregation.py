@@ -231,15 +231,15 @@ def profit_delta_from_sigmas(
     if not 0.0 <= sigma_ag < math.inf:
         raise ValueError(f"aggregate spread must be finite and >= 0, got {sigma_ag!r}")
     delta_sigma = float(sigmas.sum()) - float(sigma_ag)
+    return _analytic_deltas(terms, delta_sigma, sigmas.size)
+
+
+def _analytic_deltas(terms: ProgramTerms, delta_sigma, members: int):
+    """(delta_j_printed, delta_j_cancelled) of pools of members, from one gamma."""
     g = gamma(terms)
     cancelled = delta_sigma * bracket_factor(terms, g)
-    printed = cancelled + (
-        -terms.p
-        * (terms.pi_p + terms.pi_e)
-        * (sigmas.size - 1)
-        * float(standard_normal_cdf(g))
-    )
-    return printed, cancelled
+    count_term = -terms.p * (terms.pi_p + terms.pi_e) * (members - 1) * standard_normal_cdf(g)
+    return cancelled + count_term, cancelled
 
 
 def profit_delta_normal(portfolio: AssetPortfolio) -> tuple[float, float]:
@@ -262,30 +262,34 @@ class PartnerRank:
     individual_profit: float
 
 
+def score_pools(terms: ProgramTerms, sigmas, profits, sigma_ag, joint) -> np.ndarray:
+    """delta_sigma, delta_j_oracle, delta_j_printed and delta_j_cancelled, stacked.
+
+    sigmas and profits hold the members' spreads and optimal expected profits
+    under terms, a row per member (and a column per pool, for several pools);
+    sigma_ag and joint hold the pools'.  The values are complementarity's,
+    profit_delta_oracle's and profit_delta_from_sigmas', except that the
+    analytic deltas are NaN where psi lies outside (0, 1) and gamma does not exist.
+    """
+    sigmas = np.asarray(sigmas, dtype=float)
+    delta_sigma = sigmas.sum(axis=0) - sigma_ag
+    analytic = (np.nan, np.nan)
+    if 0.0 < quantile_argument(terms) < 1.0:
+        analytic = _analytic_deltas(terms, delta_sigma, len(sigmas))
+    oracle = joint - np.sum(profits, axis=0)
+    return np.array(np.broadcast_arrays(delta_sigma, oracle, *analytic))
+
+
 def _score_pair(
     pair: AssetPortfolio, decisions: Sequence[ContractDecision]
 ) -> tuple[float, float, float, float]:
-    """delta_sigma, delta_j_oracle, delta_j_printed and delta_j_cancelled of a pair.
-
-    decisions are the members' own contracts under pair.terms, decided by the
-    caller; only the pooled contract is decided here.  Each value is the one
-    complementarity, profit_delta_oracle and profit_delta_from_sigmas give,
-    except that the two analytic deltas are NaN when psi lies outside (0, 1)
-    (past the shut-off threshold, say), where gamma does not exist.
-    """
-    terms = pair.terms
-    sigmas = member_sigmas(pair)
+    """score_pools of one pool; decisions are its members' own contracts under
+    pair.terms, decided by the caller, and only the pooled one is decided here."""
     pooled = aggregate_distribution(pair)
-    sigma_ag = pooled.stddev()
-    joint = optimal_contract(terms, pooled).expected_profit
-    analytic = (math.nan, math.nan)
-    if 0.0 < quantile_argument(terms) < 1.0:
-        analytic = profit_delta_from_sigmas(terms, sigmas, sigma_ag)
-    return (
-        float(sigmas.sum()) - sigma_ag,
-        float(joint - sum(d.expected_profit for d in decisions)),
-        *analytic,
-    )
+    joint = optimal_contract(pair.terms, pooled).expected_profit
+    profits = [d.expected_profit for d in decisions]
+    scores = score_pools(pair.terms, member_sigmas(pair), profits, pooled.stddev(), joint)
+    return tuple(scores.tolist())
 
 
 def rank_partners(

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import hashlib
 import json
 import math
@@ -27,23 +26,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .aggregation import AssetPortfolio, PartnerRank, _score_pair, write_ranking_csv
+from .aggregation import PartnerRank, score_pools, write_ranking_csv
 
 # Not called here; bound only because perfbench/spans.py wraps these names
-# (they go with ROADMAP item 1).
-from .aggregation import (  # noqa: F401
-    aggregate_distribution,
-    complementarity,
-    member_sigmas,
-    profit_delta_from_sigmas,
-    profit_delta_oracle,
-)
-from .contracts import (
-    ContractDecision,
-    decide_sorted,
-    grid_search_optimal,
-    optimal_contract,
-)
+# (they wait on the benchmark change, ROADMAP item 2).
+from .aggregation import aggregate_distribution, complementarity, member_sigmas  # noqa: F401
+from .aggregation import profit_delta_from_sigmas, profit_delta_oracle  # noqa: F401
+from .contracts import ContractDecision, decide_sorted, grid_search_optimal
+from .contracts import optimal_contract  # noqa: F401  (wrapped, as above)
 from .errors import (
     AlignmentError,
     DrContractsError,
@@ -52,6 +42,7 @@ from .errors import (
     UnconstrainedContractError,
 )
 from .estimation import (
+    HOURS_PER_DAY,
     BucketKey,
     CapabilityModel,
     EstimationConfig,
@@ -60,6 +51,7 @@ from .estimation import (
     read_load_csv,
     read_shapes_csv,
     restrict_to_common,
+    sorted_block,
 )
 from .formatting import (
     flag,
@@ -374,6 +366,20 @@ def spearman_rho(x, y) -> float:
     return float(np.corrcoef(_average_ranks(x), _average_ranks(y))[0, 1])
 
 
+def _spread_and_profit(terms: ProgramTerms, samples, prefix) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's sample stddev and optimal expected profit, from a sorted block."""
+    return samples.std(axis=1, ddof=1), decide_sorted(terms, samples, prefix).expected_profit
+
+
+def _weighted_means(groups, columns, sizes) -> list[float]:
+    """Means of the groups' hour columns by day count, summed in BucketKey order to keep bits."""
+    month, weekend = np.repeat(np.array(groups, dtype=int), HOURS_PER_DAY, axis=0).T
+    order = np.lexsort((weekend, np.tile(np.arange(HOURS_PER_DAY), len(groups)), month))
+    weights = np.repeat(sizes, HOURS_PER_DAY)[order]
+    values = np.atleast_2d(np.hstack(columns))[:, order]
+    return [float(np.average(v, weights=weights)) for v in values]
+
+
 def cmd_aggregate(args: argparse.Namespace) -> int:
     config = load_run_config(args.config)
     terms = config.require_terms()
@@ -385,39 +391,45 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
     if repeated:
         raise ModelConsistencyError(f"candidates listed more than once: {repeated}")
 
-    # Distributions hash by identity, so each distinct bucket is decided once per call.
-    decide = functools.cache(lambda dist: optimal_contract(terms, dist))
-    ranks = []
-    unalignable: list[str] = []
+    def loaded(bm) -> dict:
+        """(stddev, expected profit) rows of each of the building's loaded blocks."""
+        return {g: _spread_and_profit(terms, b.samples, b.prefix) for g, b in bm.table.items()}
+
+    base_stats = loaded(base)
+    ranks, unalignable = [], []
     for cand_id in args.candidates:
         cand = model.building(cand_id)
-        # A series that keeps all its days comes back as itself, loaded buckets and all.
-        base_shared, cand_shared = (
-            s.buckets for s in restrict_to_common([base.series, cand.series])
-        )
-        scores = []
-        weights = []
-        for key in sorted(set(base.buckets) & set(cand.buckets)):
-            if key not in base_shared or base_shared[key].n < 2:
-                unalignable.append(f"{cand_id}:{key.label}")
+        cand_stats = loaded(cand)
+        shared = restrict_to_common([base.series, cand.series])
+        groups, columns, sizes = [], [], []
+        for month, is_weekend in sorted(base.table.keys() & cand.table.keys()):
+            group = month, is_weekend
+            days = [s.values[s.groups.get(group, [])] for s in shared]
+            if len(days[0]) < 2:
+                keys = (BucketKey(month, hour, is_weekend) for hour in range(HOURS_PER_DAY))
+                unalignable.extend(f"{cand_id}:{key.label}" for key in keys)
                 continue
-            members = (("base", base_shared[key]), ("candidate", cand_shared[key]))
-            pair = AssetPortfolio(members=members, terms=terms)
-            scores.append(_score_pair(pair, [decide(emp) for _, emp in members]))
-            weights.append(base_shared[key].n)
-        if not scores:
+            # A group that lost no day to the pairing keeps its loaded block, decided already.
+            members = [
+                stats[group]
+                if len(d) == len(b.series.groups[group])
+                else _spread_and_profit(terms, *sorted_block(d))
+                for b, stats, d in zip((base, cand), (base_stats, cand_stats), days)
+            ]
+            # The pool's day rows pair as sum_empirical pairs samples.
+            sigma_ag, joint = _spread_and_profit(terms, *sorted_block(days[0] + days[1]))
+            columns.append(score_pools(terms, *zip(*members), sigma_ag, joint))
+            groups.append(group)
+            sizes.append(len(days[0]))
+        if not groups:
             raise ModelConsistencyError(
                 f"candidate {cand_id!r} has no alignable buckets with base {args.base!r}"
             )
-        own = [cand.buckets[key].empirical for key in cand.sorted_keys()]
-        profits = [decide(emp).expected_profit for emp in own]
-        ranks.append(
-            PartnerRank(
-                cand_id,
-                *(float(np.average(column, weights=weights)) for column in zip(*scores)),
-                individual_profit=float(np.average(profits, weights=[emp.n for emp in own])),
-            )
-        )
+        own = sorted(cand.table)
+        profits = [cand_stats[g][1] for g in own]
+        scores = _weighted_means(groups, columns, sizes)
+        scores += _weighted_means(own, profits, [len(cand.series.groups[g]) for g in own])
+        ranks.append(PartnerRank(cand_id, *scores))
     ranks.sort(key=lambda r: (-r.delta_sigma, r.candidate_id))
     write_ranking_csv(args.out, ranks)
 
@@ -429,9 +441,7 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
     if unalignable:
         print(f"unalignable buckets skipped: {', '.join(sorted(unalignable))}")
     if len(ranks) >= 2:
-        rho = spearman_rho(
-            [r.delta_sigma for r in ranks], [r.delta_j_oracle for r in ranks]
-        )
+        rho = spearman_rho([r.delta_sigma for r in ranks], [r.delta_j_oracle for r in ranks])
         print(f"spearman(delta_sigma, delta_j_oracle) = {rho:.9g}")
     print(f"ranking written to {args.out}")
     return 0
@@ -460,24 +470,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     building = model.building(args.building)
     contracts = _read_contracts_csv(config.path("contracts"))
 
-    bucket_keys = set(building.buckets)
-    contract_keys = set(contracts)
-    missing = sorted(k.label for k in contract_keys - bucket_keys)
-    extra = sorted(k.label for k in bucket_keys - contract_keys)
+    keys = building.sorted_keys()
+    missing = sorted(k.label for k in contracts.keys() - set(keys))
+    extra = sorted(k.label for k in set(keys) - contracts.keys())
     if missing or extra:
         raise ModelConsistencyError(
             f"contract schedule does not match building {args.building!r}: "
             f"contracts without buckets {missing}, buckets without contracts {extra}"
         )
 
-    capability = {
-        key: building.buckets[key].empirical for key in building.sorted_keys()
-    }
+    capability = {key: building.series.buckets[key] for key in keys}
     # Replay the historical bucket structure: each bucket contributes as many
     # windows as it has samples.
-    schedule = [
-        key for key in building.sorted_keys() for _ in range(capability[key].n)
-    ]
+    schedule = [key for key in keys for _ in range(capability[key].n)]
     result = simulate_horizon(terms, capability, contracts, sim_config, schedule)
     summary = analytic_summary(terms, capability, contracts, sim_config, schedule)
     rows = convergence_rows(result, summary)

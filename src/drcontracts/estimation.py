@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date, datetime
 from functools import cached_property
 from itertools import chain
@@ -164,16 +164,11 @@ def decompose_load(
 
 @dataclass(frozen=True)
 class CurtailableSeries:
-    """One building's complete days, ascending, and their read-only (days x 24) kWh.
-
-    A series that ``restrict_to_common`` cut from another keeps that one as
-    its source.
-    """
+    """One building's complete days, ascending, and their read-only (days x 24) kWh."""
 
     days: tuple[date, ...]
     values: np.ndarray
     skipped_days: int
-    source: CurtailableSeries | None = field(default=None, repr=False, compare=False)
 
     @cached_property
     def groups(self) -> dict[tuple[int, bool], list[int]]:
@@ -188,22 +183,13 @@ class CurtailableSeries:
         """The day rows pooled into calendar buckets, built on first access.
 
         The days of one (month, day type) give each hour's bucket its column
-        of samples, in day order.  ``estimate`` fits these, a building
-        model's ``buckets`` hold them, and ``aggregate`` reads those of the
-        series ``restrict_to_common`` returns.  A (month, day type) that lost
-        no day from the source keeps the source's 24 buckets, which hold the
-        same samples in the same order.
+        of samples, in day order.
         """
-        source = self.source.buckets if self.source is not None else {}
         out = {}
         for (month, is_weekend), rows in self.groups.items():
-            keys = [BucketKey(month, hour, is_weekend) for hour in range(HOURS_PER_DAY)]
-            if keys[0] in source and source[keys[0]].n == len(rows):
-                out.update((key, source[key]) for key in keys)
-                continue
             block = self.values[rows]
-            for hour, key in enumerate(keys):
-                out[key] = EmpiricalDistribution(block[:, hour])
+            for hour in range(HOURS_PER_DAY):
+                out[BucketKey(month, hour, is_weekend)] = EmpiricalDistribution(block[:, hour])
         return out
 
 
@@ -236,9 +222,8 @@ def restrict_to_common(series: Sequence[CurtailableSeries]) -> list[CurtailableS
 
     This is the one rule by which buildings' samples pair: the same bucket of
     each restricted series holds the same days in the same order.  A series
-    that keeps every day comes back as itself, buckets and all, and one that
-    loses days keeps the buckets of each (month, day type) that lost none.
-    Series that share no day come back with no days.
+    that keeps every day comes back as itself.  Series that share no day come
+    back with no days.
     """
     if not series:
         raise ValueError("restrict_to_common needs at least one series, got none")
@@ -251,9 +236,7 @@ def restrict_to_common(series: Sequence[CurtailableSeries]) -> list[CurtailableS
         rows = [row for row, day in enumerate(s.days) if day in shared]
         values = s.values[rows]
         values.flags.writeable = False
-        out.append(
-            CurtailableSeries(tuple(s.days[r] for r in rows), values, s.skipped_days, source=s)
-        )
+        out.append(CurtailableSeries(tuple(s.days[r] for r in rows), values, s.skipped_days))
     return out
 
 
@@ -282,11 +265,17 @@ class BucketBlock:
     fits: np.ndarray
 
 
-def _bucket_block(series: CurtailableSeries, group: tuple[int, bool], fits) -> BucketBlock:
-    samples = np.ascontiguousarray(series.values[series.groups[group]].T)
+def sorted_block(days: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A (days x hours) array's hour columns as BucketBlock holds them: samples and prefix."""
+    samples = np.array(days.T, order="C")
     samples.sort(axis=1, kind="stable")
-    prefix = np.zeros((HOURS_PER_DAY, samples.shape[1] + 1))
+    prefix = np.zeros((samples.shape[0], samples.shape[1] + 1))
     np.cumsum(samples, axis=1, out=prefix[:, 1:])
+    return samples, prefix
+
+
+def _bucket_block(series: CurtailableSeries, group: tuple[int, bool], fits) -> BucketBlock:
+    samples, prefix = sorted_block(series.values[series.groups[group]])
     fits = np.array(fits, dtype=float)
     for array in (samples, prefix, fits):
         array.flags.writeable = False

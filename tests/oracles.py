@@ -2,16 +2,19 @@
 
 Everything here is deliberately written against different machinery than the
 package itself (adaptive quadrature, projected gradient, direct summation),
-so an implementation bug and its test cannot share a root cause.  Two
+so an implementation bug and its test cannot share a root cause.  Three
 references share definitions with the package, so that their agreement can
 be checked bit for bit: ``passive_set_search_nnls`` shares the passive-set
-solve and the gradient tolerance of the Lawson-Hanson loop, and
+solve and the gradient tolerance of the Lawson-Hanson loop,
 ``dense_simulate_horizon`` shares the Monte Carlo's plan, stream keys, block
-size and draw rules, which it walks cell by cell in scalar Python.
+size and draw rules, which it walks cell by cell in scalar Python, and
+``per_bucket_ranking`` shares the pair score, which it takes one bucket's
+distributions at a time.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from itertools import combinations
 
@@ -19,7 +22,10 @@ import numpy as np
 from scipy import integrate, stats
 
 from drcontracts import simulation
+from drcontracts.aggregation import AssetPortfolio, PartnerRank, _score_pair
+from drcontracts.contracts import optimal_contract
 from drcontracts.distributions import NormalDistribution
+from drcontracts.estimation import restrict_to_common
 from drcontracts.nnls import _solve_passive, gradient_tolerance
 from drcontracts.program import ProgramTerms
 
@@ -336,3 +342,42 @@ def dense_simulate_horizon(terms, capability, contracts, config, schedule=None):
         windows=windows,
         seed=config.seed,
     )
+
+
+def per_bucket_ranking(model, terms, base_id, candidate_ids):
+    """aggregate's ranking, scored one bucket's EmpiricalDistributions at a time.
+
+    Returns the PartnerRank rows in the CLI's order and the unalignable
+    buckets as the CLI lists them, sorted.
+    """
+    base = model.building(base_id)
+    # Distributions hash by identity, so each distinct bucket is decided once per call.
+    decide = functools.cache(lambda dist: optimal_contract(terms, dist))
+    ranks = []
+    unalignable: list[str] = []
+    for cand_id in candidate_ids:
+        cand = model.building(cand_id)
+        base_shared, cand_shared = (
+            s.buckets for s in restrict_to_common([base.series, cand.series])
+        )
+        scores = []
+        weights = []
+        for key in sorted(set(base.buckets) & set(cand.buckets)):
+            if key not in base_shared or base_shared[key].n < 2:
+                unalignable.append(f"{cand_id}:{key.label}")
+                continue
+            members = (("base", base_shared[key]), ("candidate", cand_shared[key]))
+            pair = AssetPortfolio(members=members, terms=terms)
+            scores.append(_score_pair(pair, [decide(emp) for _, emp in members]))
+            weights.append(base_shared[key].n)
+        own = [cand.buckets[key].empirical for key in cand.sorted_keys()]
+        profits = [decide(emp).expected_profit for emp in own]
+        ranks.append(
+            PartnerRank(
+                cand_id,
+                *(float(np.average(column, weights=weights)) for column in zip(*scores)),
+                individual_profit=float(np.average(profits, weights=[emp.n for emp in own])),
+            )
+        )
+    ranks.sort(key=lambda r: (-r.delta_sigma, r.candidate_id))
+    return ranks, sorted(unalignable)

@@ -32,6 +32,7 @@ from drcontracts import (
     contract_comparison,
     gamma,
     member_contracts,
+    member_sigmas,
     optimal_contract,
     profit_delta_from_sigmas,
     profit_delta_normal,
@@ -41,13 +42,15 @@ from drcontracts import (
     rank_partners,
     write_ranking_csv,
 )
-from drcontracts.aggregation import _score_pair
+from drcontracts.aggregation import _score_pair, score_pools
+from drcontracts.cli import _spread_and_profit
 from drcontracts.estimation import (
     EstimationConfig,
     build_capability_model,
     read_load_csv,
     read_shapes_csv,
     restrict_to_common,
+    sorted_block,
 )
 from drcontracts.formatting import sig9
 
@@ -569,6 +572,56 @@ class TestRanking:
         # The base once, and per candidate its own contract and its pair's pooled one.
         assert len(decided) == 1 + 2 * len(candidates) == 7
         assert len({id(dist) for dist in decided}) == len(decided)
+
+
+@st.composite
+def paired_day_blocks(draw):
+    """Base and candidate (days x hours) values paired by day, and terms.
+
+    Days run from 2, values come partly from a few fixed ones, so hours hold
+    ties, and some hours are all zero in one member or both.  alpha falls on
+    either side of the fixture terms' shut-off threshold (2.4615).
+    """
+    days = draw(st.integers(2, 9))
+    hours = draw(st.integers(1, 4))
+    value = st.one_of(st.sampled_from([0.0, 0.5, 2.0, 3.25]), st.floats(0.0, 50.0))
+
+    def block() -> np.ndarray:
+        values = np.array(draw(st.lists(st.lists(value, min_size=hours, max_size=hours),
+                                        min_size=days, max_size=days)))
+        values[:, np.array(draw(st.lists(st.booleans(), min_size=hours, max_size=hours)))] = 0.0
+        return values
+
+    alpha = draw(st.one_of(st.sampled_from([0.0, 0.5, 3.0, 40.0]), st.floats(0.0, 10.0)))
+    return block(), block(), FIXTURE_TERMS.with_alpha(alpha)
+
+
+class TestBlockScorer:
+    """aggregate's score of one (month, day type), as it takes it from sorted blocks,
+    against each hour's own portfolio."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=paired_day_blocks())
+    def test_each_hour_is_its_portfolios_score_bit_for_bit(self, case):
+        base_days, cand_days, terms = case
+        members = [_spread_and_profit(terms, *sorted_block(d)) for d in (base_days, cand_days)]
+        sigma_ag, joint = _spread_and_profit(terms, *sorted_block(base_days + cand_days))
+        scores = score_pools(terms, *zip(*members), sigma_ag, joint)
+        assert scores.shape == (4, base_days.shape[1])
+        for hour, column in enumerate(scores.T.tolist()):
+            pair = AssetPortfolio(
+                members=(
+                    ("base", EmpiricalDistribution(base_days[:, hour])),
+                    ("candidate", EmpiricalDistribution(cand_days[:, hour])),
+                ),
+                terms=terms,
+            )
+            analytic = (math.nan, math.nan)
+            if 0.0 < quantile_argument(terms) < 1.0:
+                sigma_ag = aggregate_distribution(pair).stddev()
+                analytic = profit_delta_from_sigmas(terms, member_sigmas(pair), sigma_ag)
+            expected = (complementarity(pair), profit_delta_oracle(pair), *analytic)
+            assert [v.hex() for v in column] == [float(v).hex() for v in expected]
 
 
 def test_member_contracts_match_standalone(basic_terms):

@@ -29,7 +29,8 @@ from drcontracts.cli import (
     spearman_rho,
 )
 from drcontracts.contracts import optimal_contract
-from drcontracts.estimation import CapabilityModel, read_shapes_csv
+from drcontracts.estimation import CapabilityModel, read_shapes_csv, restrict_to_common
+from drcontracts.program import ProgramTerms
 from drcontracts.simulation import simulate_horizon
 from oracles import passive_set_search_nnls
 
@@ -461,15 +462,27 @@ def test_model_load_checks_buildings_the_command_does_not_use(
     assert not out.exists()
 
 
-def test_buckets_are_built_only_for_the_building_in_use(workspace, monkeypatch, capsys):
-    from drcontracts.distributions import EmpiricalDistribution
+def test_buckets_are_built_only_for_the_building_in_use(
+    workspace, tmp_path, monkeypatch, capsys
+):
+    from drcontracts.distributions import EmpiricalDistribution, NormalDistribution
 
-    built = []
-    init = EmpiricalDistribution.__post_init__
+    built = {EmpiricalDistribution: [], NormalDistribution: []}
+    for cls, made in built.items():
 
-    def counting(self):
-        init(self)
-        built.append(self)
+        def counting(self, init=cls.__post_init__, made=made):
+            init(self)
+            made.append(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+
+    def counted(*argv: str) -> tuple[list, list]:
+        """The empirical and normal distributions one CLI run builds."""
+        for made in built.values():
+            made.clear()
+        assert run(*argv) == 0
+        capsys.readouterr()
+        return built[EmpiricalDistribution][:], built[NormalDistribution][:]
 
     model = CapabilityModel.load(workspace / "model.json")
     acme = model.building("acme_plant").series
@@ -477,19 +490,31 @@ def test_buckets_are_built_only_for_the_building_in_use(workspace, monkeypatch, 
     columns = {
         acme.values[rows, hour].tobytes() for rows in acme.groups.values() for hour in range(24)
     }
-    monkeypatch.setattr(EmpiricalDistribution, "__post_init__", counting)
+    for made in built.values():
+        made.clear()
     CapabilityModel.load(workspace / "model.json")
-    assert built == []
+    assert built == {EmpiricalDistribution: [], NormalDistribution: []}
 
     config = str(workspace / "config.json")
     args = ("--config", config, "--building", "acme_plant", "--out")
-    assert run("contract", *args, str(workspace / "counted.csv")) == 0
-    assert 0 < len(built) <= buckets
-    built.clear()
-    assert run("simulate", *args, str(workspace / "counted.json")) == 0
-    assert len(built) == buckets
-    assert {dist.original_samples.tobytes() for dist in built} <= columns
-    capsys.readouterr()
+    emps, normals = counted("contract", *args, str(workspace / "counted.csv"))
+    assert 0 < len(emps) <= buckets and normals == []
+    emps, normals = counted("simulate", *args, str(workspace / "counted.json"))
+    assert len(emps) == buckets and normals == []
+    assert {dist.original_samples.tobytes() for dist in emps} <= columns
+    pair = ("--base", "acme_plant", "--candidates", "birch_mall", "cedar_office", "--out")
+    out = str(workspace / "counted_ranking.csv")
+    assert counted("aggregate", "--config", config, *pair, out) == ([], [])
+
+    # Over a partial overlap too, aggregate decides every block without a bucket.
+    for name in INPUTS:
+        shutil.copy(FIXTURES / name, tmp_path / name)
+    (tmp_path / "sample_load.csv").write_text(
+        _partial_overlap_load(FIXTURES / "sample_load.csv")
+    )
+    monkeypatch.chdir(tmp_path)
+    counted("estimate", "--config", "config.json", "--out", "model.json")
+    assert counted("aggregate", "--config", "config.json", *pair, "ranking.csv") == ([], [])
 
 
 @pytest.mark.parametrize(
@@ -533,6 +558,27 @@ def test_schema_1_model_asks_for_reestimation(workspace, capsys, argv):
     assert not out.exists()
 
 
+def recording_decisions(monkeypatch) -> list[np.ndarray]:
+    """The sorted blocks the CLI decides, recorded; deciding one bucket alone fails."""
+    import drcontracts.aggregation
+    import drcontracts.cli
+
+    blocks = []
+    decide = drcontracts.cli.decide_sorted
+
+    def recording(terms, samples, prefix):
+        blocks.append(samples)
+        return decide(terms, samples, prefix)
+
+    def per_bucket(terms, dist):
+        raise AssertionError("a single bucket was decided")
+
+    monkeypatch.setattr(drcontracts.cli, "decide_sorted", recording)
+    for module in (drcontracts.aggregation, drcontracts.cli):
+        monkeypatch.setattr(module, "optimal_contract", per_bucket)
+    return blocks
+
+
 class TestAggregate:
     def test_ranking_written(self, workspace, capsys):
         out = workspace / "ranking.csv"
@@ -558,18 +604,7 @@ class TestAggregate:
         assert lines[1].startswith("birch_mall,")
 
     def test_each_bucket_is_decided_once(self, workspace, monkeypatch):
-        import drcontracts.aggregation
-        import drcontracts.cli
-        from drcontracts.contracts import optimal_contract
-
-        decided = []
-
-        def counting(terms, dist):
-            decided.append(dist)
-            return optimal_contract(terms, dist)
-
-        for module in (drcontracts.aggregation, drcontracts.cli):
-            monkeypatch.setattr(module, "optimal_contract", counting)
+        blocks = recording_decisions(monkeypatch)
         code = run(
             "aggregate",
             "--config",
@@ -583,10 +618,11 @@ class TestAggregate:
             str(workspace / "r_decided.csv"),
         )
         assert code == 0
-        # Every day is shared and each building keeps 96 buckets: each loaded
-        # bucket is decided once, plus one pooled contract per bucket pair.
-        assert len(decided) == 3 * 96 + 2 * 96 == 480
-        assert len({id(dist) for dist in decided}) == len(decided)
+        # Every day is shared and each building keeps 4 blocks of 24 buckets:
+        # each loaded block is decided once, plus one pooled block per block pair.
+        assert len(blocks) == 3 * 4 + 2 * 4
+        assert sum(len(block) for block in blocks) == 3 * 96 + 2 * 96 == 480
+        assert len({id(block) for block in blocks}) == len(blocks)
 
     def test_base_among_candidates_rejected(self, workspace, capsys):
         code = run(
@@ -1062,19 +1098,28 @@ def test_aggregate_reuses_loaded_buckets_when_every_day_is_shared(
         restricted.append([s is loaded for s, loaded in zip(out, series)])
         return out
 
+    sort = cli.sorted_block
+    sorted_days = []
+
+    def sorting(days):
+        sorted_days.append(days)
+        return sort(days)
+
     monkeypatch.setattr(cli, "restrict_to_common", recording)
+    monkeypatch.setattr(cli, "sorted_block", sorting)
     assert run(*argv, "loaded.csv") == 0
-    # The fixtures' buildings share every day: each pair keeps the loaded series.
+    # The fixtures' buildings share every day: each pair keeps the loaded series,
+    # and only the 4 pooled blocks of each pair are sorted.
     assert restricted == [[True, True]] * 2
-    loaded_out = capsys.readouterr().out
-    # Copies carry no buckets, so every shared bucket is built anew: same ranking.
-    monkeypatch.setattr(
-        cli, "restrict_to_common",
-        lambda series: [dataclasses.replace(s) for s in restrict(series)],
-    )
-    assert run(*argv, "rebucketed.csv") == 0
-    assert (tmp_path / "rebucketed.csv").read_bytes() == (tmp_path / "loaded.csv").read_bytes()
-    assert capsys.readouterr().out == loaded_out.replace("loaded.csv", "rebucketed.csv")
+    model = CapabilityModel.load("model.json")
+    series = [model.building(bid).series for bid in ("acme_plant", "birch_mall", "cedar_office")]
+    pooled = [
+        (series[0].values[rows] + cand.values[rows]).tobytes()
+        for cand in series[1:]
+        for rows in series[0].groups.values()
+    ]
+    assert sorted(days.tobytes() for days in sorted_days) == sorted(pooled)
+    capsys.readouterr()
 
 
 def test_aggregate_past_the_shut_off_threshold(tmp_path, monkeypatch, capsys):
@@ -1130,10 +1175,6 @@ BIRCH_GAP_DIGESTS = {
 def test_aggregate_decides_each_distinct_bucket_once(
     tmp_path, monkeypatch, capsys, base, candidates, decisions
 ):
-    import drcontracts.aggregation
-    import drcontracts.cli
-    from drcontracts.contracts import optimal_contract
-
     for name in INPUTS:
         shutil.copy(FIXTURES / name, tmp_path / name)
     rows = (FIXTURES / "sample_load.csv").read_text().splitlines(keepends=True)
@@ -1144,22 +1185,15 @@ def test_aggregate_decides_each_distinct_bucket_once(
     assert run("estimate", "--config", "config.json", "--out", "model.json") == 0
     capsys.readouterr()
 
-    decided = []
-
-    def counting(terms, dist):
-        decided.append(dist)
-        return optimal_contract(terms, dist)
-
-    for module in (drcontracts.aggregation, drcontracts.cli):
-        monkeypatch.setattr(module, "optimal_contract", counting)
+    blocks = recording_decisions(monkeypatch)
     argv = ("aggregate", "--config", "config.json", "--base", base, "--candidates")
     assert run(*argv, *candidates, "--out", "ranking.csv") == 0
     # 96 buckets per building and 96 pooled per candidate.  A building that
-    # keeps all its days keeps its loaded buckets, decided once; the building
-    # restricted away from 2021-03-02 is bucketed anew for that pair only in
-    # its 24 March weekday buckets, and keeps its loaded ones elsewhere.
-    assert len(decided) == decisions
-    assert len({id(dist) for dist in decided}) == decisions
+    # keeps all its days keeps its loaded blocks, decided once; the building
+    # restricted away from 2021-03-02 is sorted anew for that pair only in
+    # its March weekday block, and keeps its loaded ones elsewhere.
+    assert sum(len(block) for block in blocks) == decisions
+    assert len({id(block) for block in blocks}) == len(blocks) == decisions // 24
     digests = {
         "ranking.csv": hashlib.sha256((tmp_path / "ranking.csv").read_bytes()).hexdigest(),
         "stdout": hashlib.sha256(capsys.readouterr().out.encode()).hexdigest(),
@@ -1201,16 +1235,16 @@ YEAR_DIGESTS = {
 }
 
 
-def _year_inputs(tmp_path: Path, monkeypatch) -> None:
-    """The `year` workload's inputs at seed 3 in tmp_path, the working directory."""
+def _year_inputs(tmp_path: Path, monkeypatch, seed: int = 3) -> None:
+    """The `year` workload's inputs at seed in tmp_path, the working directory."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec = importlib.util.spec_from_file_location("perfbench_inputs", PERFBENCH_INPUTS)
     inputs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(inputs)
     shutil.copy(FIXTURES / "shapes.csv", tmp_path / "shapes.csv")
-    inputs.write_year_load(tmp_path / "load.csv", tmp_path / "shapes.csv", 3)
+    inputs.write_year_load(tmp_path / "load.csv", tmp_path / "shapes.csv", seed)
     base = json.loads((FIXTURES / "config.json").read_text())
-    config = inputs.derive_config(base, "load.csv", seed=3, n_trials=500)
+    config = inputs.derive_config(base, "load.csv", seed=seed, n_trials=500)
     (tmp_path / "config.json").write_text(json.dumps(config))
     monkeypatch.chdir(tmp_path)
 
@@ -1226,6 +1260,52 @@ def test_year_pipeline_outputs_are_golden(tmp_path, monkeypatch, capsys):
     for name in YEAR_OUTPUTS:
         digests[name] = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
     assert digests == YEAR_DIGESTS
+
+
+def test_year_ranking_matches_the_per_bucket_oracle(tmp_path, monkeypatch, capsys):
+    """aggregate by block gives the bits of scoring each bucket's distributions,
+    on `year` seed 7 with the 12:00 reading removed on about 15 % of each
+    building's days, so that some groups lose days to the pairing and some do not."""
+    import drcontracts.cli as cli
+    from oracles import per_bucket_ranking
+
+    _year_inputs(tmp_path, monkeypatch, seed=7)
+    header, *rows = Path("load.csv").read_text().splitlines(keepends=True)
+    days = sorted({(row[:10], row.split(",")[1]) for row in rows})
+    rng = random.Random(7)
+    gaps = {day for day in days if rng.random() < 0.15}
+    kept = [row for row in rows if not (row[11:13] == "12" and (row[:10], row.split(",")[1]) in gaps)]
+    Path("load.csv").write_text(header + "".join(kept))
+    assert run("estimate", "--config", "config.json", "--out", "model.json") == 0
+    model = CapabilityModel.load("model.json")
+    base, candidates = "b00", ("b01", "b02", "b03")
+    lost = Counter()
+    for cand in candidates:
+        shared = restrict_to_common([model.building(base).series, model.building(cand).series])
+        for building, series in zip((base, cand), shared):
+            for group, block in model.building(building).table.items():
+                lost[len(series.groups.get(group, ())) < block.samples.shape[1]] += 1
+    assert lost[True] and lost[False]
+
+    def bits(ranks) -> list[tuple]:
+        return [(r.candidate_id, *(v.hex() for v in dataclasses.astuple(r)[1:])) for r in ranks]
+
+    written = []
+    monkeypatch.setattr(cli, "write_ranking_csv", lambda path, ranks: written.append(ranks))
+    config = json.loads(Path("config.json").read_text())
+    for alpha in (0.5, 0.0, 3.0):
+        config["terms"]["alpha"] = alpha
+        Path("alpha.json").write_text(json.dumps(config))
+        capsys.readouterr()
+        argv = ("aggregate", "--config", "alpha.json", "--base", base, "--candidates")
+        assert run(*argv, *candidates, "--out", "ranking.csv") == 0
+        terms = ProgramTerms.from_json_dict(config["terms"])
+        expected, unalignable = per_bucket_ranking(model, terms, base, candidates)
+        (ranks,) = written
+        written.clear()
+        assert bits(ranks) == bits(expected)
+        listed = [line for line in capsys.readouterr().out.splitlines() if "unalignable" in line]
+        assert listed == ([f"unalignable buckets skipped: {', '.join(unalignable)}"] if unalignable else [])
 
 
 @pytest.mark.parametrize("workload, building_id", [("fixtures", "acme_plant"), ("year", "b00")])

@@ -326,15 +326,17 @@ class TestRestrictToCommon:
         assert [s is t for s, t in zip(restrict_to_common([a, twin]), (a, twin))] == [True] * 2
         assert restrict_to_common([a])[0] is a
 
-    def test_groups_that_lose_no_day_keep_their_buckets(self):
+    def test_groups_that_lose_no_day_keep_their_samples(self):
         a = self.series_of(list(range(1, 15)))
         b = self.series_of([day for day in range(1, 15) if day != 6])  # Sat 2021-03-06
         ra, rb = restrict_to_common([a, b])
-        assert rb is b and ra.source is a
+        assert rb is b and ra is not a
         assert set(ra.buckets) == set(a.buckets)
         for key, dist in ra.buckets.items():
-            # Only the March weekend lost a day, so only its buckets are new.
-            assert (dist is a.buckets[key]) == (not key.is_weekend)
+            # Only the March weekend lost a day; every restricted bucket is new.
+            assert dist is not a.buckets[key]
+            same = dist.original_samples.tobytes() == a.buckets[key].original_samples.tobytes()
+            assert same == (not key.is_weekend)
             assert dist.original_samples.tolist() == day_column(ra, key)
 
     def test_empty_input_rejected(self):
