@@ -225,6 +225,19 @@ class SortedDecisions(NamedTuple):
         return ContractDecision(c, self.psi, self.psi <= 0.0, high, profit, tail, value)
 
 
+def sorted_below(samples: np.ndarray, prefix: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """F(x[r]) and P(x[r]) of row r of a sorted block and its prefix sums, as cdf
+    and partial_expectation compute them on the row's EmpiricalDistribution."""
+    k = np.count_nonzero(samples <= x[:, None], axis=1)
+    return k / samples.shape[1], prefix[np.arange(k.size), k] / samples.shape[1]
+
+
+def sorted_tail_cutoff(terms: ProgramTerms, samples: np.ndarray) -> np.ndarray:
+    """tail_cutoff of each row of a sorted block, bit for bit."""
+    q = linear_quantile(samples, terms.tail_mass)
+    return np.where(0.0 > q, 0.0, q)
+
+
 def decide_sorted(terms: ProgramTerms, samples: np.ndarray, prefix: np.ndarray) -> SortedDecisions:
     """Size the contract of each row of samples, a (rows x n) block sorted along its rows.
 
@@ -245,13 +258,8 @@ def decide_sorted(terms: ProgramTerms, samples: np.ndarray, prefix: np.ndarray) 
     else:
         clipped_high, c = np.full(rows, psi >= 1.0), np.full(rows, c)
 
-    def below(x):
-        """F(x) and P(x) of each row, as cdf and partial_expectation compute them."""
-        k = np.count_nonzero(samples <= x[:, None], axis=1)
-        return k / n, prefix[np.arange(rows), k] / n
-
-    profit = _profit(terms, c, *below(c))
-    f_hat, part_hat = below(np.maximum(linear_quantile(samples, terms.tail_mass), 0.0))
+    profit = _profit(terms, c, *sorted_below(samples, prefix, c))
+    f_hat, part_hat = sorted_below(samples, prefix, sorted_tail_cutoff(terms, samples))
     tail = _tail_profit(terms, c, part_hat / f_hat)
     # The expression objective() evaluates, on the values already in hand.
     value = profit if terms.alpha == 0.0 else profit + terms.alpha * tail

@@ -193,6 +193,14 @@ def clipped_normal_transform(mu, sigma, u):
     return np.maximum(mu + sigma * standard_normal_quantile(u), 0.0)
 
 
+def normal_below(mu, sigma, x):
+    """F(x) and P(x) of N(mu, sigma), sigma > 0, elementwise; the arguments broadcast."""
+    z0, zx = (0.0 - mu) / sigma, (x - mu) / sigma
+    f = standard_normal_cdf(zx)
+    mass = f - standard_normal_cdf(z0)
+    return f, mu * mass - sigma * (standard_normal_pdf(zx) - standard_normal_pdf(z0))
+
+
 def _check_unit_interval(u: np.ndarray) -> None:
     if u.size and not (u.min() >= 0.0 and u.max() <= 1.0):
         raise ValueError("quantile argument must lie in [0, 1]")
@@ -354,12 +362,7 @@ class NormalDistribution:
             inside = (self.mu >= 0.0) & (c_arr >= self.mu)
             out = np.where(inside, self.mu, 0.0)
         else:
-            z0 = (0.0 - self.mu) / self.sigma
-            zc = (c_arr - self.mu) / self.sigma
-            mass = standard_normal_cdf(zc) - standard_normal_cdf(z0)
-            out = self.mu * mass - self.sigma * (
-                standard_normal_pdf(zc) - standard_normal_pdf(z0)
-            )
+            out = normal_below(self.mu, self.sigma, c_arr)[1]
         return out if np.ndim(c) else float(out)
 
     def shortfall_expectation(self, c):

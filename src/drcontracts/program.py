@@ -9,7 +9,7 @@ that settlement rule to simulated windows.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, fields
+from dataclasses import InitVar, dataclass, fields, replace
 
 from .errors import IllPosedProgramError
 from .formatting import is_number, read_json_block
@@ -86,16 +86,7 @@ class ProgramTerms:
 
     def with_alpha(self, alpha: float) -> ProgramTerms:
         """Copy of these terms with a different risk-aversion weight."""
-        return ProgramTerms(
-            pi_e=self.pi_e,
-            pi_r=self.pi_r,
-            pi_p=self.pi_p,
-            p=self.p,
-            alpha=alpha,
-            c_hat=self.c_hat,
-            c_max=self.c_max,
-            allow_ill_posed=True,
-        )
+        return replace(self, alpha=alpha, allow_ill_posed=True)
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> ProgramTerms:

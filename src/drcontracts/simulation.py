@@ -41,14 +41,14 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import _kernels
-from .contracts import cvar as analytic_cvar
-from .contracts import expected_profit, tail_cutoff
+from .contracts import _profit, _tail_profit, sorted_below, sorted_tail_cutoff
 from .distributions import (
     CLIPPED_MASS_WARN,
     CurtailmentDistribution,
     EmpiricalDistribution,
     NormalDistribution,
     clipped_normal_transform,
+    normal_below,
     standard_normal_cdf,
     standard_normal_quantile,
 )
@@ -367,11 +367,14 @@ class _Laws:
     """The groups' laws, for vectorized draws over the cells of any groups.
 
     A normal with sigma > 0 transforms its uniforms; every other group draws
-    from its sorted samples, a point normal from its one value clipped at
+    from sorted values, its samples or a point normal's one value clipped at
     zero.  A group that is not a point mass draws its tail at the rate
     tau = F(q_hat), q_hat its clipped cutoff.  The normals' cutoffs, rates
     and clipped masses are computed as arrays from one Phi^-1(tail_mass);
     the array paths of `distributions` give the bits of the scalar ones.
+    The rows of each sorted block of stacks give the cutoff, the tail size k
+    of values at or below it, tau = k/n and the point masses with the bits of
+    each group's own distribution.
     """
 
     def __init__(self, terms: ProgramTerms, dists: Sequence[CurtailmentDistribution]):
@@ -380,19 +383,6 @@ class _Laws:
         self.sigma = np.array([d.sigma if n else 0.0 for d, n in zip(dists, is_normal)])
         self.normal = spread = self.sigma > 0.0
         mu, sigma = self.mu[spread], self.sigma[spread]
-        # The values each group draws from: a sample group's samples, a point
-        # normal's one value clipped at zero, none for a normal with spread.
-        tables = [
-            np.empty(0) if s else np.array([max(d.mu, 0.0)]) if n else d.samples
-            for d, n, s in zip(dists, is_normal, spread.tolist())
-        ]
-        self.sizes = np.array([table.size for table in tables], dtype=np.int64)
-        self.offsets = np.cumsum(self.sizes) - self.sizes
-        self.samples = np.concatenate(tables)
-        # The one value of each point mass, None for every other group.
-        self.points = [
-            None if s or t[0] != t[-1] else float(t[0]) for s, t in zip(spread.tolist(), tables)
-        ]
         # Each normal's cutoff, tail_cutoff's max(quantile(tail_mass), 0.0).
         quantile = self.mu.copy()
         quantile[spread] += sigma * standard_normal_quantile(terms.tail_mass)
@@ -402,15 +392,38 @@ class _Laws:
         # A normal's mass below zero; a point normal below zero is all clipped.
         self.clip = np.where(self.mu < 0.0, 1.0, 0.0)
         self.clip[spread] = standard_normal_cdf(-mu / sigma)
+
+        # Every other group draws from sorted values, its samples or a point
+        # normal's one value, all copied once into samples, ordered by size:
+        # group g's sizes[g] values start at offsets[g], and the groups of
+        # one size are the rows of one block of stacks, a view of samples.
+        by_size: dict[int, tuple[list[int], list[np.ndarray]]] = {}
+        for g, (dist, n, s) in enumerate(zip(dists, is_normal, spread.tolist())):
+            if not s:
+                values = np.array([max(dist.mu, 0.0)]) if n else dist.samples
+                members, tables = by_size.setdefault(values.size, ([], []))
+                members.append(g)
+                tables.append(values)
+        self.samples = np.concatenate([t for _, tables in by_size.values() for t in tables] or [[]])
+        self.sizes, self.offsets, self.tail_sizes = np.zeros((3, len(dists)), dtype=np.int64)
+        # The one value of each point mass, None for every other group.
+        self.points: list[float | None] = [None] * len(dists)
+        self.stacks: list[tuple[np.ndarray, np.ndarray]] = []
+        start = 0
+        for n, (members, _) in by_size.items():
+            groups, rows = np.array(members), len(members)
+            block = self.samples[start:start + rows * n].reshape(rows, n)
+            self.stacks.append((groups, block))
+            self.cutoffs[groups] = q = sorted_tail_cutoff(terms, block)
+            self.tail_sizes[groups] = k = np.count_nonzero(block <= q[:, None], axis=1)
+            point = block[:, 0] == block[:, -1]
+            self.tau[groups[~point]] = k[~point] / n
+            self.sizes[groups], self.offsets[groups] = n, start + n * np.arange(rows)
+            start += block.size
+            for g, value in zip(groups[point].tolist(), block[point, 0].tolist()):
+                self.points[g] = value
         # A normal's tail uniform is U*tau; a sample group draws from its
-        # tail_sizes = n*tau samples at or below the cutoff.
-        self.tail_sizes = self.sizes.copy()
-        for g, dist in enumerate(dists):
-            if not is_normal[g]:
-                q = self.cutoffs[g] = tail_cutoff(terms, dist)
-                if self.points[g] is None:
-                    self.tau[g] = dist.cdf(q)
-                self.tail_sizes[g] = np.searchsorted(dist.samples, q, side="right")
+        # tail_sizes[g] values at or below the cutoff.
         self.tail_scale = np.where(spread, self.tau, 1.0)
 
     def draw(self, group: np.ndarray, u: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -592,20 +605,6 @@ def simulate_horizon(
     )
 
 
-def _strict_lower_probability(dist: CurtailmentDistribution, c: float) -> float:
-    """P(q < c), the per-event shortfall probability at contract c.
-
-    Draws are clipped at zero, so none falls short of a contract c <= 0.
-    """
-    if c <= 0.0:
-        return 0.0
-    if isinstance(dist, EmpiricalDistribution):
-        return float(np.searchsorted(dist.samples, c, side="left") / dist.n)
-    if dist.sigma == 0.0:
-        return 1.0 if c > dist.mu else 0.0
-    return float(dist.cdf(c))
-
-
 @dataclass(frozen=True)
 class GroupAnalytic:
     label: str
@@ -631,31 +630,50 @@ def analytic_summary(
     config: SimulationConfig,
     schedule: Sequence | None = None,
 ) -> AnalyticSummary:
-    """The analytic counterparts of everything the simulation measures."""
+    """The analytic counterparts of everything the simulation measures.
+
+    Each group's expected profit, CVaR and per-event shortfall probability
+    P(q < c) hold the bits of expected_profit, cvar and P(q < c) on its own
+    distribution: the rows of _Laws' sorted blocks and the normals with spread
+    each come as arrays.  Draws are clipped at zero, so none falls short of a
+    contract c <= 0.  The totals add the groups one by one in label order.
+    """
     plan = _normalize_plan(terms, capability, contracts, config, schedule)
-    windows = plan.col_group.size
-    total = 0.0
-    shortfall_prob_sum = 0.0
+    laws = _Laws(terms, plan.dists)
+    c = plan.contracts
+    # F(c), P(c), E[q | q <= q_hat] and P(q < c) of each group.
+    f, part, tail, below_c = (np.empty(c.size) for _ in range(4))
+    for members, block in laws.stacks:
+        rows, n = block.shape
+        prefix = np.zeros((rows, n + 1))
+        np.cumsum(block, axis=1, out=prefix[:, 1:])
+        f[members], part[members] = sorted_below(block, prefix, c[members])
+        f_hat, part_hat = sorted_below(block, prefix, laws.cutoffs[members])
+        tail[members] = part_hat / f_hat
+        below_c[members] = np.count_nonzero(block < c[members, None], axis=1) / n
+    at = np.flatnonzero(laws.normal)
+    mu, sigma, c_at = laws.mu[at], laws.sigma[at], c[at]
+    f[at], part[at] = normal_below(mu, sigma, c_at)
+    tail[at] = normal_below(mu, sigma, laws.cutoffs[at])[1] / laws.tau[at]
+    below_c[at] = np.where(c_at > 0.0, f[at], 0.0)
+
+    total = shortfall_prob_sum = 0.0
     groups = {}
-    for label, dist, contract, n_windows in zip(
-        plan.labels, plan.dists, plan.contracts.tolist(), plan.widths.tolist()
+    for label, n_windows, contract, per_window, cvar_value, sf in zip(
+        plan.labels,
+        plan.widths.tolist(),
+        c.tolist(),
+        _profit(terms, c, f, part).tolist(),
+        _tail_profit(terms, c, tail).tolist(),
+        (terms.p * below_c).tolist(),
     ):
-        per_window = float(expected_profit(terms, dist, contract))
         total += per_window * n_windows
-        sf = terms.p * _strict_lower_probability(dist, contract)
         shortfall_prob_sum += sf * n_windows
-        groups[label] = GroupAnalytic(
-            label=label,
-            windows=n_windows,
-            contract=contract,
-            expected_profit=per_window,
-            cvar_value=float(analytic_cvar(terms, dist, contract)),
-            shortfall_probability=sf,
-        )
+        groups[label] = GroupAnalytic(label, n_windows, contract, per_window, cvar_value, sf)
     return AnalyticSummary(
         total_expected_profit=total,
-        expected_events_per_trial=terms.p * windows,
-        shortfall_probability=shortfall_prob_sum / windows,
+        expected_events_per_trial=terms.p * plan.col_group.size,
+        shortfall_probability=shortfall_prob_sum / plan.col_group.size,
         groups=groups,
     )
 
@@ -678,45 +696,23 @@ def convergence_rows(
     result: SimulationResult, summary: AnalyticSummary
 ) -> list[ConvergenceRow]:
     """MC-vs-analytic comparison rows, in standard-error units."""
-    rows = [
-        ConvergenceRow(
-            quantity="mean_profit",
-            simulated=result.mean,
-            analytic=summary.total_expected_profit,
-            standard_error=result.standard_error or None,
-        )
-    ]
-    for label in sorted(result.cvar):
-        est = result.cvar[label]
-        rows.append(
-            ConvergenceRow(
-                quantity=f"cvar[{label}]",
-                simulated=est.value,
-                analytic=summary.groups[label].cvar_value,
-                standard_error=est.standard_error,
-            )
-        )
     total_windows = result.n_trials * result.windows
-    p_sf = summary.shortfall_probability
-    se_sf = math.sqrt(p_sf * (1.0 - p_sf) / total_windows) if 0.0 < p_sf < 1.0 else None
-    rows.append(
-        ConvergenceRow(
-            quantity="shortfall_frequency",
-            simulated=result.shortfall_frequency,
-            analytic=p_sf,
-            standard_error=se_sf,
-        )
-    )
-    p_ev = summary.expected_events_per_trial / result.windows
-    se_ev = (
-        math.sqrt(p_ev * (1.0 - p_ev) / total_windows) if 0.0 < p_ev < 1.0 else None
-    )
-    rows.append(
-        ConvergenceRow(
-            quantity="event_frequency",
-            simulated=result.event_total / total_windows,
-            analytic=p_ev,
-            standard_error=se_ev,
-        )
-    )
-    return rows
+
+    def frequency(quantity: str, simulated: float, p: float) -> ConvergenceRow:
+        """A per-window frequency against its probability, with the binomial error."""
+        se = math.sqrt(p * (1.0 - p) / total_windows) if 0.0 < p < 1.0 else None
+        return ConvergenceRow(quantity, simulated, p, se)
+
+    mean = summary.total_expected_profit
+    return [
+        ConvergenceRow("mean_profit", result.mean, mean, result.standard_error or None),
+        *(
+            ConvergenceRow(f"cvar[{label}]", est.value, summary.groups[label].cvar_value,
+                           est.standard_error)
+            for label, est in sorted(result.cvar.items())
+        ),
+        frequency("shortfall_frequency", result.shortfall_frequency,
+                  summary.shortfall_probability),
+        frequency("event_frequency", result.event_total / total_windows,
+                  summary.expected_events_per_trial / result.windows),
+    ]

@@ -7,9 +7,10 @@ references share definitions with the package, so that their agreement can
 be checked bit for bit: ``passive_set_search_nnls`` shares the passive-set
 solve and the gradient tolerance of the Lawson-Hanson loop,
 ``dense_simulate_horizon`` shares the Monte Carlo's plan, stream keys, block
-size and draw rules, which it walks cell by cell in scalar Python, and
+size and draw rules, which it walks cell by cell in scalar Python,
 ``per_bucket_ranking`` shares the pair score, which it takes one bucket's
-distributions at a time.
+distributions at a time, and ``per_group_analytic_summary`` shares the plan,
+whose groups it sums one scalar call at a time.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from scipy import integrate, stats
 
 from drcontracts import simulation
 from drcontracts.aggregation import AssetPortfolio, PartnerRank, _score_pair
-from drcontracts.contracts import optimal_contract
-from drcontracts.distributions import NormalDistribution
+from drcontracts.contracts import cvar, expected_profit, optimal_contract
+from drcontracts.distributions import EmpiricalDistribution, NormalDistribution
 from drcontracts.estimation import restrict_to_common
 from drcontracts.nnls import _solve_passive, gradient_tolerance
 from drcontracts.program import ProgramTerms
@@ -381,3 +382,48 @@ def per_bucket_ranking(model, terms, base_id, candidate_ids):
         )
     ranks.sort(key=lambda r: (-r.delta_sigma, r.candidate_id))
     return ranks, sorted(unalignable)
+
+
+def strict_lower_probability(dist, c: float) -> float:
+    """P(q < c), the per-event shortfall probability at contract c.
+
+    Draws are clipped at zero, so none falls short of a contract c <= 0.
+    """
+    if c <= 0.0:
+        return 0.0
+    if isinstance(dist, EmpiricalDistribution):
+        return float(np.searchsorted(dist.samples, c, side="left") / dist.n)
+    if dist.sigma == 0.0:
+        return 1.0 if c > dist.mu else 0.0
+    return float(dist.cdf(c))
+
+
+def per_group_analytic_summary(terms, capability, contracts, config, schedule=None):
+    """analytic_summary with one scalar expected_profit, cvar and
+    strict_lower_probability call per group of the plan, in label order."""
+    plan = simulation._normalize_plan(terms, capability, contracts, config, schedule)
+    windows = plan.col_group.size
+    total = 0.0
+    shortfall_prob_sum = 0.0
+    groups = {}
+    for label, dist, contract, n_windows in zip(
+        plan.labels, plan.dists, plan.contracts.tolist(), plan.widths.tolist()
+    ):
+        per_window = float(expected_profit(terms, dist, contract))
+        total += per_window * n_windows
+        sf = terms.p * strict_lower_probability(dist, contract)
+        shortfall_prob_sum += sf * n_windows
+        groups[label] = simulation.GroupAnalytic(
+            label=label,
+            windows=n_windows,
+            contract=contract,
+            expected_profit=per_window,
+            cvar_value=float(cvar(terms, dist, contract)),
+            shortfall_probability=sf,
+        )
+    return simulation.AnalyticSummary(
+        total_expected_profit=total,
+        expected_events_per_trial=terms.p * windows,
+        shortfall_probability=shortfall_prob_sum / windows,
+        groups=groups,
+    )

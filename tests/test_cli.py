@@ -1249,6 +1249,18 @@ def _year_inputs(tmp_path: Path, monkeypatch, seed: int = 3) -> None:
     monkeypatch.chdir(tmp_path)
 
 
+def _year_inputs_with_gaps(tmp_path: Path, monkeypatch) -> None:
+    """The `year` inputs at seed 7 with the 12:00 reading removed on about 15 %
+    of each building's days, which estimate then skips."""
+    _year_inputs(tmp_path, monkeypatch, seed=7)
+    header, *rows = Path("load.csv").read_text().splitlines(keepends=True)
+    days = sorted({(row[:10], row.split(",")[1]) for row in rows})
+    rng = random.Random(7)
+    gaps = {day for day in days if rng.random() < 0.15}
+    kept = [row for row in rows if not (row[11:13] == "12" and (row[:10], row.split(",")[1]) in gaps)]
+    Path("load.csv").write_text(header + "".join(kept))
+
+
 def test_year_pipeline_outputs_are_golden(tmp_path, monkeypatch, capsys):
     _year_inputs(tmp_path, monkeypatch)
     digests = {}
@@ -1269,13 +1281,7 @@ def test_year_ranking_matches_the_per_bucket_oracle(tmp_path, monkeypatch, capsy
     import drcontracts.cli as cli
     from oracles import per_bucket_ranking
 
-    _year_inputs(tmp_path, monkeypatch, seed=7)
-    header, *rows = Path("load.csv").read_text().splitlines(keepends=True)
-    days = sorted({(row[:10], row.split(",")[1]) for row in rows})
-    rng = random.Random(7)
-    gaps = {day for day in days if rng.random() < 0.15}
-    kept = [row for row in rows if not (row[11:13] == "12" and (row[:10], row.split(",")[1]) in gaps)]
-    Path("load.csv").write_text(header + "".join(kept))
+    _year_inputs_with_gaps(tmp_path, monkeypatch)
     assert run("estimate", "--config", "config.json", "--out", "model.json") == 0
     model = CapabilityModel.load("model.json")
     base, candidates = "b00", ("b01", "b02", "b03")
@@ -1306,6 +1312,56 @@ def test_year_ranking_matches_the_per_bucket_oracle(tmp_path, monkeypatch, capsy
         assert bits(ranks) == bits(expected)
         listed = [line for line in capsys.readouterr().out.splitlines() if "unalignable" in line]
         assert listed == ([f"unalignable buckets skipped: {', '.join(unalignable)}"] if unalignable else [])
+
+
+def test_year_report_analytic_matches_the_per_group_oracle(tmp_path, monkeypatch, capsys):
+    """simulate's analytic block, by sorted blocks, holds the bits of one scalar
+    call per bucket, on the `year` load with gaps: the buckets differ in size.
+    Contracts are sized at alpha 0.5, past the shut-off threshold (all 0) and
+    under a cap that clips about half of them."""
+    from oracles import per_group_analytic_summary
+
+    _year_inputs_with_gaps(tmp_path, monkeypatch)
+    assert run("estimate", "--config", "config.json", "--out", "model.json") == 0
+    building = CapabilityModel.load("model.json").building("b00")
+    assert building.skipped_days > 0
+    keys = building.sorted_keys()
+    capability = {key: building.series.buckets[key] for key in keys}
+    assert len({dist.n for dist in capability.values()}) > 2
+    schedule = [key for key in keys for _ in range(capability[key].n)]
+    config = json.loads(Path("config.json").read_text())
+    for alpha, c_max in ((0.5, None), (3.0, None), (0.5, 5.0)):
+        config["terms"].update(alpha=alpha, c_max=c_max)
+        Path("case.json").write_text(json.dumps(config))
+        argv = ("--config", "case.json", "--building", "b00", "--out")
+        assert run("contract", *argv, "contracts.csv") == 0
+        assert run("simulate", *argv, "report.json") == 0
+        capsys.readouterr()
+        reported = json.loads(Path("report.json").read_text())["analytic"]
+        run_config = load_run_config("case.json")
+        terms = run_config.require_terms()
+        contracts = _read_contracts_csv(Path("contracts.csv"))
+        at_cap = sum(c == terms.contract_cap for c in contracts.values())
+        at_zero = sum(c == 0.0 for c in contracts.values())
+        assert at_cap == 0 if c_max is None else 0 < at_cap < len(contracts)
+        assert at_zero == len(contracts) if alpha == 3.0 else 0 < at_zero < len(contracts)
+        expected = per_group_analytic_summary(
+            terms, capability, contracts, run_config.simulation_config(None), schedule
+        )
+        fields = ("total_expected_profit", "expected_events_per_trial", "shortfall_probability")
+        for name in fields:
+            assert reported[name].hex() == getattr(expected, name).hex(), (alpha, name)
+        assert reported["groups"].keys() == expected.groups.keys()
+        for label, group in expected.groups.items():
+            row = reported["groups"][label]
+            assert row["windows"] == group.windows
+            for name, value in (
+                ("contract", group.contract),
+                ("expected_profit", group.expected_profit),
+                ("cvar", group.cvar_value),
+                ("shortfall_probability", group.shortfall_probability),
+            ):
+                assert float(row[name]).hex() == value.hex(), (alpha, label, name)
 
 
 @pytest.mark.parametrize("workload, building_id", [("fixtures", "acme_plant"), ("year", "b00")])

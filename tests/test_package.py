@@ -10,6 +10,7 @@ import re
 import shlex
 import shutil
 import sys
+from collections import Counter
 from pathlib import Path
 
 import drcontracts
@@ -76,3 +77,62 @@ def test_every_traced_binding_exists(monkeypatch):
         for part in outer:
             owner = getattr(owner, part)
         assert attr in vars(owner), f"{module_name}.{path} (span {name})"
+
+
+# The WRAPS bindings that the four CLI stages never call on the fixtures.
+# Their spans read 0 in a traced run, so a layer metric built on them
+# measures nothing there.  simulation.simulate_horizon is the library call's.
+UNCALLED_BINDINGS = {
+    ("drcontracts.aggregation", "aggregate_distribution"),
+    ("drcontracts.aggregation", "optimal_contract"),
+    ("drcontracts.aggregation", "sum_empirical"),
+    ("drcontracts.cli", "aggregate_distribution"),
+    ("drcontracts.cli", "complementarity"),
+    ("drcontracts.cli", "member_sigmas"),
+    ("drcontracts.cli", "optimal_contract"),
+    ("drcontracts.cli", "profit_delta_from_sigmas"),
+    ("drcontracts.cli", "profit_delta_oracle"),
+    ("drcontracts.distributions", "EmpiricalDistribution.transform_uniform"),
+    ("drcontracts.distributions", "NormalDistribution.transform_uniform"),
+    ("drcontracts.simulation", "simulate_horizon"),
+}
+
+
+def test_traced_bindings_the_cli_stages_call(tmp_path, monkeypatch, capsys):
+    """Counts the calls to each WRAPS binding over the README's four CLI stages,
+    so that a binding the code stops calling, or starts to, fails here."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)
+    spec.loader.exec_module(spans)
+    calls: Counter = Counter()
+
+    def counting(binding, fn):
+        def counted(*args, **kwargs):
+            calls[binding] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    for module_name, path, _ in spans.WRAPS:
+        owner = importlib.import_module(module_name)
+        *outer, attr = path.split(".")
+        for part in outer:
+            owner = getattr(owner, part)
+        original = vars(owner)[attr]
+        if isinstance(original, classmethod):
+            wrapped = classmethod(counting((module_name, path), original.__func__))
+        else:
+            wrapped = counting((module_name, path), original)
+        monkeypatch.setattr(owner, attr, wrapped)
+    for name in ("config.json", "sample_load.csv", "shapes.csv"):
+        shutil.copy(ROOT / "fixtures" / name, tmp_path / name)
+    monkeypatch.chdir(tmp_path)
+    (block,) = WALKTHROUGH.findall(README.read_text())
+    for argv, _ in COMMAND.findall(block):
+        assert main(shlex.split(argv)) == 0
+    capsys.readouterr()
+    bindings = {(module_name, path) for module_name, path, _ in spans.WRAPS}
+    assert set(calls) <= bindings
+    assert bindings - set(calls) == UNCALLED_BINDINGS

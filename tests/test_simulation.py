@@ -8,6 +8,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from drcontracts import _kernels, simulation
 from drcontracts import (
@@ -28,7 +29,12 @@ from drcontracts import (
 )
 from drcontracts.contracts import tail_cutoff
 from conftest import sampled_normal, terms_for_psi
-from oracles import dense_event_cells, dense_simulate_horizon, philox_stream
+from oracles import (
+    dense_event_cells,
+    dense_simulate_horizon,
+    per_group_analytic_summary,
+    philox_stream,
+)
 
 
 def small_config(**overrides) -> SimulationConfig:
@@ -821,6 +827,131 @@ class TestConvergence:
         assert summary.groups["a"].cvar_value == pytest.approx(
             cvar(basic_terms, caps["a"], 90.0), rel=1e-12
         )
+
+
+def summary_bits(summary) -> tuple:
+    totals = (summary.total_expected_profit, summary.expected_events_per_trial,
+              summary.shortfall_probability)
+    groups = [
+        (g.label, g.windows, *(v.hex() for v in (
+            g.contract, g.expected_profit, g.cvar_value, g.shortfall_probability)))
+        for g in summary.groups.values()
+    ]
+    return tuple(v.hex() for v in totals), groups
+
+
+@st.composite
+def samples_at_contracts(draw):
+    """Empirical groups of a few sizes, one contract per group, and terms.
+
+    Samples come from a few fixed values, so groups hold ties and point
+    masses, and groups of one size share a sorted block.  Each group's
+    contract is 0, one of its samples, the midpoint of two adjacent samples
+    or above its largest.
+    """
+    value = st.one_of(st.sampled_from([0.0, 0.5, 2.0, 3.25]), st.floats(0.0, 50.0))
+    groups = draw(st.lists(st.sampled_from([1, 2, 5, 9]), min_size=1, max_size=8))
+    capability, contracts = {}, {}
+    for g, n in enumerate(groups):
+        dist = EmpiricalDistribution(np.array(draw(st.lists(value, min_size=n, max_size=n))))
+        row = dist.samples.tolist()
+        where = draw(st.sampled_from(["zero", "sample", "between", "above"]))
+        i = draw(st.integers(0, n - 1))
+        if where == "zero":
+            c = 0.0
+        elif where == "sample":
+            c = row[i]
+        elif where == "between":
+            c = 0.5 * (row[i] + row[min(i + 1, n - 1)])
+        else:
+            c = row[-1] + draw(st.floats(1e-9, 10.0))
+        capability[f"g{g}"], contracts[f"g{g}"] = dist, c
+    terms = ProgramTerms(
+        pi_e=4.0, pi_r=0.01, pi_p=5.0, p=0.05,
+        alpha=draw(st.sampled_from([0.0, 0.5, 2.0])),
+        c_hat=draw(st.sampled_from([0.5, 0.9, 0.95, 0.99])),
+    )
+    return capability, contracts, terms
+
+
+class TestAnalyticByBlocks:
+    """analytic_summary and _Laws read sorted blocks of groups of one size;
+    each group keeps the bits of its own distribution's scalar calls."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=samples_at_contracts())
+    def test_each_group_is_its_distributions_bit_for_bit(self, case):
+        capability, contracts, terms = case
+        config = SimulationConfig(n_trials=1, windows_per_horizon=len(capability))
+        groups = analytic_summary(terms, capability, contracts, config).groups
+        assert groups.keys() == capability.keys()
+        for label, dist in capability.items():
+            c, group = contracts[label], groups[label]
+            assert group.expected_profit.hex() == expected_profit(terms, dist, c).hex()
+            assert group.cvar_value.hex() == cvar(terms, dist, c).hex()
+            lower = float(np.searchsorted(dist.samples, c, side="left") / dist.n)
+            assert group.shortfall_probability.hex() == (terms.p * lower).hex()
+
+    def library_maps(self):
+        """The mixed map (normals, clipped normals, point normals, point-mass
+        and one-sample empiricals) with more empiricals of shared sizes."""
+        capability, contracts, schedule, _ = sparse_cases()["mixed"]
+        extra = {
+            f"emp{size}_{seed}": sampled_normal(30.0, 10.0, size, seed=seed)
+            for size in (6, 23)
+            for seed in (1, 2)
+        }
+        capability = {**capability, **extra, "single2": EmpiricalDistribution(np.array([3.0]))}
+        contracts = {**contracts, **{key: 25.0 for key in extra}, "single2": 3.0}
+        return capability, contracts, schedule + list(extra) + ["single2"]
+
+    @pytest.mark.parametrize("sizing", ["mixed", "zero", "cap", "zero_and_cap"])
+    @pytest.mark.parametrize("scheduled", [True, False])
+    def test_library_maps_match_the_per_group_oracle(self, sizing, scheduled):
+        terms = ProgramTerms(pi_e=4.0, pi_r=0.01, pi_p=5.0, p=0.05, c_max=40.0)
+        capability, contracts, schedule = self.library_maps()
+        labels = sorted(capability)
+        if sizing == "zero":
+            contracts = dict.fromkeys(capability, 0.0)
+        elif sizing == "cap":
+            contracts = dict.fromkeys(capability, terms.contract_cap)
+        elif sizing == "zero_and_cap":
+            contracts = {k: (0.0, terms.contract_cap)[i % 2] for i, k in enumerate(labels)}
+        else:
+            contracts = {k: min(c, terms.contract_cap) for k, c in contracts.items()}
+        config = small_config(windows_per_horizon=41)
+        schedule = schedule if scheduled else None
+        summary = analytic_summary(terms, capability, contracts, config, schedule)
+        oracle = per_group_analytic_summary(terms, capability, contracts, config, schedule)
+        assert summary_bits(summary) == summary_bits(oracle)
+        assert list(summary.groups) == labels
+
+    def test_laws_fields_match_each_distributions_own(self):
+        terms = ProgramTerms(pi_e=4.0, pi_r=0.01, pi_p=5.0, p=0.05, c_hat=0.8)
+        capability, _, _ = self.library_maps()
+        dists = [capability[k] for k in sorted(capability)]
+        laws = simulation._Laws(terms, dists)
+        assert len({block.shape[1] for _, block in laws.stacks}) == len(laws.stacks) > 3
+        for g, dist in enumerate(dists):
+            cutoff = tail_cutoff(terms, dist)
+            if isinstance(dist, NormalDistribution):
+                point = max(dist.mu, 0.0) if dist.sigma == 0.0 else None
+                tail_size = int(dist.sigma == 0.0)
+            else:
+                point = float(dist.samples[0]) if dist.samples[0] == dist.samples[-1] else None
+                tail_size = int(np.searchsorted(dist.samples, cutoff, side="right"))
+            tau = 1.0 if point is not None else float(dist.cdf(cutoff))
+            assert laws.cutoffs[g].hex() == cutoff.hex(), g
+            assert laws.tau[g].hex() == tau.hex(), g
+            assert laws.tail_sizes[g] == tail_size, g
+            assert laws.points[g] == point, g
+            # The values a draw indexes: the samples, a point normal's one value.
+            if isinstance(dist, EmpiricalDistribution):
+                table = dist.samples.tolist()
+            else:
+                table = [] if point is None else [point]
+            start = laws.offsets[g]
+            assert laws.samples[start:start + laws.sizes[g]].tolist() == table, g
 
 
 class TestResultOutputs:
