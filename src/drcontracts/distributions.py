@@ -225,6 +225,13 @@ def linear_quantile(samples: np.ndarray, u):
     return np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t)
 
 
+def prefix_sums(samples: np.ndarray) -> np.ndarray:
+    """prefix[..., k] is the sum of the first k entries along the last axis, added in order."""
+    prefix = np.zeros(samples.shape[:-1] + (samples.shape[-1] + 1,))
+    np.cumsum(samples, axis=-1, out=prefix[..., 1:])
+    return prefix
+
+
 def check_normal_parameters(mu: float, sigma: float) -> None:
     """The checks NormalDistribution makes on its parameters."""
     if not math.isfinite(mu):
@@ -270,7 +277,7 @@ class EmpiricalDistribution:
     @cached_property
     def prefix(self) -> np.ndarray:
         """prefix[k] is the sum of the k smallest samples."""
-        return np.concatenate(([0.0], np.cumsum(self.samples)))
+        return prefix_sums(self.samples)
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -410,44 +417,43 @@ class NormalDistribution:
 CurtailmentDistribution = Union[EmpiricalDistribution, NormalDistribution]
 
 
-def _ks_distance_continuous(samples: np.ndarray, normal: NormalDistribution) -> float:
-    n = samples.size
-    f = np.asarray(normal.cdf(samples), dtype=float)
-    upper = np.arange(1, n + 1) / n - f
-    lower = f - np.arange(0, n) / n
-    return float(max(upper.max(), lower.max(), 0.0))
+def kolmogorov_rows(samples: np.ndarray, mu: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """Sup-norm gap between the cdf of each row, sorted, and N(mu[r], sigma[r]).
+
+    Against a normal with spread the sup is attained at a sample; against a
+    point mass (sigma 0) at mu, it is max(F(mu-), 1 - F(mu)).
+    """
+    n, at = samples.shape[1], mu[:, None]
+    below = np.count_nonzero(samples < at, axis=1) / n
+    out = np.maximum(below, 1.0 - np.count_nonzero(samples <= at, axis=1) / n)
+    spread = sigma > 0.0
+    f = standard_normal_cdf((samples[spread] - at[spread]) / sigma[spread, None])
+    upper = (np.arange(1, n + 1) / n - f).max(axis=1)
+    out[spread] = np.maximum(upper, (f - np.arange(n) / n).max(axis=1))
+    return out
 
 
-def _ks_distance_point_mass(samples: np.ndarray, mu: float) -> float:
-    # Both cdfs are step functions; the sup is attained at a jump point,
-    # approached from the left or evaluated at the point itself.
-    n = samples.size
-    points = np.unique(np.concatenate((samples, [mu])))
-    emp_at = np.searchsorted(samples, points, side="right") / n
-    emp_left = np.searchsorted(samples, points, side="left") / n
-    pm_at = (points >= mu).astype(float)
-    pm_left = (points > mu).astype(float)
-    return float(
-        max(np.abs(emp_at - pm_at).max(), np.abs(emp_left - pm_left).max())
-    )
+def fit_rows(samples: np.ndarray) -> np.ndarray:
+    """Each sorted row's mean, (n-1)-denominator spread and Kolmogorov gap, as (rows x 3);
+    a constant row fits the point mass at its value."""
+    constant = samples[:, 0] == samples[:, -1]
+    mu = np.where(constant, samples[:, 0], samples.mean(axis=1))
+    sigma = np.where(constant, 0.0, samples.std(axis=1, ddof=1))
+    return np.column_stack((mu, sigma, kolmogorov_rows(samples, mu, sigma)))
 
 
 def kolmogorov_distance(empirical: EmpiricalDistribution, normal: NormalDistribution) -> float:
-    """Sup-norm distance between the empirical cdf and the normal cdf."""
-    if normal.sigma == 0.0:
-        return _ks_distance_point_mass(empirical.samples, normal.mu)
-    return _ks_distance_continuous(empirical.samples, normal)
+    """Sup-norm gap between the empirical and normal cdfs: kolmogorov_rows' one-row case."""
+    mu, sigma = np.array([normal.mu]), np.array([normal.sigma])
+    return float(kolmogorov_rows(empirical.samples[None], mu, sigma)[0])
 
 
 def fit_normal(empirical: EmpiricalDistribution) -> tuple[NormalDistribution, float]:
-    """Moment-match a normal to the samples; also report the fit distance.
-
-    Uses the sample mean and the (n-1)-denominator standard deviation, so at
-    least two samples are required.  The returned distance is the Kolmogorov
-    sup-norm gap, a plain goodness-of-fit diagnostic.
-    """
-    normal = NormalDistribution(empirical.mean(), empirical.stddev())
-    return normal, kolmogorov_distance(empirical, normal)
+    """fit_rows' one-row case; at least two samples are required."""
+    if empirical.n < 2:
+        raise ValueError("standard deviation undefined for a single sample")
+    mu, sigma, distance = fit_rows(empirical.samples[None])[0].tolist()
+    return NormalDistribution(mu, sigma), distance
 
 
 @dataclass(frozen=True, eq=False)

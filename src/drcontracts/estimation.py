@@ -4,14 +4,13 @@ Pipeline: decompose each complete day's 24-hour load profile, a row of its
 building's day table, into reference end-use shapes by non-negative least
 squares and take the curtailable fraction of the HVAC component as that day's
 hourly curtailment-capability estimate, one row of a (days x 24) array.  The
-buckets slice that array: the days of one (month, weekday/weekend) give each
-hour-of-day's bucket its column, in day order, as an empirical distribution
-with a fitted normal alongside.  model.json stores the array and the fits; its
-reader checks them and builds each building's bucket table, one block sorted
-along its rows per (month, day type), and no bucket objects until a caller
-asks for them.  Two buildings' samples pair by day:
-``restrict_to_common`` keeps the days both have, so the same bucket of each
-restricted series holds the same days in the same order.
+days of one (month, weekday/weekend) give each hour-of-day's bucket its column,
+in day order.  Each kept (month, day type) becomes one block, its hour columns
+sorted along its rows, and ``fit_rows`` moment-matches a normal to every row,
+with no per-bucket object.  model.json stores the array and the fits; its
+reader checks them and builds the same blocks.  Two buildings' samples pair by
+day: ``restrict_to_common`` keeps the days both have, so the same bucket of
+each restricted series holds the same days in the same order.
 """
 
 from __future__ import annotations
@@ -32,7 +31,9 @@ from .distributions import (
     EmpiricalDistribution,
     NormalDistribution,
     check_normal_parameters,
-    fit_normal,
+    fit_normal,  # noqa: F401  (not called here; bound only because perfbench/spans.py wraps it)
+    fit_rows,
+    prefix_sums,
 )
 from .errors import InputFormatError, ModelConsistencyError
 from .formatting import is_integer, is_number, read_csv_rows
@@ -240,15 +241,16 @@ def restrict_to_common(series: Sequence[CurtailableSeries]) -> list[CurtailableS
     return out
 
 
-def split_groups(
+def split_blocks(
     series: CurtailableSeries, min_bucket_size: int
-) -> tuple[list[tuple[int, bool]], tuple[tuple[str, int], ...]]:
-    """The (month, is_weekend) groups of at least min_bucket_size days, sorted,
-    and (label, size) of the buckets of the rest."""
+) -> tuple[dict[tuple[int, bool], tuple[np.ndarray, np.ndarray]], tuple[tuple[str, int], ...]]:
+    """The sorted_block of each (month, is_weekend) group of at least min_bucket_size
+    days, in key order, and (label, size) of the buckets of the rest."""
     groups = series.groups
     kept = sorted(group for group, rows in groups.items() if len(rows) >= min_bucket_size)
     dropped = _cells(groups.keys() - set(kept))
-    return kept, tuple((_label(*cell), len(groups[cell[0], cell[2]])) for cell in dropped)
+    blocks = {group: sorted_block(series.values[groups[group]]) for group in kept}
+    return blocks, tuple((_label(*cell), len(groups[cell[0], cell[2]])) for cell in dropped)
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,22 +266,16 @@ class BucketBlock:
     prefix: np.ndarray
     fits: np.ndarray
 
+    def __post_init__(self) -> None:
+        for array in (self.samples, self.prefix, self.fits):
+            array.flags.writeable = False
+
 
 def sorted_block(days: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A (days x hours) array's hour columns as BucketBlock holds them: samples and prefix."""
     samples = np.array(days.T, order="C")
     samples.sort(axis=1, kind="stable")
-    prefix = np.zeros((samples.shape[0], samples.shape[1] + 1))
-    np.cumsum(samples, axis=1, out=prefix[:, 1:])
-    return samples, prefix
-
-
-def _bucket_block(series: CurtailableSeries, group: tuple[int, bool], fits) -> BucketBlock:
-    samples, prefix = sorted_block(series.values[series.groups[group]])
-    fits = np.array(fits, dtype=float)
-    for array in (samples, prefix, fits):
-        array.flags.writeable = False
-    return BucketBlock(samples, prefix, fits)
+    return samples, prefix_sums(samples)
 
 
 @dataclass(frozen=True)
@@ -433,7 +429,7 @@ def _read_building(bid: str, raw: dict, min_bucket_size: int) -> BuildingModel:
     """Check the stored days, values and fits, and build the bucket table from them."""
     _check_keys(f"building {bid!r}", raw, ("days", "values", "skipped_days", "buckets"))
     series = _read_series(raw)
-    kept, dropped = split_groups(series, min_bucket_size)
+    kept, dropped = split_blocks(series, min_bucket_size)
     fits = raw["buckets"]
     cells = _cells(kept)
     labels = [_label(*cell) for cell in cells]
@@ -447,10 +443,12 @@ def _read_building(bid: str, raw: dict, min_bucket_size: int) -> BuildingModel:
     for (month, _, is_weekend), label in zip(cells, labels):
         fit = fits[label]
         _check_keys(f"bucket {label} of {bid!r}", fit, ("mu", "sigma", "fit_distance"))
-        mu, sigma = _number("mu", fit["mu"]), _number("sigma", fit["sigma"])
+        mu, sigma, distance = (_number(name, fit[name]) for name in ("mu", "sigma", "fit_distance"))
         check_normal_parameters(mu, sigma)
-        params[month, is_weekend].append((mu, sigma, _number("fit_distance", fit["fit_distance"])))
-    table = {group: _bucket_block(series, group, fit) for group, fit in params.items()}
+        if not 0.0 <= distance <= 1.0:
+            raise ValueError(f"fit_distance must lie in [0, 1], got {distance!r}")
+        params[month, is_weekend].append((mu, sigma, distance))
+    table = {group: BucketBlock(*kept[group], np.array(fit)) for group, fit in params.items()}
     return BuildingModel(bid, series, table, dropped)
 
 
@@ -513,14 +511,8 @@ def build_capability_model(
     buildings = {}
     for bid in sorted(table.buildings):
         series = curtailable_series(table.buildings[bid], shapes, config.curtailable_fraction)
-        kept, dropped = split_groups(series, config.min_bucket_size)
-        blocks = {}
-        for month, is_weekend in kept:
-            fits = []
-            for hour in range(HOURS_PER_DAY):
-                normal, distance = fit_normal(series.buckets[BucketKey(month, hour, is_weekend)])
-                fits.append((normal.mu, normal.sigma, distance))
-            blocks[month, is_weekend] = _bucket_block(series, (month, is_weekend), fits)
+        kept, dropped = split_blocks(series, config.min_bucket_size)
+        blocks = {group: BucketBlock(*block, fit_rows(block[0])) for group, block in kept.items()}
         buildings[bid] = BuildingModel(bid, series, blocks, dropped)
     if not any(b.table for b in buildings.values()):
         raise ModelConsistencyError("no valid buckets after the minimum-size rule")

@@ -49,6 +49,7 @@ from .distributions import (
     NormalDistribution,
     clipped_normal_transform,
     normal_below,
+    prefix_sums,
     standard_normal_cdf,
     standard_normal_quantile,
 )
@@ -644,9 +645,8 @@ def analytic_summary(
     # F(c), P(c), E[q | q <= q_hat] and P(q < c) of each group.
     f, part, tail, below_c = (np.empty(c.size) for _ in range(4))
     for members, block in laws.stacks:
-        rows, n = block.shape
-        prefix = np.zeros((rows, n + 1))
-        np.cumsum(block, axis=1, out=prefix[:, 1:])
+        n = block.shape[1]
+        prefix = prefix_sums(block)
         f[members], part[members] = sorted_below(block, prefix, c[members])
         f_hat, part_hat = sorted_below(block, prefix, laws.cutoffs[members])
         tail[members] = part_hat / f_hat

@@ -9,8 +9,10 @@ solve and the gradient tolerance of the Lawson-Hanson loop,
 ``dense_simulate_horizon`` shares the Monte Carlo's plan, stream keys, block
 size and draw rules, which it walks cell by cell in scalar Python,
 ``per_bucket_ranking`` shares the pair score, which it takes one bucket's
-distributions at a time, and ``per_group_analytic_summary`` shares the plan,
-whose groups it sums one scalar call at a time.
+distributions at a time, ``per_group_analytic_summary`` shares the plan,
+whose groups it sums one scalar call at a time, and ``per_bucket_fit_normal``
+shares the moments and the normal cdf, which it takes one bucket at a time,
+with the jump-point search for a point mass's Kolmogorov distance.
 """
 
 from __future__ import annotations
@@ -427,3 +429,45 @@ def per_group_analytic_summary(terms, capability, contracts, config, schedule=No
         shortfall_probability=shortfall_prob_sum / windows,
         groups=groups,
     )
+
+
+def _ks_distance_continuous(samples: np.ndarray, normal: NormalDistribution) -> float:
+    n = samples.size
+    f = np.asarray(normal.cdf(samples), dtype=float)
+    upper = np.arange(1, n + 1) / n - f
+    lower = f - np.arange(0, n) / n
+    return float(max(upper.max(), lower.max(), 0.0))
+
+
+def _ks_distance_point_mass(samples: np.ndarray, mu: float) -> float:
+    # Both cdfs are step functions; the sup is attained at a jump point,
+    # approached from the left or evaluated at the point itself.
+    n = samples.size
+    points = np.unique(np.concatenate((samples, [mu])))
+    emp_at = np.searchsorted(samples, points, side="right") / n
+    emp_left = np.searchsorted(samples, points, side="left") / n
+    pm_at = (points >= mu).astype(float)
+    pm_left = (points > mu).astype(float)
+    return float(
+        max(np.abs(emp_at - pm_at).max(), np.abs(emp_left - pm_left).max())
+    )
+
+
+def per_bucket_kolmogorov_distance(
+    empirical: EmpiricalDistribution, normal: NormalDistribution
+) -> float:
+    """Sup-norm distance between the empirical cdf and the normal cdf."""
+    if normal.sigma == 0.0:
+        return _ks_distance_point_mass(empirical.samples, normal.mu)
+    return _ks_distance_continuous(empirical.samples, normal)
+
+
+def per_bucket_fit_normal(empirical: EmpiricalDistribution) -> tuple[NormalDistribution, float]:
+    """Moment-match a normal to the samples; also report the fit distance.
+
+    Uses the sample mean and the (n-1)-denominator standard deviation, so at
+    least two samples are required.  The returned distance is the Kolmogorov
+    sup-norm gap, a plain goodness-of-fit diagnostic.
+    """
+    normal = NormalDistribution(empirical.mean(), empirical.stddev())
+    return normal, per_bucket_kolmogorov_distance(empirical, normal)

@@ -436,6 +436,11 @@ class TestContract:
             "values keep (missing ['03-10-weekday'], extra [])",
         ),
         (("buckets", "03-10-weekday", "sigma"), -1.0, "sigma must be finite and >= 0, got -1.0"),
+        (
+            ("buckets", "03-10-weekday", "fit_distance"),
+            7.5,
+            "fit_distance must lie in [0, 1], got 7.5",
+        ),
     ],
 )
 def test_model_load_checks_buildings_the_command_does_not_use(
@@ -496,6 +501,9 @@ def test_buckets_are_built_only_for_the_building_in_use(
     assert built == {EmpiricalDistribution: [], NormalDistribution: []}
 
     config = str(workspace / "config.json")
+    # estimate fits each (month, day type) block's rows, with no bucket object.
+    model_out = str(workspace / "counted_model.json")
+    assert counted("estimate", "--config", config, "--out", model_out) == ([], [])
     args = ("--config", config, "--building", "acme_plant", "--out")
     emps, normals = counted("contract", *args, str(workspace / "counted.csv"))
     assert 0 < len(emps) <= buckets and normals == []
@@ -513,7 +521,7 @@ def test_buckets_are_built_only_for_the_building_in_use(
         _partial_overlap_load(FIXTURES / "sample_load.csv")
     )
     monkeypatch.chdir(tmp_path)
-    counted("estimate", "--config", "config.json", "--out", "model.json")
+    assert counted("estimate", "--config", "config.json", "--out", "model.json") == ([], [])
     assert counted("aggregate", "--config", "config.json", *pair, "ranking.csv") == ([], [])
 
 

@@ -24,11 +24,19 @@ from drcontracts import (
 )
 from drcontracts.distributions import (
     clipped_normal_transform,
+    fit_rows,
+    kolmogorov_rows,
+    prefix_sums,
     standard_normal_cdf,
     standard_normal_pdf,
     standard_normal_quantile,
 )
-from oracles import quad_partial_expectation, quad_shortfall_expectation
+from oracles import (
+    per_bucket_fit_normal,
+    per_bucket_kolmogorov_distance,
+    quad_partial_expectation,
+    quad_shortfall_expectation,
+)
 
 QUAD = [1.0, 2.0, 3.0, 4.0]
 
@@ -420,6 +428,12 @@ class TestFitNormal:
         assert fitted.sigma == 0.0
         assert distance == 0.0
 
+    def test_constant_samples_fit_the_point_mass_at_their_value(self):
+        # The mean of three 0.1s rounds to 0.10000000000000002, and the
+        # spread about it to 1.7e-17 rather than 0.
+        fitted, distance = fit_normal(EmpiricalDistribution([0.1, 0.1, 0.1]))
+        assert (fitted.mu, fitted.sigma, distance) == (0.1, 0.0, 0.0)
+
     def test_large_sample_recovery(self):
         rng = np.random.default_rng(42)
         emp = EmpiricalDistribution(rng.normal(50.0, 5.0, 100_000))
@@ -431,6 +445,84 @@ class TestFitNormal:
     def test_single_sample_rejected(self):
         with pytest.raises(ValueError):
             fit_normal(EmpiricalDistribution([1.0]))
+
+
+def hexes(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+@st.composite
+def sorted_rows(draw):
+    """A (rows x n) block sorted along its rows.
+
+    Samples come from a few fixed values, a drawn value and its next float up,
+    and any value, so rows hold ties, constant rows and one-ulp gaps; some
+    rows are all zero (point masses) and n may be 2.
+    """
+    n = draw(st.integers(2, 9))
+    rows = draw(st.integers(1, 5))
+    base = draw(st.floats(0.0, 50.0))
+    fixed = [0.0, 0.5, 2.0, 3.25, base, float(np.nextafter(base, np.inf))]
+    value = st.one_of(st.sampled_from(fixed), st.floats(0.0, 50.0))
+    block = np.array(draw(st.lists(st.lists(value, min_size=n, max_size=n),
+                                   min_size=rows, max_size=rows)))
+    block[np.array(draw(st.lists(st.booleans(), min_size=rows, max_size=rows)))] = 0.0
+    return np.sort(block, axis=1)
+
+
+class TestBlockFits:
+    """fit_rows, kolmogorov_rows and prefix_sums against the per-bucket referee, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(block=sorted_rows())
+    def test_each_row_is_the_per_bucket_fit(self, block):
+        fits = fit_rows(block)
+        prefix = prefix_sums(block)
+        assert fits.shape == (block.shape[0], 3)
+        for row, fit, sums in zip(block, fits, prefix):
+            dist = EmpiricalDistribution(row)
+            if row[0] == row[-1]:
+                # A constant row fits the point mass at its value, exactly.
+                expected = [row[0], 0.0, 0.0]
+            else:
+                normal, distance = per_bucket_fit_normal(dist)
+                expected = [normal.mu, normal.sigma, distance]
+            assert hexes(fit) == hexes(expected)
+            normal, distance = fit_normal(dist)
+            assert hexes([normal.mu, normal.sigma, distance]) == hexes(expected)
+            assert sums.tobytes() == np.concatenate(([0.0], np.cumsum(row))).tobytes()
+            assert dist.prefix.tobytes() == sums.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(block=sorted_rows(), data=st.data())
+    def test_each_row_is_the_per_bucket_distance(self, block, data):
+        """Normals of any mu, and point masses below, at, between and above the samples.
+
+        sigma stays above 1e-9: a smaller one overflows (x - mu)/sigma here,
+        in the referee as in the package.
+        """
+        mu, sigma = [], []
+        for row in block:
+            where = data.draw(st.sampled_from(["normal", "below", "at", "between", "above"]))
+            if where == "normal":
+                mu.append(data.draw(st.floats(-100.0, 100.0)))
+                sigma.append(data.draw(st.floats(1e-9, 1e3)))
+                continue
+            sigma.append(0.0)
+            if where == "below":
+                mu.append(row[0] - data.draw(st.floats(0.0, 10.0, exclude_min=True)))
+            elif where == "at":
+                mu.append(data.draw(st.sampled_from(row.tolist())))
+            elif where == "between":
+                i = data.draw(st.integers(0, row.size - 2))
+                mu.append(row[i] + (row[i + 1] - row[i]) / 2.0)
+            else:
+                mu.append(row[-1] + data.draw(st.floats(0.0, 10.0, exclude_min=True)))
+        distances = kolmogorov_rows(block, np.array(mu), np.array(sigma))
+        for row, distance, m, s in zip(block, distances, mu, sigma):
+            dist, normal = EmpiricalDistribution(row), NormalDistribution(m, s)
+            expected = per_bucket_kolmogorov_distance(dist, normal)
+            assert hexes([distance, kolmogorov_distance(dist, normal)]) == hexes([expected] * 2)
 
 
 class TestKolmogorovDistance:

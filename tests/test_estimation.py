@@ -352,6 +352,10 @@ class TestRestrictToCommon:
             assert restricted.buckets == {}
 
 
+FIT_DISTANCE = ("buildings", "b1", "buckets", "03-10-weekday", "fit_distance")
+FIT_RANGE = r"fit_distance must lie in \[0, 1\]"
+
+
 class TestCapabilityModel:
     def build_small_model(
         self, days: int = 10, extra: dict[str, DayTable] | None = None
@@ -486,6 +490,10 @@ class TestCapabilityModel:
             ),
             (("buildings", "b1"), [], "building 'b1' must be an object"),
             (("metadata", "source_digest"), 5, "source_digest must be a string or null"),
+            (FIT_DISTANCE, float("nan"), FIT_RANGE),
+            (FIT_DISTANCE, -1, FIT_RANGE),
+            (FIT_DISTANCE, 7.5, FIT_RANGE),
+            (FIT_DISTANCE, float("inf"), FIT_RANGE),
         ],
     )
     def test_field_types_checked_not_coerced(self, path, value, named):

@@ -94,6 +94,7 @@ UNCALLED_BINDINGS = {
     ("drcontracts.cli", "profit_delta_oracle"),
     ("drcontracts.distributions", "EmpiricalDistribution.transform_uniform"),
     ("drcontracts.distributions", "NormalDistribution.transform_uniform"),
+    ("drcontracts.estimation", "fit_normal"),
     ("drcontracts.simulation", "simulate_horizon"),
 }
 
