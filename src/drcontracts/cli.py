@@ -34,6 +34,7 @@ from .aggregation import aggregate_distribution, complementarity, member_sigmas 
 from .aggregation import profit_delta_from_sigmas, profit_delta_oracle  # noqa: F401
 from .contracts import ContractDecision, decide_sorted, grid_search_optimal
 from .contracts import optimal_contract  # noqa: F401  (wrapped, as above)
+from .distributions import row_spread
 from .errors import (
     AlignmentError,
     DrContractsError,
@@ -56,6 +57,7 @@ from .estimation import (
 from .formatting import (
     flag,
     is_integer,
+    json_text,
     parse_flag,
     read_csv_rows,
     read_json_block,
@@ -296,7 +298,7 @@ def cmd_contract(args: argparse.Namespace) -> int:
     def decide(terms: ProgramTerms) -> list[ContractDecision]:
         """Each bucket's decision in key order, from one call per (month, day type) block."""
         blocks = building.table.items()
-        decided = {group: decide_sorted(terms, b.samples, b.prefix) for group, b in blocks}
+        decided = {group: decide_sorted(terms, b.samples) for group, b in blocks}
         return [decided[key.month, key.is_weekend].decision(key.hour) for key in keys]
 
     emps = [building.series.buckets[key] for key in keys]
@@ -366,9 +368,9 @@ def spearman_rho(x, y) -> float:
     return float(np.corrcoef(_average_ranks(x), _average_ranks(y))[0, 1])
 
 
-def _spread_and_profit(terms: ProgramTerms, samples, prefix) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's sample stddev and optimal expected profit, from a sorted block."""
-    return samples.std(axis=1, ddof=1), decide_sorted(terms, samples, prefix).expected_profit
+def _spread_and_profit(terms: ProgramTerms, samples) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's row_spread and optimal expected profit, from a sorted block."""
+    return row_spread(samples), decide_sorted(terms, samples).expected_profit
 
 
 def _weighted_means(groups, columns, sizes) -> list[float]:
@@ -392,8 +394,8 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
         raise ModelConsistencyError(f"candidates listed more than once: {repeated}")
 
     def loaded(bm) -> dict:
-        """(stddev, expected profit) rows of each of the building's loaded blocks."""
-        return {g: _spread_and_profit(terms, b.samples, b.prefix) for g, b in bm.table.items()}
+        """(row_spread, expected profit) rows of each of the building's loaded blocks."""
+        return {g: _spread_and_profit(terms, b.samples) for g, b in bm.table.items()}
 
     base_stats = loaded(base)
     ranks, unalignable = [], []
@@ -401,7 +403,7 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
         cand = model.building(cand_id)
         cand_stats = loaded(cand)
         shared = restrict_to_common([base.series, cand.series])
-        groups, columns, sizes = [], [], []
+        groups, pools, sizes = [], [], []
         for month, is_weekend in sorted(base.table.keys() & cand.table.keys()):
             group = month, is_weekend
             days = [s.values[s.groups.get(group, [])] for s in shared]
@@ -413,21 +415,23 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
             members = [
                 stats[group]
                 if len(d) == len(b.series.groups[group])
-                else _spread_and_profit(terms, *sorted_block(d))
+                else _spread_and_profit(terms, sorted_block(d))
                 for b, stats, d in zip((base, cand), (base_stats, cand_stats), days)
             ]
             # The pool's day rows pair as sum_empirical pairs samples.
-            sigma_ag, joint = _spread_and_profit(terms, *sorted_block(days[0] + days[1]))
-            columns.append(score_pools(terms, *zip(*members), sigma_ag, joint))
+            pools.append((*members, _spread_and_profit(terms, sorted_block(days[0] + days[1]))))
             groups.append(group)
             sizes.append(len(days[0]))
         if not groups:
             raise ModelConsistencyError(
                 f"candidate {cand_id!r} has no alignable buckets with base {args.base!r}"
             )
+        # The score is elementwise, so one call scores the hours of every group.
+        base_rows, cand_rows, (sigma_ag, joint) = (np.hstack(stats) for stats in zip(*pools))
+        columns = score_pools(terms, *zip(base_rows, cand_rows), sigma_ag, joint)
         own = sorted(cand.table)
         profits = [cand_stats[g][1] for g in own]
-        scores = _weighted_means(groups, columns, sizes)
+        scores = _weighted_means(groups, [columns], sizes)
         scores += _weighted_means(own, profits, [len(cand.series.groups[g]) for g in own])
         ranks.append(PartnerRank(cand_id, *scores))
     ranks.sort(key=lambda r: (-r.delta_sigma, r.candidate_id))
@@ -518,7 +522,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     # The report goes last, so a failed profits write leaves no report behind.
     if args.profits_csv:
         write_profits_csv(args.profits_csv, result)
-    Path(args.out).write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
+    Path(args.out).write_text(json_text(payload))
 
     print(f"{'quantity':<28} {'simulated':>14} {'analytic':>14} {'z':>8}")
     worst = 0.0

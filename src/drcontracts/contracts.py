@@ -34,6 +34,7 @@ from .distributions import (
     CurtailmentDistribution,
     EmpiricalDistribution,
     linear_quantile,
+    prefix_sums,
     standard_normal_pdf,
     standard_normal_quantile,
 )
@@ -238,13 +239,12 @@ def sorted_tail_cutoff(terms: ProgramTerms, samples: np.ndarray) -> np.ndarray:
     return np.where(0.0 > q, 0.0, q)
 
 
-def decide_sorted(terms: ProgramTerms, samples: np.ndarray, prefix: np.ndarray) -> SortedDecisions:
+def decide_sorted(terms: ProgramTerms, samples: np.ndarray) -> SortedDecisions:
     """Size the contract of each row of samples, a (rows x n) block sorted along its rows.
 
-    prefix[r, k] is the sum of the k smallest samples of row r.  The optimum
-    is the smallest sample whose cdf reaches psi: below it the objective
-    rises, from it on it does not.  That is one order statistic, so one
-    column decides every row.  Each row's values are those expected_profit
+    The optimum is the smallest sample whose cdf reaches psi: below it the
+    objective rises, from it on it does not.  That is one order statistic, so
+    one column decides every row.  Each row's values are those expected_profit
     and cvar give on its EmpiricalDistribution, bit for bit.
     """
     psi = quantile_argument(terms)
@@ -258,6 +258,7 @@ def decide_sorted(terms: ProgramTerms, samples: np.ndarray, prefix: np.ndarray) 
     else:
         clipped_high, c = np.full(rows, psi >= 1.0), np.full(rows, c)
 
+    prefix = prefix_sums(samples)
     profit = _profit(terms, c, *sorted_below(samples, prefix, c))
     f_hat, part_hat = sorted_below(samples, prefix, sorted_tail_cutoff(terms, samples))
     tail = _tail_profit(terms, c, part_hat / f_hat)
@@ -272,7 +273,7 @@ def optimal_contract(terms: ProgramTerms, dist: CurtailmentDistribution) -> Cont
     Samples are decide_sorted's one-row block.
     """
     if isinstance(dist, EmpiricalDistribution):
-        return decide_sorted(terms, dist.samples[None], dist.prefix[None]).decision(0)
+        return decide_sorted(terms, dist.samples[None]).decision(0)
     psi = quantile_argument(terms)
     clipped_low, clipped_high = psi <= 0.0, psi >= 1.0
     c = _contract_outside(terms, psi)

@@ -95,10 +95,6 @@ _FAR_TAIL = (
      5.99832206555887937690e-1, 1.0),
 )
 
-# The helpers below take a float or an array and do the same IEEE operations
-# in the same order on either (on an array, in place), so a scalar gives the
-# bits it gives inside an array.
-
 
 def _horner(coeffs, r):
     acc = coeffs[0] * r
@@ -124,22 +120,8 @@ def _rational(coeffs, r):
     return x
 
 
-def _ndtri(u: float) -> float:
-    q = u - 0.5
-    if abs(q) <= 0.425:
-        return _central(q)
-    tail = u if q < 0.0 else 1.0 - u
-    if not tail > 0.0:  # u = 0 or 1, outside [0, 1], or NaN
-        x = math.inf if tail == 0.0 else math.nan
-    else:
-        # np.log, not math.log: the two can differ in the last bit.
-        r = math.sqrt(-float(np.log(tail)))
-        x = _rational(_TAIL, r - 1.6) if r <= 5.0 else _rational(_FAR_TAIL, r - 5.0)
-    return -x if q < 0.0 else x
-
-
 def _tail_point(tail: np.ndarray) -> np.ndarray:
-    """-Phi^-1(tail) for tails below 0.075, as _ndtri takes it; overwrites tail."""
+    """-Phi^-1(tail) for tails below 0.075: inf at 0, NaN below 0 or NaN; overwrites tail."""
     if tail.size and not tail.min() > 0.0:
         inside = tail > 0.0
         x = np.where(tail == 0.0, np.inf, np.nan)
@@ -159,19 +141,22 @@ def _tail_point(tail: np.ndarray) -> np.ndarray:
 
 
 def _ndtri_array(u: np.ndarray) -> np.ndarray:
-    """_ndtri elementwise, each branch on the elements that take it."""
+    """Phi^-1(u) elementwise, each branch on the elements that take it, if any do."""
     q = u - 0.5
     if q.size and q.max() < -0.425:  # all in the lower tail, as tail draws are
         x = _tail_point(u.copy())
         return np.negative(x, out=x)
     out = np.full_like(u, np.nan)
     central = np.nonzero(np.abs(q) <= 0.425)
-    out[central] = _central(q[central])
+    if central[0].size:
+        out[central] = _central(q[central])
     low = np.nonzero(q < -0.425)
-    x = _tail_point(u[low])
-    out[low] = np.negative(x, out=x)
+    if low[0].size:
+        x = _tail_point(u[low])
+        out[low] = np.negative(x, out=x)
     high = np.nonzero(q > 0.425)
-    out[high] = _tail_point(1.0 - u[high])
+    if high[0].size:
+        out[high] = _tail_point(1.0 - u[high])
     return out
 
 
@@ -179,7 +164,7 @@ def standard_normal_quantile(u):
     """Phi^-1(u), elementwise: -inf at 0, +inf at 1, NaN outside [0, 1]."""
     u = np.asarray(u, dtype=float)
     if not u.ndim:
-        return _ndtri(float(u))
+        return float(_ndtri_array(u[None])[0])
     return _ndtri_array(u)
 
 
@@ -230,6 +215,12 @@ def prefix_sums(samples: np.ndarray) -> np.ndarray:
     prefix = np.zeros(samples.shape[:-1] + (samples.shape[-1] + 1,))
     np.cumsum(samples, axis=-1, out=prefix[..., 1:])
     return prefix
+
+
+def row_spread(samples: np.ndarray) -> np.ndarray:
+    """The (n-1)-denominator spread of each row of a sorted block, NumPy's std(ddof=1):
+    exactly 0.0 for a constant row, whose first and last samples are equal."""
+    return np.where(samples[:, 0] == samples[:, -1], 0.0, samples.std(axis=1, ddof=1))
 
 
 def check_normal_parameters(mu: float, sigma: float) -> None:
@@ -311,7 +302,7 @@ class EmpiricalDistribution:
 
     @cached_property
     def _stddev(self) -> float:
-        return float(self.samples.std(ddof=1))
+        return float(row_spread(self.samples[None])[0])
 
     def stddev(self) -> float:
         if self.n < 2:
@@ -434,11 +425,10 @@ def kolmogorov_rows(samples: np.ndarray, mu: np.ndarray, sigma: np.ndarray) -> n
 
 
 def fit_rows(samples: np.ndarray) -> np.ndarray:
-    """Each sorted row's mean, (n-1)-denominator spread and Kolmogorov gap, as (rows x 3);
+    """Each sorted row's mean, row_spread and Kolmogorov gap, as (rows x 3);
     a constant row fits the point mass at its value."""
-    constant = samples[:, 0] == samples[:, -1]
-    mu = np.where(constant, samples[:, 0], samples.mean(axis=1))
-    sigma = np.where(constant, 0.0, samples.std(axis=1, ddof=1))
+    sigma = row_spread(samples)
+    mu = np.where(samples[:, 0] == samples[:, -1], samples[:, 0], samples.mean(axis=1))
     return np.column_stack((mu, sigma, kolmogorov_rows(samples, mu, sigma)))
 
 

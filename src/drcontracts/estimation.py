@@ -33,10 +33,9 @@ from .distributions import (
     check_normal_parameters,
     fit_normal,  # noqa: F401  (not called here; bound only because perfbench/spans.py wraps it)
     fit_rows,
-    prefix_sums,
 )
 from .errors import InputFormatError, ModelConsistencyError
-from .formatting import is_integer, is_number, read_csv_rows
+from .formatting import is_integer, is_number, json_text, read_csv_rows
 from .nnls import nnls
 
 HOURS_PER_DAY = 24
@@ -243,7 +242,7 @@ def restrict_to_common(series: Sequence[CurtailableSeries]) -> list[CurtailableS
 
 def split_blocks(
     series: CurtailableSeries, min_bucket_size: int
-) -> tuple[dict[tuple[int, bool], tuple[np.ndarray, np.ndarray]], tuple[tuple[str, int], ...]]:
+) -> tuple[dict[tuple[int, bool], np.ndarray], tuple[tuple[str, int], ...]]:
     """The sorted_block of each (month, is_weekend) group of at least min_bucket_size
     days, in key order, and (label, size) of the buckets of the rest."""
     groups = series.groups
@@ -258,24 +257,22 @@ class BucketBlock:
     """The 24 buckets of one (month, day type), hour h in row h of each read-only array.
 
     samples is (24 x days), C-contiguous and sorted stably along its rows,
-    as EmpiricalDistribution sorts; prefix[h, k] is the sum of the k smallest
-    samples of row h; fits[h] holds hour h's mu, sigma and fit distance.
+    as EmpiricalDistribution sorts; fits[h] holds hour h's mu, sigma and fit distance.
     """
 
     samples: np.ndarray
-    prefix: np.ndarray
     fits: np.ndarray
 
     def __post_init__(self) -> None:
-        for array in (self.samples, self.prefix, self.fits):
+        for array in (self.samples, self.fits):
             array.flags.writeable = False
 
 
-def sorted_block(days: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A (days x hours) array's hour columns as BucketBlock holds them: samples and prefix."""
+def sorted_block(days: np.ndarray) -> np.ndarray:
+    """A (days x hours) array's hour columns, sorted, as BucketBlock.samples holds them."""
     samples = np.array(days.T, order="C")
     samples.sort(axis=1, kind="stable")
-    return samples, prefix_sums(samples)
+    return samples
 
 
 @dataclass(frozen=True)
@@ -448,7 +445,7 @@ def _read_building(bid: str, raw: dict, min_bucket_size: int) -> BuildingModel:
         if not 0.0 <= distance <= 1.0:
             raise ValueError(f"fit_distance must lie in [0, 1], got {distance!r}")
         params[month, is_weekend].append((mu, sigma, distance))
-    table = {group: BucketBlock(*kept[group], np.array(fit)) for group, fit in params.items()}
+    table = {group: BucketBlock(kept[group], np.array(fit)) for group, fit in params.items()}
     return BuildingModel(bid, series, table, dropped)
 
 
@@ -498,7 +495,7 @@ def _count(name: str, value) -> int:
 
 def model_json_text(model: CapabilityModel) -> str:
     """Canonical serialization: identical models produce identical bytes."""
-    return json.dumps(model.to_json_dict(), sort_keys=True, indent=1) + "\n"
+    return json_text(model.to_json_dict())
 
 
 def build_capability_model(
@@ -512,7 +509,7 @@ def build_capability_model(
     for bid in sorted(table.buildings):
         series = curtailable_series(table.buildings[bid], shapes, config.curtailable_fraction)
         kept, dropped = split_blocks(series, config.min_bucket_size)
-        blocks = {group: BucketBlock(*block, fit_rows(block[0])) for group, block in kept.items()}
+        blocks = {group: BucketBlock(samples, fit_rows(samples)) for group, samples in kept.items()}
         buildings[bid] = BuildingModel(bid, series, blocks, dropped)
     if not any(b.table for b in buildings.values()):
         raise ModelConsistencyError("no valid buckets after the minimum-size rule")

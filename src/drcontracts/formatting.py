@@ -3,12 +3,13 @@
 Input: the one CSV row reader behind the load, shapes and contract-schedule
 files, the one reader that builds a config dataclass from its JSON block, and
 the type rules the config dataclasses check at construction.  Output: the
-float and flag formats of the CSV writers.
+canonical JSON text and the float and flag formats of the CSV writers.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import math
 import numbers
 from dataclasses import MISSING, fields
@@ -98,6 +99,11 @@ def read_csv_rows(
     if not values:
         raise InputFormatError(f"{path}: no data rows")
     return values
+
+
+def json_text(obj) -> str:
+    """Canonical JSON: sorted keys, indent 1, a final newline; equal objects, equal bytes."""
+    return json.dumps(obj, sort_keys=True, indent=1) + "\n"
 
 
 def sig9(x: float) -> str:

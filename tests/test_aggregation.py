@@ -604,8 +604,8 @@ class TestBlockScorer:
     @given(case=paired_day_blocks())
     def test_each_hour_is_its_portfolios_score_bit_for_bit(self, case):
         base_days, cand_days, terms = case
-        members = [_spread_and_profit(terms, *sorted_block(d)) for d in (base_days, cand_days)]
-        sigma_ag, joint = _spread_and_profit(terms, *sorted_block(base_days + cand_days))
+        members = [_spread_and_profit(terms, sorted_block(d)) for d in (base_days, cand_days)]
+        sigma_ag, joint = _spread_and_profit(terms, sorted_block(base_days + cand_days))
         scores = score_pools(terms, *zip(*members), sigma_ag, joint)
         assert scores.shape == (4, base_days.shape[1])
         for hour, column in enumerate(scores.T.tolist()):

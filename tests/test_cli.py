@@ -574,9 +574,9 @@ def recording_decisions(monkeypatch) -> list[np.ndarray]:
     blocks = []
     decide = drcontracts.cli.decide_sorted
 
-    def recording(terms, samples, prefix):
+    def recording(terms, samples):
         blocks.append(samples)
-        return decide(terms, samples, prefix)
+        return decide(terms, samples)
 
     def per_bucket(terms, dist):
         raise AssertionError("a single bucket was decided")
@@ -1320,6 +1320,58 @@ def test_year_ranking_matches_the_per_bucket_oracle(tmp_path, monkeypatch, capsy
         assert bits(ranks) == bits(expected)
         listed = [line for line in capsys.readouterr().out.splitlines() if "unalignable" in line]
         assert listed == ([f"unalignable buckets skipped: {', '.join(unalignable)}"] if unalignable else [])
+
+
+def _repeated_day_load(src: Path, days: int = 28) -> str:
+    """acme_plant and birch_mall, each repeating its own 2021-03-01 profile for days days."""
+    header, *rows = src.read_text().splitlines()
+    first = [
+        row for row in rows
+        if row.startswith("2021-03-01T") and row.split(",")[1] in ("acme_plant", "birch_mall")
+    ]
+    out = [header]
+    for k in range(days):
+        day = (date(2021, 3, 1) + timedelta(k)).isoformat()
+        out.extend(day + row[10:] for row in first)
+    return "\n".join(out) + "\n"
+
+
+def test_constant_buckets_have_no_complementarity(tmp_path, monkeypatch, capsys):
+    """Every bucket of two buildings that each repeat one day is a point mass, so
+    delta_sigma and delta_j_cancelled are exactly 0, not rounding noise, and the
+    per-bucket referee gives the same bits."""
+    import drcontracts.cli as cli
+    from oracles import per_bucket_ranking
+
+    for name in INPUTS:
+        shutil.copy(FIXTURES / name, tmp_path / name)
+    (tmp_path / "sample_load.csv").write_text(_repeated_day_load(FIXTURES / "sample_load.csv"))
+    monkeypatch.chdir(tmp_path)
+    assert run("estimate", "--config", "config.json", "--out", "model.json") == 0
+    assert "warning: 96 point-mass buckets (sigma = 0)" in capsys.readouterr().out
+
+    written = []
+    write = cli.write_ranking_csv
+
+    def recording(path, ranks):
+        written.append(ranks)
+        write(path, ranks)
+
+    monkeypatch.setattr(cli, "write_ranking_csv", recording)
+    argv = ("aggregate", "--config", "config.json", "--base", "acme_plant")
+    assert run(*argv, "--candidates", "birch_mall", "--out", "ranking.csv") == 0
+    header, row = (line.split(",") for line in Path("ranking.csv").read_text().splitlines())
+    fields = dict(zip(header, row))
+    assert (fields["delta_sigma"], fields["delta_j_cancelled"]) == ("0", "0")
+
+    model = CapabilityModel.load("model.json")
+    terms = ProgramTerms.from_json_dict(json.loads(Path("config.json").read_text())["terms"])
+    expected, unalignable = per_bucket_ranking(model, terms, "acme_plant", ("birch_mall",))
+    assert unalignable == []
+    (ranks,) = written
+    assert [v.hex() for v in dataclasses.astuple(ranks[0])[1:]] == [
+        v.hex() for v in dataclasses.astuple(expected[0])[1:]
+    ]
 
 
 def test_year_report_analytic_matches_the_per_group_oracle(tmp_path, monkeypatch, capsys):

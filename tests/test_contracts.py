@@ -489,9 +489,7 @@ class TestDecideSorted:
     def test_each_row_is_its_distributions_decision_bit_for_bit(self, case):
         block, terms = case
         samples = np.sort(block, axis=1, kind="stable")
-        prefix = np.zeros((samples.shape[0], samples.shape[1] + 1))
-        np.cumsum(samples, axis=1, out=prefix[:, 1:])
-        decided = decide_sorted(terms, samples, prefix)
+        decided = decide_sorted(terms, samples)
         psi = quantile_argument(terms)
         cap = terms.contract_cap
         assert decided.psi == psi

@@ -27,6 +27,7 @@ from drcontracts.distributions import (
     fit_rows,
     kolmogorov_rows,
     prefix_sums,
+    row_spread,
     standard_normal_cdf,
     standard_normal_pdf,
     standard_normal_quantile,
@@ -468,6 +469,39 @@ def sorted_rows(draw):
                                    min_size=rows, max_size=rows)))
     block[np.array(draw(st.lists(st.booleans(), min_size=rows, max_size=rows)))] = 0.0
     return np.sort(block, axis=1)
+
+
+@st.composite
+def rows_with_constants(draw):
+    """sorted_rows with some rows set to one drawn value each, 0.1 among them:
+    constant rows whose NumPy std(ddof=1) need not be 0."""
+    block = draw(sorted_rows())
+    for row in range(block.shape[0]):
+        if draw(st.booleans()):
+            block[row] = draw(st.one_of(st.just(0.1), st.floats(0.0, 50.0)))
+    return block
+
+
+class TestRowSpread:
+    """row_spread is the one spread rule: fit_rows and EmpiricalDistribution.stddev take it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(block=rows_with_constants())
+    def test_numpy_spread_or_exactly_zero(self, block):
+        spread = row_spread(block)
+        fits = fit_rows(block)
+        assert spread.shape == (block.shape[0],)
+        for row, sigma, fit in zip(block, spread.tolist(), fits):
+            expected = 0.0 if row[0] == row[-1] else float(np.std(row, ddof=1))
+            assert sigma.hex() == expected.hex()
+            assert float(fit[1]).hex() == sigma.hex()
+            assert EmpiricalDistribution(row).stddev().hex() == sigma.hex()
+
+    def test_constant_samples_have_zero_spread(self):
+        values = [0.1] * 3
+        assert np.std(values, ddof=1) > 0.0  # NumPy's rounding noise
+        assert EmpiricalDistribution(values).stddev() == 0.0
+        assert row_spread(np.array([values])).tolist() == [0.0]
 
 
 class TestBlockFits:
