@@ -101,9 +101,50 @@ def read_csv_rows(
     return values
 
 
+_c_encode = json.JSONEncoder(sort_keys=True).encode  # no indent: the C encoder
+_escape = json.encoder.encode_basestring_ascii
+
+
 def json_text(obj) -> str:
-    """Canonical JSON: sorted keys, indent 1, a final newline; equal objects, equal bytes."""
-    return json.dumps(obj, sort_keys=True, indent=1) + "\n"
+    """Canonical JSON: exactly ``json.dumps(obj, sort_keys=True, indent=1) + "\\n"``.
+
+    That indent forces the pure-Python encoder; this lays out the containers
+    itself and leaves each list of numbers to one C-encoder call.
+    """
+    parts: list[str] = []
+    _write(obj, "\n", parts.append)
+    return "".join(parts) + "\n"
+
+
+def _write(obj, newline: str, put: Callable[[str], object]) -> None:
+    """Append obj's indent=1 text at the depth whose line break is ``newline``."""
+    if isinstance(obj, str):
+        put(_escape(obj))
+    elif isinstance(obj, float) and math.isfinite(obj):
+        put(float.__repr__(obj))
+    elif isinstance(obj, int) and not isinstance(obj, bool):
+        put(int.__repr__(obj))
+    elif not isinstance(obj, (list, tuple, dict)) or not obj:
+        put(_c_encode(obj))  # null, true, false, NaN, Infinity, [], {}; or the TypeError
+    elif isinstance(obj, dict):
+        inner = newline + " "
+        for i, (key, value) in enumerate(sorted(obj.items())):
+            # A key that is not a string takes the C encoder's text, or its TypeError.
+            key = _escape(key) if isinstance(key, str) else _c_encode({key: None})[1:-7]
+            put(("," if i else "{") + inner + key + ": ")
+            _write(value, inner, put)
+        put(newline + "}")
+    else:
+        inner = newline + " "
+        text = "" if isinstance(obj[0], (str, list, tuple, dict)) else _c_encode(obj)
+        # Number texts hold no ", ", '"', "[" or "{": none in text, no string or container.
+        if text and '"' not in text and "{" not in text and text.find("[", 1) < 0:
+            put("[" + inner + text[1:-1].replace(", ", "," + inner) + newline + "]")
+            return
+        for i, item in enumerate(obj):
+            put(("," if i else "[") + inner)
+            _write(item, inner, put)
+        put(newline + "]")
 
 
 def sig9(x: float) -> str:

@@ -66,25 +66,28 @@ def nnls(a, b) -> tuple[np.ndarray, float]:
     m, n = a.shape
     if b.shape != (m,):
         raise ValueError(f"b must have shape ({m},), got {b.shape}")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("a and b must be finite")
 
+    at = a.T
     x = np.zeros(n)
     passive = np.zeros(n, dtype=bool)
-    w = a.T @ (b - a @ x)
+    w = at @ (b - a @ x)
     tol = gradient_tolerance(a, b)
 
     for _ in range(max(3 * n, 30)):
-        candidates = ~passive & (w > tol)
-        if not candidates.any():
+        j, top = -1, tol
+        for i, (wi, held) in enumerate(zip(w.tolist(), passive.tolist())):
+            if wi > top and not held:
+                j, top = i, wi
+        if j < 0:
             break
-        # argmax returns the first (lowest-index) maximizer
-        j = int(np.argmax(np.where(candidates, w, -np.inf)))
         passive[j] = True
         while True:
+            z = _solve_passive(a, b, passive)
             s = np.zeros(n)
-            s[passive] = _solve_passive(a, b, passive)
-            if np.all(s[passive] > 0.0):
+            s[passive] = z
+            if (z > 0.0).all():
                 x = s
                 break
             # Step toward s until the first passive variable hits zero.
@@ -103,7 +106,7 @@ def nnls(a, b) -> tuple[np.ndarray, float]:
             passive[drop] = False
             if not passive.any():
                 break
-        w = a.T @ (b - a @ x)
+        w = at @ (b - a @ x)
 
     residual = b - a @ x
     return x, float(np.linalg.norm(residual))

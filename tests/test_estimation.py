@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import re
 from datetime import date, datetime, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from drcontracts import (
     build_capability_model,
     curtailable_series,
     decompose_load,
+    estimation,
+    nnls,
     read_load_csv,
     read_shapes_csv,
     restrict_to_common,
@@ -30,6 +33,8 @@ from drcontracts.estimation import (
     LoadTable,
     model_json_text,
 )
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def two_use_shapes(weekend_scale: float = 1.0) -> EndUseShapes:
@@ -181,6 +186,43 @@ class TestCurtailableSeries:
         series = curtailable_series(day_table(loads), shapes, fraction=0.5)
         assert series.days == (march1,)
         assert series.skipped_days == 1
+
+    def test_one_nnls_call_per_complete_day_on_the_fixtures(self, monkeypatch):
+        """The benchmark times nnls per call through this name; batching would change its count."""
+        table = read_load_csv(FIXTURES / "sample_load.csv")
+        shapes = read_shapes_csv(FIXTURES / "shapes.csv", "hvac")
+        calls = []
+
+        def counting(a, b):
+            calls.append(1)
+            return nnls(a, b)
+
+        monkeypatch.setattr(estimation, "nnls", counting)
+        build_capability_model(table, shapes, EstimationConfig())
+        complete = sum(
+            int((~np.isnan(t.values).any(axis=1)).sum()) for t in table.buildings.values()
+        )
+        assert len(calls) == complete > 0
+
+    @pytest.mark.parametrize("bad", [-1.0, np.inf])
+    def test_complete_day_with_a_bad_hour_raises_the_decompose_load_error(self, bad):
+        shapes = two_use_shapes()
+        march1, march2 = date(2021, 3, 1), date(2021, 3, 2)
+        loads = {day: day_loads(day, shapes, 120.0, 80.0) for day in (march1, march2)}
+        loads[march2][5] = bad
+        with pytest.raises(ValueError) as expected:
+            decompose_load(loads[march2], shapes)
+        with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+            curtailable_series(day_table(loads), shapes, fraction=0.5)
+
+    def test_building_without_a_complete_day_gives_an_empty_series(self):
+        shapes = two_use_shapes()
+        march1, march2 = date(2021, 3, 1), date(2021, 3, 2)
+        loads = {day: day_loads(day, shapes, 120.0, 80.0)[:20] for day in (march1, march2)}
+        series = curtailable_series(day_table(loads), shapes, fraction=0.5)
+        assert series.days == ()
+        assert series.values.shape == (0, 24)
+        assert series.skipped_days == 2
 
     def test_duplicate_timestamps_rejected(self, tmp_path):
         # A day table cannot hold two loads for one hour: a repeated hour is

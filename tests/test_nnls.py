@@ -126,6 +126,31 @@ def test_bitwise_equal_to_passive_set_search_on_full_rank_problems(
     assert residual == residual_ref
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=1, max_value=6),
+    extra_rows=st.integers(min_value=0, max_value=18),
+    layout=st.sampled_from(["asfortranarray", "transposed copy"]),
+)
+def test_bitwise_equal_to_passive_set_search_on_column_major_matrices(
+    seed, n, extra_rows, layout
+):
+    """EndUseShapes.day_matrix is a transposed view, so estimate passes a
+    column-major ``a``; the referee must hold on that layout too."""
+    rng = np.random.default_rng(seed)
+    a = rng.random((n + extra_rows, n))
+    a = np.asfortranarray(a) if layout == "asfortranarray" else a.T.copy().T
+    assert a.flags.f_contiguous and np.linalg.matrix_rank(a) == n
+    w = 10.0 * rng.random(n)
+    w[rng.random(n) < 0.4] = 0.0
+    b = a @ w + rng.normal(0.0, 0.1, a.shape[0])
+    x, residual = nnls(a, b)
+    x_ref, residual_ref = passive_set_search_nnls(a, b)
+    assert x.tobytes() == x_ref.tobytes()
+    assert residual == residual_ref
+
+
 def degenerate_problem(kind: str, seed: int) -> tuple[np.ndarray, np.ndarray]:
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 7))
